@@ -10,7 +10,11 @@ Subcommands:
       section/family/problem/algorithm/n/va/ea/wc/valid); when given,
       the snapshot records it as its "crosspaper" section so the
       2018-vs-2022-vs-worst-case measures travel with the perf
-      history. Snapshots are append-only history.
+      history. Each snapshot carries its own "host" block (CPU count,
+      clock, compiler), so appending never rewrites the provenance of
+      older snapshots. Snapshots are append-only history; a file-level
+      "host" block, where present, predates per-snapshot hosts and is
+      left as it was.
   check MICRO_JSON [THRESHOLD]
       Compare a fresh bench_micro dump's BM_Engine* round-throughput
       (items_per_second = stepped vertex-rounds per second) against the
@@ -76,7 +80,7 @@ def load_doc():
         with open(BENCH_FILE) as f:
             return json.load(f)
     except FileNotFoundError:
-        return {"host": {}, "snapshots": []}
+        return {"snapshots": []}
 
 
 def cmd_append(label, micro_path, scaling_path, crosspaper_path=None):
@@ -90,17 +94,17 @@ def cmd_append(label, micro_path, scaling_path, crosspaper_path=None):
             crosspaper = json.load(f)
     doc = load_doc()
     ctx = raw.get("context", {})
-    doc["host"] = {
-        "hardware_threads": scaling.get("hardware_threads"),
-        "num_cpus": ctx.get("num_cpus"),
-        "mhz_per_cpu": ctx.get("mhz_per_cpu"),
-        # Stamped by bench_engine_scaling: snapshots are only
-        # comparable within one compiler + optimization-flag set.
-        "compiler": scaling.get("compiler"),
-    }
     snapshot = {
         "label": label,
         "date": datetime.date.today().isoformat(),
+        "host": {
+            "hardware_threads": scaling.get("hardware_threads"),
+            "num_cpus": ctx.get("num_cpus"),
+            "mhz_per_cpu": ctx.get("mhz_per_cpu"),
+            # Stamped by bench_engine_scaling: snapshots are only
+            # comparable within one compiler + optimization-flag set.
+            "compiler": scaling.get("compiler"),
+        },
         "bench_micro": trim_micro(raw),
         "engine_scaling": scaling.get("rows", []),
     }

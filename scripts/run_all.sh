@@ -149,16 +149,34 @@ echo "cross-paper smoke: BGKO'22 entries validate with EA reported"
 # ThreadSanitizer job: rebuild the round engine's suites with
 # -DVALOCAL_SANITIZE=thread and run them (the parallel-engine tests use
 # num_threads up to 8 internally), racing-checking the engine before
-# the benches rely on it. Skipped gracefully where libtsan is absent.
+# the benches rely on it. test_graph runs the streaming CSR build at 4
+# threads. Skipped gracefully where libtsan is absent.
 if echo 'int main(){}' | c++ -fsanitize=thread -x c++ - -o /tmp/valocal_tsan_probe 2>/dev/null; then
   rm -f /tmp/valocal_tsan_probe
   cmake -B build-tsan -G Ninja -DVALOCAL_SANITIZE=thread
-  cmake --build build-tsan --target test_parallel_engine test_engine test_engine_contracts test_mailbox test_wake_engine test_frontier_engine test_registry test_rmat test_edgelist_bin
+  cmake --build build-tsan --target test_parallel_engine test_engine test_engine_contracts test_mailbox test_wake_engine test_frontier_engine test_registry test_graph test_rmat test_edgelist_bin
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'test_parallel_engine|test_engine$|test_engine_contracts|test_mailbox|test_wake_engine|test_frontier_engine|test_registry|test_rmat|test_edgelist_bin' \
+    -R 'test_parallel_engine|test_engine$|test_engine_contracts|test_mailbox|test_wake_engine|test_frontier_engine|test_registry|test_graph|test_rmat|test_edgelist_bin' \
     2>&1 | tee tsan_output.txt
 else
   echo "ThreadSanitizer unavailable; skipping TSan job" | tee tsan_output.txt
+fi
+
+# AddressSanitizer + UndefinedBehaviorSanitizer job over the graph
+# ingestion suites: the streaming CSR build's scatter, radix sort and
+# cursor sweep index raw arrays, and the binary loader reads an mmap.
+# UBSan findings abort the test instead of scrolling by. Skipped
+# gracefully where libasan or libubsan is absent.
+if echo 'int main(){}' | c++ -fsanitize=address,undefined -x c++ - -o /tmp/valocal_asan_probe 2>/dev/null; then
+  rm -f /tmp/valocal_asan_probe
+  cmake -B build-asan -G Ninja -DVALOCAL_SANITIZE=address,undefined
+  cmake --build build-asan --target test_graph test_rmat test_edgelist_bin
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir build-asan --output-on-failure \
+    -R 'test_graph|test_rmat|test_edgelist_bin' \
+    2>&1 | tee asan_output.txt
+else
+  echo "ASan/UBSan unavailable; skipping ASan+UBSan job" | tee asan_output.txt
 fi
 
 # The scaling bench's graph-substrate section generates an RMAT

@@ -5,12 +5,12 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <vector>
 
 #include "util/assertx.hpp"
-#include "util/thread_pool.hpp"
 
 namespace valocal {
 namespace {
@@ -127,37 +127,35 @@ BinEdgeList::~BinEdgeList() {
 }
 
 void BinEdgeList::stream(std::size_t num_threads, const BlockFn& fn) const {
-  constexpr std::size_t kBlockPairs = std::size_t{1} << 20;
-  ThreadPool pool(num_threads);
   if (width_ == sizeof(Vertex)) {
     // Zero-copy: the mapped pair section IS the block data. The data
     // offset (32) keeps 4-byte alignment off the page-aligned base.
     const Vertex* pairs = reinterpret_cast<const Vertex*>(data_);
-    pool.parallel_for_chunks(
-        static_cast<std::size_t>(m_), kBlockPairs,
-        [&](std::size_t, std::size_t begin, std::size_t end) {
-          fn(Block(pairs + 2 * begin, 2 * (end - begin)));
-        });
+    for (std::uint64_t begin = 0; begin < m_; begin += kBlockPairs)
+      fn(Block(pairs + 2 * begin,
+               2 * std::min<std::uint64_t>(kBlockPairs, m_ - begin)));
     return;
   }
-  // Width-8 interchange files: convert per block, checking every id
-  // against the 32-bit limit and n with the offending pair's index.
-  pool.parallel_for_chunks(
-      static_cast<std::size_t>(m_), kBlockPairs,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        std::vector<Vertex> buffer(2 * (end - begin));
-        for (std::size_t i = begin; i < end; ++i) {
-          std::uint64_t wide[2];
-          std::memcpy(wide, data_ + i * 16, 16);
-          for (int s = 0; s < 2; ++s) {
-            VALOCAL_REQUIRE(wide[s] < n_,
-                            "binary edge list: vertex id out of range "
-                            "(id >= n) in a width-8 pair");
-            buffer[2 * (i - begin) + s] = static_cast<Vertex>(wide[s]);
-          }
+  // Width-8 interchange files: convert per block (in parallel), checking
+  // every id against the 32-bit limit and n.
+  stream_ordered(
+      num_threads,
+      static_cast<std::size_t>((m_ + kBlockPairs - 1) / kBlockPairs),
+      [&](std::size_t block, std::vector<Vertex>& buffer) {
+        const std::uint64_t begin = block * kBlockPairs;
+        const std::uint64_t count =
+            std::min<std::uint64_t>(kBlockPairs, m_ - begin);
+        buffer.resize(2 * count);
+        for (std::uint64_t i = 0; i < 2 * count; ++i) {
+          std::uint64_t wide;
+          std::memcpy(&wide, data_ + (2 * begin + i) * 8, 8);
+          VALOCAL_REQUIRE(wide < n_,
+                          "binary edge list: vertex id out of range "
+                          "(id >= n) in a width-8 pair");
+          buffer[i] = static_cast<Vertex>(wide);
         }
-        fn(Block(buffer.data(), buffer.size()));
-      });
+      },
+      fn);
 }
 
 Graph load_graph_bin(const std::string& path, std::size_t num_threads) {

@@ -1,8 +1,9 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <array>
 #include <numeric>
+#include <utility>
 
 #include "util/assertx.hpp"
 #include "util/thread_pool.hpp"
@@ -33,18 +34,75 @@ void sweep_edge_slots(std::size_t n, const std::vector<std::size_t>& offsets,
     }
 }
 
+// Slices at least this long take the radix sort; std::sort keeps the
+// short ones, where zeroing 3 × 2048 histogram buckets would dominate.
+constexpr std::size_t kRadixMinSlice = 256;
+
+/// LSD radix sort of `keys` over three 11-bit digits (all 32 bits of
+/// a Vertex), ping-ponging through `scratch` (>= keys.size()). One
+/// read pass fills every digit's histogram; a digit on which all keys
+/// agree is skipped, so ids below 2^22 cost two scatter passes.
+void radix_sort(std::span<Vertex> keys, Vertex* scratch) {
+  constexpr unsigned kBits = 11, kDigits = 3;
+  constexpr Vertex kMask = (Vertex{1} << kBits) - 1;
+  std::array<std::array<std::uint32_t, kMask + 1>, kDigits> count{};
+  for (const Vertex x : keys)
+    for (unsigned d = 0; d < kDigits; ++d)
+      ++count[d][(x >> (kBits * d)) & kMask];
+  Vertex* from = keys.data();
+  Vertex* to = scratch;
+  for (unsigned d = 0; d < kDigits; ++d) {
+    const unsigned shift = kBits * d;
+    auto& bucket = count[d];
+    if (bucket[(from[0] >> shift) & kMask] == keys.size()) continue;
+    std::uint32_t sum = 0;
+    for (std::uint32_t& b : bucket) sum += std::exchange(b, sum);
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      to[bucket[(from[i] >> shift) & kMask]++] = from[i];
+    std::swap(from, to);
+  }
+  if (from != keys.data()) std::copy_n(from, keys.size(), keys.data());
+}
+
 }  // namespace
 
-void SpanEdgeSource::stream(std::size_t num_threads,
-                            const BlockFn& fn) const {
-  constexpr std::size_t kBlockPairs = std::size_t{1} << 20;
-  const std::size_t total = pairs_.size() / 2;
+void EdgeBlockSource::stream_ordered(std::size_t num_threads,
+                                     std::size_t num_blocks,
+                                     const FillFn& fill, const BlockFn& fn) {
   ThreadPool pool(num_threads);
-  pool.parallel_for_chunks(
-      total, kBlockPairs,
-      [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
-        fn(pairs_.subspan(2 * begin, 2 * (end - begin)));
-      });
+  // Double-buffered batches: dispatch k fills batch k while its chunk 0
+  // hands batch k-1 to fn, so one thread consumes, in block order, as
+  // the others produce; it joins them once done. Several blocks per
+  // thread keep the dynamic chunk claiming balanced.
+  const std::size_t batch = 4 * pool.num_threads();
+  std::array<std::vector<std::vector<Vertex>>, 2> buffers;
+  for (auto& set : buffers) set.resize(std::min(batch, num_blocks));
+  std::size_t ready = 0;  // blocks of batch k-1 not yet handed over
+  for (std::size_t k = 0; ready > 0 || k * batch < num_blocks; ++k) {
+    const std::size_t first = k * batch;
+    const std::size_t count =
+        first < num_blocks ? std::min(batch, num_blocks - first) : 0;
+    auto& fill_set = buffers[k % 2];
+    const auto& hand_set = buffers[(k + 1) % 2];
+    pool.parallel_for_chunks(
+        count + 1, 1, [&](std::size_t c, std::size_t, std::size_t) {
+          if (c > 0) {
+            fill(first + c - 1, fill_set[c - 1]);
+            return;
+          }
+          for (std::size_t i = 0; i < ready; ++i)
+            fn(Block(hand_set[i].data(), hand_set[i].size()));
+        });
+    ready = count;
+  }
+}
+
+void SpanEdgeSource::stream(std::size_t /*num_threads*/,
+                            const BlockFn& fn) const {
+  for (std::size_t begin = 0; begin < pairs_.size();
+       begin += 2 * kBlockPairs)
+    fn(pairs_.subspan(begin, std::min(2 * kBlockPairs,
+                                      pairs_.size() - begin)));
 }
 
 Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
@@ -58,9 +116,10 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
   if (src.num_pairs() == 0) return g;
 
   // Pass 1: degree counting (duplicates counted, removed after the
-  // per-slice sort; self-loops dropped). Relaxed atomics make the
-  // pass safe under any block parallelism; totals are order-free.
-  std::vector<std::atomic<Vertex>> degree(n);
+  // per-slice sort; self-loops dropped). stream() hands blocks over
+  // serially, so plain counters suffice. Duplicates count too, so a
+  // hub can in principle wrap its 32-bit counter; that dies here.
+  std::vector<Vertex> degree(n);
   src.stream(num_threads, [&](EdgeBlockSource::Block block) {
     VALOCAL_REQUIRE(block.size() % 2 == 0,
                     "edge source yielded a half pair");
@@ -69,50 +128,68 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
       VALOCAL_REQUIRE(u < n && v < n,
                       "edge endpoint out of range (vertex id >= n)");
       if (u == v) continue;
-      degree[u].fetch_add(1, std::memory_order_relaxed);
-      degree[v].fetch_add(1, std::memory_order_relaxed);
+      ++degree[u];
+      ++degree[v];
+      VALOCAL_REQUIRE(degree[u] != 0 && degree[v] != 0,
+                      "vertex degree count exceeds 2^32 - 1");
     }
   });
   for (std::size_t v = 0; v < n; ++v)
-    g.offsets_[v + 1] =
-        g.offsets_[v] + degree[v].load(std::memory_order_relaxed);
+    g.offsets_[v + 1] = g.offsets_[v] + degree[v];
   const std::size_t slots = g.offsets_[n];
 
   // Pass 2: scatter each endpoint straight into its adjacency slice.
-  // Slot order within a slice is schedule-dependent here; the sort
-  // below canonicalizes it, so the built graph is thread-count- and
-  // block-order-independent.
+  // The bound check keeps a source that yields more endpoints than in
+  // pass 1 from writing past its slice (or past the array); the sweep
+  // after it catches one that yields fewer. Slot order within a slice
+  // is block-order-dependent; the sort below canonicalizes it.
   g.adjacency_.resize(slots);
-  std::vector<std::atomic<std::size_t>> cursor(n);
-  for (std::size_t v = 0; v < n; ++v)
-    cursor[v].store(g.offsets_[v], std::memory_order_relaxed);
-  src.stream(num_threads, [&](EdgeBlockSource::Block block) {
-    for (std::size_t i = 0; i < block.size(); i += 2) {
-      const Vertex u = block[i], v = block[i + 1];
-      VALOCAL_REQUIRE(u < n && v < n,
-                      "edge source changed between passes");
-      if (u == v) continue;
-      g.adjacency_[cursor[u].fetch_add(1, std::memory_order_relaxed)] = v;
-      g.adjacency_[cursor[v].fetch_add(1, std::memory_order_relaxed)] = u;
-    }
-  });
+  {
+    struct Cursor {
+      std::size_t next, end;
+    };
+    std::vector<Cursor> cursor(n);
+    for (std::size_t v = 0; v < n; ++v)
+      cursor[v] = {g.offsets_[v], g.offsets_[v + 1]};
+    src.stream(num_threads, [&](EdgeBlockSource::Block block) {
+      for (std::size_t i = 0; i < block.size(); i += 2) {
+        const Vertex u = block[i], v = block[i + 1];
+        VALOCAL_REQUIRE(u < n && v < n,
+                        "edge source changed between passes");
+        if (u == v) continue;
+        Cursor& cu = cursor[u];
+        Cursor& cv = cursor[v];
+        VALOCAL_REQUIRE(cu.next < cu.end && cv.next < cv.end,
+                        "edge source changed between passes");
+        g.adjacency_[cu.next++] = v;
+        g.adjacency_[cv.next++] = u;
+      }
+    });
+    for (const Cursor& c : cursor)
+      VALOCAL_REQUIRE(c.next == c.end, "edge source changed between passes");
+  }
 
   // Sort + dedup every slice in place (parallel over vertex ranges;
-  // slices are disjoint). The deduped degree lands in `degree`.
+  // slices are disjoint). Long slices take the radix path through one
+  // scratch per chunk, sized to the chunk's longest slice. The deduped
+  // degree lands in `degree`.
   {
     ThreadPool pool(num_threads);
     pool.parallel_for_chunks(
         n, 4096,
         [&](std::size_t /*chunk*/, std::size_t begin, std::size_t end) {
+          std::vector<Vertex> scratch;
           for (std::size_t v = begin; v < end; ++v) {
-            const auto lo = g.adjacency_.begin() +
-                            static_cast<std::ptrdiff_t>(g.offsets_[v]);
-            const auto hi = g.adjacency_.begin() +
-                            static_cast<std::ptrdiff_t>(g.offsets_[v + 1]);
-            std::sort(lo, hi);
-            degree[v].store(
-                static_cast<Vertex>(std::unique(lo, hi) - lo),
-                std::memory_order_relaxed);
+            const std::span<Vertex> slice(
+                g.adjacency_.data() + g.offsets_[v], degree[v]);
+            if (slice.size() >= kRadixMinSlice) {
+              if (scratch.size() < slice.size()) scratch.resize(slice.size());
+              radix_sort(slice, scratch.data());
+            } else {
+              std::sort(slice.begin(), slice.end());
+            }
+            degree[v] = static_cast<Vertex>(
+                std::unique(slice.begin(), slice.end()) - slice.begin());
           }
         });
   }
@@ -125,7 +202,7 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
   std::size_t max_degree = 0;
   for (std::size_t v = 0; v < n; ++v) {
     const std::size_t old_next = g.offsets_[v + 1];
-    const std::size_t d = degree[v].load(std::memory_order_relaxed);
+    const std::size_t d = degree[v];
     if (write != old_lo)
       std::copy(g.adjacency_.begin() + static_cast<std::ptrdiff_t>(old_lo),
                 g.adjacency_.begin() +
@@ -145,18 +222,20 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
   g.max_degree_ = max_degree;
 
   // Canonical edge ids — lexicographic by (u, v) — plus incident lists
-  // and reciprocal ports, in one cursor sweep.
-  g.edge_u_.reserve(m);
-  g.edge_v_.reserve(m);
+  // and reciprocal ports, in one cursor sweep. Indexed stores into
+  // presized arrays: push_back here cost a third of the sweep.
+  g.edge_u_.resize(m);
+  g.edge_v_.resize(m);
   g.incident_.resize(write);
   g.mirror_.resize(write);
   std::vector<std::size_t> sweep_cursor(n);
+  EdgeId next_edge = 0;
   sweep_edge_slots(
       n, g.offsets_, g.adjacency_, sweep_cursor,
       [&](Vertex u, Vertex w, std::size_t fwd_slot, std::size_t rev_slot) {
-        const EdgeId e = static_cast<EdgeId>(g.edge_u_.size());
-        g.edge_u_.push_back(u);
-        g.edge_v_.push_back(w);
+        const EdgeId e = next_edge++;
+        g.edge_u_[e] = u;
+        g.edge_v_[e] = w;
         g.incident_[fwd_slot] = e;
         g.incident_[rev_slot] = e;
         g.mirror_[fwd_slot] =
@@ -164,7 +243,7 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
         g.mirror_[rev_slot] =
             static_cast<std::uint32_t>(fwd_slot - g.offsets_[u]);
       });
-  VALOCAL_ENSURE(g.edge_u_.size() == m, "edge sweep missed slots");
+  VALOCAL_ENSURE(next_edge == m, "edge sweep missed slots");
   return g;
 }
 

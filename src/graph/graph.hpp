@@ -40,21 +40,39 @@ inline constexpr std::size_t kMaxEdges = kInvalidEdge;
 /// Semantics: stream() invokes `fn` on blocks of interleaved pairs
 /// (u0, v0, u1, v1, ...; block length is always even). The multiset of
 /// pairs must be identical across calls — the CSR build streams twice
-/// (degree count, then scatter). Block boundaries, block order, and
-/// the pair order inside a block are unspecified; with num_threads > 1
-/// implementations may invoke `fn` concurrently from several threads,
-/// so `fn` must be thread-safe. Self-loops and duplicate pairs are
-/// permitted (the build drops them, Graph500-style).
+/// (degree count, then scatter). Block boundaries and the pair order
+/// inside a block are unspecified. `fn` is called from one thread at a
+/// time, in block order, so it needs no synchronization. `num_threads`
+/// only lets a source *produce* blocks in parallel (see
+/// stream_ordered); the hand-over stays serial. Self-loops and
+/// duplicate pairs are permitted (the build drops them,
+/// Graph500-style).
 class EdgeBlockSource {
  public:
   using Block = std::span<const Vertex>;
   using BlockFn = std::function<void(Block)>;
+
+  /// Pairs per block in the library's sources: large enough to amortize
+  /// the per-block dispatch, small enough that a block (512 KiB of
+  /// pair data) stays cache-friendly.
+  static constexpr std::size_t kBlockPairs = std::size_t{1} << 16;
 
   virtual ~EdgeBlockSource() = default;
 
   /// Exact number of directed pairs every stream() call yields.
   virtual std::uint64_t num_pairs() const = 0;
   virtual void stream(std::size_t num_threads, const BlockFn& fn) const = 0;
+
+ protected:
+  using FillFn =
+      std::function<void(std::size_t block, std::vector<Vertex>& buffer)>;
+
+  /// The stream() body of a source whose blocks cost work to produce:
+  /// `fill` writes block b (b < num_blocks) into its buffer, on up to
+  /// num_threads threads; one thread at a time hands the filled blocks
+  /// to `fn` in block order while later blocks are being filled.
+  static void stream_ordered(std::size_t num_threads, std::size_t num_blocks,
+                             const FillFn& fill, const BlockFn& fn);
 };
 
 /// EdgeBlockSource view over contiguous interleaved pairs already in
@@ -82,17 +100,22 @@ class Graph {
   /// follow the input order. Requires n <= kMaxVertices.
   Graph(std::size_t n, std::vector<std::pair<Vertex, Vertex>> edges);
 
-  /// Memory-lean streaming build: two passes over `src` (degree count,
-  /// then scatter straight into CSR), per-vertex sort + dedup in
-  /// place, then one cursor sweep for edge ids, incident lists, and
-  /// reciprocal ports. No edge-pair staging vector and no hash-set
-  /// dedup: peak transient memory is ~2·pairs·sizeof(Vertex) for the
-  /// adjacency scatter plus the n+1 offsets. Unlike the vector
+  /// Memory-lean streaming build: two serial passes over `src`
+  /// (degree count, then scatter straight into CSR), per-vertex sort +
+  /// dedup in place, then one cursor sweep for edge ids, incident
+  /// lists, and reciprocal ports. No edge-pair staging vector, no
+  /// hash-set dedup and no atomics: peak transient memory is
+  /// ~2·pairs·sizeof(Vertex) for the adjacency scatter plus the n+1
+  /// offsets and one max-degree radix scratch per sort chunk.
+  /// `num_threads` parallelizes the source's block production and the
+  /// per-slice sort over disjoint vertex ranges. Unlike the vector
   /// constructor, self-loops and duplicate pairs are silently dropped
   /// (generator-exchange semantics: RMAT and Graph500-style inputs
   /// produce both), and edge ids are canonical — lexicographic by
   /// (u, v) — so any two sources yielding the same edge multiset build
   /// byte-identical graphs regardless of pair order or thread count.
+  /// A source whose second stream() differs from its first dies with
+  /// "edge source changed between passes" instead of overrunning.
   static Graph from_source(std::size_t n, const EdgeBlockSource& src,
                            std::size_t num_threads = 1);
 

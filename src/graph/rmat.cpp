@@ -7,15 +7,9 @@
 
 #include "util/assertx.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace valocal::gen {
 namespace {
-
-// Pairs generated per stream block: large enough to amortize the
-// per-block buffer and dispatch, small enough that a block stays
-// cache- and worker-friendly (512 KiB of pair data).
-constexpr std::uint64_t kBlockPairs = std::uint64_t{1} << 16;
 
 /// Seeded bijection on [0, 2^scale): multiply-by-odd (invertible mod
 /// 2^k) alternated with xorshift-right (invertible for any shift >= 1),
@@ -90,19 +84,18 @@ void RmatSource::stream(std::size_t num_threads, const BlockFn& fn) const {
   const IdScramble scramble(p.scale, p.seed, p.scramble_ids);
   const std::uint64_t total = p.num_directed_edges();
   const std::uint64_t num_blocks = (total + kBlockPairs - 1) / kBlockPairs;
-  ThreadPool pool(num_threads);
-  pool.parallel_for_chunks(
-      static_cast<std::size_t>(num_blocks), 1,
-      [&](std::size_t block, std::size_t, std::size_t) {
+  stream_ordered(
+      num_threads, static_cast<std::size_t>(num_blocks),
+      [&](std::size_t block, std::vector<Vertex>& buffer) {
         const std::uint64_t first = block * kBlockPairs;
         const std::uint64_t count =
-            std::min(kBlockPairs, total - first);
-        std::vector<Vertex> buffer(2 * count);
+            std::min<std::uint64_t>(kBlockPairs, total - first);
+        buffer.resize(2 * count);
         for (std::uint64_t i = 0; i < count; ++i)
           rmat_pair(p, scramble, first + i, buffer[2 * i],
                     buffer[2 * i + 1]);
-        fn(EdgeBlockSource::Block(buffer.data(), buffer.size()));
-      });
+      },
+      fn);
 }
 
 Graph rmat(const RmatParams& params, std::size_t num_threads) {

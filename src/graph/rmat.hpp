@@ -2,11 +2,11 @@
 // billion-edge synthetic family behind the scale sweeps (ROADMAP:
 // "billion-edge graph substrate"). The generator is a pure function of
 // (params, edge index): edge i derives its own RNG stream from the
-// seed and i alone, so generation parallelizes over edge blocks on the
-// existing thread pool and every block partition / thread count yields
-// the same multiset of pairs. Combined with the canonical streaming
-// CSR build (Graph::from_source) the resulting Graph is byte-identical
-// for every thread count.
+// seed and i alone, so blocks are generated num_threads at a time on
+// the existing thread pool and every thread count hands over the same
+// pair sequence, block by block in order. Combined with the canonical
+// streaming CSR build (Graph::from_source) the resulting Graph is
+// byte-identical for every thread count.
 //
 // As in Graph500, the raw stream contains self-loops and duplicate
 // edges; the streaming build drops both, so the built simple graph has

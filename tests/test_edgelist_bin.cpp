@@ -17,6 +17,7 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/rmat.hpp"
+#include "stream_contract.hpp"
 
 namespace valocal {
 namespace {
@@ -137,6 +138,23 @@ TEST(EdgelistBin, Width8InterchangeConverts) {
   EXPECT_TRUE(g.has_edge(0, 1));
   EXPECT_TRUE(g.has_edge(1, 2));
   EXPECT_TRUE(g.has_edge(2, 3));
+  std::remove(path.c_str());
+}
+
+TEST(EdgelistBin, StreamHandsBlocksOverSerially) {
+  // Five blocks of pairs in both widths: the width-4 zero-copy path and
+  // the width-8 path, whose conversion runs on four threads.
+  const std::size_t num_pairs = 5 * EdgeBlockSource::kBlockPairs - 3;
+  std::vector<std::uint64_t> pairs(2 * num_pairs);
+  for (std::size_t i = 0; i < pairs.size(); ++i) pairs[i] = i % 1000;
+  const std::string path = temp_path("valocal_test_serial.bin");
+  for (const std::uint32_t width : {4u, 8u}) {
+    SCOPED_TRACE(width);
+    dump(path, make_file(width, 1000, pairs));
+    const BinEdgeList file(path);
+    ASSERT_EQ(file.id_width(), width);
+    expect_serial_stream(file, 4);
+  }
   std::remove(path.c_str());
 }
 

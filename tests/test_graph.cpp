@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "stream_contract.hpp"
 
 namespace valocal {
 namespace {
@@ -106,6 +108,37 @@ std::vector<Vertex> interleaved_pairs(const Graph& g) {
   return pairs;
 }
 
+// g's edges as a raw generator stream: shuffled, each edge in a random
+// orientation, about a third of them repeated (in either orientation),
+// plus a self-loop on every tenth vertex.
+std::vector<Vertex> noisy_pairs(const Graph& g, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::pair<Vertex, Vertex>> raw;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const Vertex u = g.edge_u(e), v = g.edge_v(e);
+    for (int copy = rng() % 3 == 0 ? 2 : 1; copy > 0; --copy)
+      raw.push_back(rng() % 2 == 0 ? std::pair{u, v} : std::pair{v, u});
+  }
+  for (Vertex v = 0; v < g.num_vertices(); v += 10) raw.emplace_back(v, v);
+  std::shuffle(raw.begin(), raw.end(), rng);
+  std::vector<Vertex> pairs;
+  for (const auto& [u, v] : raw) pairs.insert(pairs.end(), {u, v});
+  return pairs;
+}
+
+// Two hubs that take the build's radix-sort path: vertex 0 is adjacent
+// to all 4999 others (ids past 2^11, so two radix digits), vertex 1 to
+// every id below 1200 (one digit); a ring over the rest adds
+// low-degree slices for the std::sort path.
+Graph hub_graph() {
+  constexpr Vertex kN = 5000;
+  GraphBuilder b(kN);
+  for (Vertex v = 1; v < kN; ++v) b.add_edge(0, v);
+  for (Vertex v = 2; v < 1200; ++v) b.add_edge(1, v);
+  for (Vertex v = 2; v < kN; ++v) b.add_edge(v, v + 1 < kN ? v + 1 : 2);
+  return std::move(b).build();
+}
+
 // The reciprocal-port invariant every algorithm relies on: the mirror
 // of position i at v points back at v, at the position that mirrors i,
 // over the same edge id.
@@ -156,17 +189,20 @@ TEST(GraphFromSource, MatchesStagedBuildOnEveryGeneratorFamily) {
     out.emplace_back("random_regular", gen::random_regular(64, 4, 19));
     out.emplace_back("random_bipartite",
                      gen::random_bipartite(30, 40, 150, 23));
+    out.emplace_back("hub", hub_graph());
     return out;
   }();
+  ASSERT_GE(families.back().second.max_degree(), 1000u);
   for (const auto& [name, g] : families) {
     SCOPED_TRACE(name);
-    const std::vector<Vertex> pairs = interleaved_pairs(g);
-    const SpanEdgeSource src(pairs);
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const Graph streamed =
-          Graph::from_source(g.num_vertices(), src, threads);
-      expect_same_structure(streamed, g);
-      expect_ports_consistent(streamed);
+    for (const auto& pairs : {interleaved_pairs(g), noisy_pairs(g, 29)}) {
+      const SpanEdgeSource src(pairs);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const Graph streamed =
+            Graph::from_source(g.num_vertices(), src, threads);
+        expect_same_structure(streamed, g);
+        expect_ports_consistent(streamed);
+      }
     }
   }
 }
@@ -207,6 +243,44 @@ TEST(GraphFromSource, OutOfRangeEndpointDies) {
   const std::vector<Vertex> pairs = {0, 1, 5, 1};
   EXPECT_DEATH((void)Graph::from_source(3, SpanEdgeSource(pairs)),
                "out of range");
+}
+
+// A source whose second stream() differs from its first by `delta`
+// pairs (+1: one extra {2, 0} pair; -1: the last pair dropped) — what
+// an mmap'd file rewritten between the build's two passes looks like.
+class ChangingSource final : public EdgeBlockSource {
+ public:
+  explicit ChangingSource(int delta) : delta_(delta) {}
+  std::uint64_t num_pairs() const override { return 3; }
+  void stream(std::size_t, const BlockFn& fn) const override {
+    std::vector<Vertex> pairs = {0, 1, 1, 2, 0, 2};
+    if (calls_++ > 0) {
+      if (delta_ > 0) pairs.insert(pairs.end(), {2, 0});
+      if (delta_ < 0) pairs.resize(pairs.size() - 2);
+    }
+    fn(Block(pairs.data(), pairs.size()));
+  }
+
+ private:
+  int delta_;
+  mutable int calls_ = 0;
+};
+
+TEST(GraphFromSource, SourceChangingBetweenPassesDies) {
+  // An extra endpoint for the last vertex (2) would land past the end
+  // of the adjacency array; one missing leaves a slice slot unwritten.
+  EXPECT_DEATH((void)Graph::from_source(3, ChangingSource(+1)),
+               "edge source changed between passes");
+  EXPECT_DEATH((void)Graph::from_source(3, ChangingSource(-1)),
+               "edge source changed between passes");
+  const Graph g = Graph::from_source(3, ChangingSource(0));
+  EXPECT_EQ(g.num_edges(), 3u);
+}
+
+TEST(GraphFromSource, SpanSourceHandsBlocksOverSerially) {
+  const std::vector<Vertex> pairs(2 * 5 * EdgeBlockSource::kBlockPairs + 6,
+                                  0);
+  expect_serial_stream(SpanEdgeSource(pairs), 4);
 }
 
 TEST(GraphFromSource, EmptySource) {

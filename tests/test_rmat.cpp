@@ -7,10 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <mutex>
 #include <vector>
 
 #include "graph/stats.hpp"
+#include "stream_contract.hpp"
 
 namespace valocal {
 namespace {
@@ -53,9 +53,7 @@ TEST(Rmat, PairStreamIsDeterministicAcrossThreadCounts) {
   const RmatSource src(p);
   auto collect = [&](std::size_t threads) {
     std::vector<std::uint64_t> pairs;
-    std::mutex mu;
     src.stream(threads, [&](EdgeBlockSource::Block block) {
-      std::lock_guard<std::mutex> lock(mu);
       for (std::size_t i = 0; i + 1 < block.size(); i += 2)
         pairs.push_back((std::uint64_t{block[i]} << 32) | block[i + 1]);
     });
@@ -66,6 +64,24 @@ TEST(Rmat, PairStreamIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(serial.size(), p.num_directed_edges());
   EXPECT_EQ(serial, collect(4));
   EXPECT_EQ(serial, collect(3));
+}
+
+TEST(Rmat, StreamHandsBlocksOverSeriallyAndInOrder) {
+  // Blocks are produced on several threads but must reach fn one at a
+  // time, in block order: the same sequence as the serial stream.
+  RmatParams p = small_params();
+  p.scale = 14;
+  p.edge_factor = 80;  // 20 blocks: two batches of up to 16 at 4 threads
+  const RmatSource src(p);
+  expect_serial_stream(src, 4);
+  auto sequence = [&](std::size_t threads) {
+    std::vector<Vertex> out;
+    src.stream(threads, [&](EdgeBlockSource::Block block) {
+      out.insert(out.end(), block.begin(), block.end());
+    });
+    return out;
+  };
+  EXPECT_EQ(sequence(1), sequence(4));
 }
 
 TEST(Rmat, BuiltGraphIdenticalAcrossThreadCounts) {
