@@ -18,9 +18,11 @@
 #include "baseline/be08_arb_color.hpp"
 #include "baseline/luby_mis.hpp"
 #include "bench_common.hpp"
+#include "coverfree/coverfree.hpp"
 #include "graph/generators.hpp"
 #include "sim/network.hpp"
 #include "sim/wake_calendar.hpp"
+#include "util/rng.hpp"
 
 namespace valocal {
 namespace {
@@ -281,6 +283,29 @@ void BM_EngineCalendarQueueInterleaved(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EngineCalendarQueueInterleaved)->Arg(1 << 20);
+
+// The Arb-Linial color-reduction kernel in isolation: one
+// CoverFreeFamily::pick_escaping call in the (2^16, 9) family the
+// deterministic catalog runs at n = 2^16, a = 3 (A = 9), against 9
+// random parent colors. items_per_second = picks per second.
+void BM_PickEscaping(benchmark::State& state) {
+  constexpr std::uint64_t kColors = 1 << 16;
+  constexpr std::size_t kParents = 9;
+  constexpr std::size_t kQueries = 1024;
+  const CoverFreeFamily family(kColors, kParents);
+  Xoshiro256 rng(9);
+  std::vector<std::uint64_t> colors(kQueries * (kParents + 1));
+  for (auto& c : colors) c = rng.below(kColors);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::uint64_t* query =
+        colors.data() + (i++ % kQueries) * (kParents + 1);
+    benchmark::DoNotOptimize(family.pick_escaping(
+        query[0], std::span<const std::uint64_t>(query + 1, kParents)));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PickEscaping);
 
 void BM_Partition(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

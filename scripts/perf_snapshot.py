@@ -16,10 +16,12 @@ Subcommands:
       "host" block, where present, predates per-snapshot hosts and is
       left as it was.
   check MICRO_JSON [THRESHOLD]
-      Compare a fresh bench_micro dump's BM_Engine* round-throughput
-      (items_per_second = stepped vertex-rounds per second) against the
-      LATEST snapshot; exit 1 if any fixture drops below
-      THRESHOLD * baseline (default 0.7, i.e. a 30% regression budget).
+      Compare a fresh bench_micro dump's gated rows — the BM_Engine*
+      round-throughput fixtures (items_per_second = stepped
+      vertex-rounds per second) and the BM_PickEscaping color-reduction
+      kernel (picks per second) — against the LATEST snapshot; exit 1
+      if any row drops below THRESHOLD * baseline (default 0.7, i.e. a
+      30% regression budget).
       Also cross-checks the per-mode fixtures (BM_Engine*Mode/N/M,
       where M is the FrontierMode value 1 auto / 2 dense / 3 sparse /
       4 calendar): the auto row must reach at least 90% of the best
@@ -54,11 +56,15 @@ LAYOUT_NAMES = {2: "packed", 3: "aos"}
 PACKED_VS_AOS_THRESHOLD = 1.0
 
 
+# bench_micro rows the snapshots record and the check gates.
+GATED_PREFIXES = ("BM_Engine", "BM_PickEscaping")
+
+
 def trim_micro(raw):
-    """Keep only the engine fixtures and the fields worth diffing."""
+    """Keep only the gated rows and the fields worth diffing."""
     out = []
     for b in raw.get("benchmarks", []):
-        if not b.get("name", "").startswith("BM_Engine"):
+        if not b.get("name", "").startswith(GATED_PREFIXES):
             continue
         entry = {
             "name": b["name"],
@@ -129,7 +135,7 @@ def cmd_check(micro_path, threshold):
     with open(micro_path) as f:
         fresh = trim_micro(json.load(f))
     if not fresh:
-        print("PERF-SMOKE FAILED: no BM_Engine* fixtures in fresh run")
+        print("PERF-SMOKE FAILED: no gated fixtures in fresh run")
         sys.exit(1)
     failures = []
     print(f"perf-smoke vs snapshot '{snap['label']}' ({snap['date']}), "
@@ -141,12 +147,12 @@ def cmd_check(micro_path, threshold):
             continue
         ratio = cur / ref
         verdict = "ok" if ratio >= threshold else "REGRESSION"
-        print(f"  {b['name']}: {cur / 1e6:.2f}M vertex-rounds/s vs "
+        print(f"  {b['name']}: {cur / 1e6:.2f}M items/s vs "
               f"baseline {ref / 1e6:.2f}M ({ratio:.2f}x) {verdict}")
         if ratio < threshold:
             failures.append(b["name"])
     if failures:
-        print("PERF-SMOKE FAILED: round-throughput regressed >"
+        print("PERF-SMOKE FAILED: throughput regressed >"
               f"{(1 - threshold) * 100:.0f}% on: {', '.join(failures)}")
         print("If the regression is intended, refresh the baseline with "
               "scripts/bench_baseline.sh and commit BENCH_engine.json.")

@@ -163,17 +163,22 @@ else
 fi
 
 # AddressSanitizer + UndefinedBehaviorSanitizer job over the graph
-# ingestion suites: the streaming CSR build's scatter, radix sort and
-# cursor sweep index raw arrays, and the binary loader reads an mmap.
-# UBSan findings abort the test instead of scrolling by. Skipped
-# gracefully where libasan or libubsan is absent.
+# ingestion suites (the streaming CSR build's scatter, radix sort and
+# cursor sweep index raw arrays, and the binary loader reads an mmap)
+# and the color-reduction kernel's users (pick_escaping walks
+# per-thread digit buffers; the Kuhn-Wattenhofer and list-color sweeps
+# index reused `taken` arrays). UBSan findings abort the test instead
+# of scrolling by. Skipped gracefully where libasan or libubsan is
+# absent.
 if echo 'int main(){}' | c++ -fsanitize=address,undefined -x c++ - -o /tmp/valocal_asan_probe 2>/dev/null; then
   rm -f /tmp/valocal_asan_probe
   cmake -B build-asan -G Ninja -DVALOCAL_SANITIZE=address,undefined
-  cmake --build build-asan --target test_graph test_rmat test_edgelist_bin
+  cmake --build build-asan --target test_graph test_rmat test_edgelist_bin \
+    test_coverfree test_kw_reduce test_coloring_a2 test_coloring_a2logn \
+    test_coloring_oa test_determinism
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan --output-on-failure \
-    -R 'test_graph|test_rmat|test_edgelist_bin' \
+    -R 'test_graph|test_rmat|test_edgelist_bin|test_coverfree|test_kw_reduce|test_coloring_a2$|test_coloring_a2logn|test_coloring_oa|test_determinism' \
     2>&1 | tee asan_output.txt
 else
   echo "ASan/UBSan unavailable; skipping ASan+UBSan job" | tee asan_output.txt
@@ -201,14 +206,15 @@ export VALOCAL_RMAT_SCALE="${VALOCAL_RMAT_SCALE:-20}"
 # perf-smoke job: rebuild the engine micro fixtures under the "release"
 # preset (-O3 -DNDEBUG — the configuration BENCH_engine.json records)
 # and compare round-throughput against the latest committed snapshot.
-# A >30% drop on any BM_Engine* fixture fails the script loudly; an
+# A >30% drop on any BM_Engine* fixture or the BM_PickEscaping
+# color-reduction kernel fails the script loudly; an
 # intended regression requires refreshing the baseline via
 # scripts/bench_baseline.sh and committing BENCH_engine.json.
 if [ -f BENCH_engine.json ] && command -v python3 >/dev/null 2>&1; then
   cmake --preset release
   cmake --build --preset release --target bench_micro
   build-release/bench/bench_micro \
-    --benchmark_filter='BM_Engine' \
+    --benchmark_filter='BM_Engine|BM_PickEscaping' \
     --benchmark_min_time=0.2 \
     --benchmark_out=perf_smoke_micro.json --benchmark_out_format=json \
     2>&1 | tee perf_smoke_output.txt

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/mathx.hpp"
+#include "util/scratch.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
@@ -64,8 +65,8 @@ bool ColoringA2Algo::ladder_round(Vertex v, std::size_t step_idx,
   if (steps_ > 0) {
     // Parents: same-segment neighbors with larger (hset, ID) — out-degree
     // at most A by the H-partition property.
-    std::vector<std::uint64_t> parents;
-    parents.reserve(view.degree());
+    std::vector<std::uint64_t>& parents =
+        thread_scratch<ColoringA2Algo, std::uint64_t>();
     for (std::size_t i = 0; i < view.degree(); ++i) {
       const auto& nbr = view.neighbor_state(i);
       if (!in_segment(nbr.hset, segment) || nbr.hset == 0) continue;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/scratch.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
@@ -25,8 +26,8 @@ bool ColoringA2LogNAlgo::step(Vertex v, std::size_t round,
   // One round after joining H_i: parents are the still-active neighbors
   // (they will join later H-sets) and the simultaneous joiners with
   // larger IDs. Escape all of their ID-indexed sets.
-  std::vector<std::uint64_t> parent_ids;
-  parent_ids.reserve(view.degree());
+  std::vector<std::uint64_t>& parent_ids =
+      thread_scratch<ColoringA2LogNAlgo, std::uint64_t>();
   for (std::size_t i = 0; i < view.degree(); ++i) {
     const auto& nbr = view.neighbor_state(i);
     const Vertex u = view.neighbor(i);

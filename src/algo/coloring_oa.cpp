@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "util/assertx.hpp"
+#include "util/scratch.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
@@ -87,7 +88,8 @@ bool ColoringOaAlgo::recolor_round(Vertex, int phase,
 
   // Parents within this phase: later H-set, or same H-set with larger
   // auxiliary color. At most A of them (H-partition property).
-  std::vector<char> taken(params_.threshold() + 1, 0);
+  std::vector<char>& taken = thread_scratch<ColoringOaAlgo, char>();
+  taken.assign(params_.threshold() + 1, 0);
   for (std::size_t i = 0; i < view.degree(); ++i) {
     const auto& nbr = view.neighbor_state(i);
     if (!in_phase(nbr.hset, phase)) continue;
@@ -123,8 +125,8 @@ bool ColoringOaAlgo::step(Vertex v, std::size_t round,
       return false;
     case 1:  // plan round for H_{region.index}
       if (self.hset == static_cast<std::int32_t>(region.index)) {
-        std::vector<std::uint64_t> nbrs;
-        nbrs.reserve(view.degree());
+        std::vector<std::uint64_t>& nbrs =
+            thread_scratch<ColoringOaAlgo, std::uint64_t>();
         for (std::size_t i = 0; i < view.degree(); ++i) {
           const auto& nbr = view.neighbor_state(i);
           if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "util/assertx.hpp"
+#include "util/scratch.hpp"
 #include "algo/coloring_result.hpp"
 #include "algo/deg_plus_one_plan.hpp"
 #include "algo/extension.hpp"
@@ -97,8 +98,8 @@ class DeltaPlusOneAlgo {
     const std::size_t plan_rounds = plan_->num_rounds();
     if (pos <= plan_rounds) {
       // Auxiliary (A+1)-coloring of G(H_i).
-      std::vector<std::uint64_t> nbrs;
-      nbrs.reserve(view.degree());
+      std::vector<std::uint64_t>& nbrs =
+          thread_scratch<DeltaPlusOneAlgo, std::uint64_t>();
       for (std::size_t i = 0; i < view.degree(); ++i) {
         const auto& nbr = view.neighbor_state(i);
         if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);
@@ -113,7 +114,8 @@ class DeltaPlusOneAlgo {
 
     // List of v: {0..Delta} minus colors already fixed at any neighbor
     // (terminated neighbors and earlier sweep slots of the same H-set).
-    std::vector<char> taken(max_degree_ + 1, 0);
+    std::vector<char>& taken = thread_scratch<DeltaPlusOneAlgo, char>();
+    taken.assign(max_degree_ + 1, 0);
     for (std::size_t i = 0; i < view.degree(); ++i) {
       const auto& nbr = view.neighbor_state(i);
       if (nbr.color >= 0) taken[nbr.color] = 1;

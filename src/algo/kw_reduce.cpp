@@ -4,6 +4,7 @@
 
 #include "util/assertx.hpp"
 #include "util/mathx.hpp"
+#include "util/scratch.hpp"
 
 namespace valocal {
 
@@ -35,7 +36,8 @@ std::uint64_t KwReduction::advance(
   if (own % r.group == r.step) {
     const std::uint64_t base = (own / r.group) * r.group;
     // Smallest color in [base, base + k] unused by any neighbor.
-    std::vector<char> taken(k_ + 1, 0);
+    std::vector<char>& taken = thread_scratch<KwReduction, char>();
+    taken.assign(k_ + 1, 0);
     for (std::uint64_t nc : neighbors)
       if (nc >= base && nc < base + k_ + 1)
         taken[nc - base] = 1;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "util/assertx.hpp"
+#include "util/scratch.hpp"
 #include "algo/deg_plus_one_plan.hpp"
 #include "algo/extension.hpp"
 #include "algo/partition.hpp"
@@ -81,8 +82,8 @@ class MisAlgo {
 
     const std::size_t plan_rounds = plan_->num_rounds();
     if (pos <= plan_rounds) {
-      std::vector<std::uint64_t> nbrs;
-      nbrs.reserve(view.degree());
+      std::vector<std::uint64_t>& nbrs =
+          thread_scratch<MisAlgo, std::uint64_t>();
       for (std::size_t i = 0; i < view.degree(); ++i) {
         const auto& nbr = view.neighbor_state(i);
         if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);

@@ -11,6 +11,7 @@
 #include "algo/deg_plus_one_plan.hpp"
 #include "graph/graph.hpp"
 #include "sim/network.hpp"
+#include "util/scratch.hpp"
 
 namespace valocal {
 
@@ -33,8 +34,8 @@ class WorstCaseDeltaPlusOneAlgo {
             State& next, Xoshiro256&) const {
     if (plan_->num_rounds() == 0) return true;  // n == 1 corner case
     const std::size_t t = round - 1;
-    std::vector<std::uint64_t> nbrs;
-    nbrs.reserve(view.degree());
+    std::vector<std::uint64_t>& nbrs =
+        thread_scratch<WorstCaseDeltaPlusOneAlgo, std::uint64_t>();
     for (std::size_t i = 0; i < view.degree(); ++i)
       nbrs.push_back(view.neighbor_state(i).color);
     next.color = plan_->advance(t, view.self().color, nbrs);

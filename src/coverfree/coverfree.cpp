@@ -1,10 +1,10 @@
 #include "coverfree/coverfree.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "util/assertx.hpp"
 #include "util/mathx.hpp"
+#include "util/scratch.hpp"
 
 namespace valocal {
 
@@ -59,22 +59,25 @@ CoverFreeFamily::CoverFreeFamily(std::uint64_t num_colors,
                  "family must distinguish all colors");
   VALOCAL_ENSURE(q_ > static_cast<std::uint64_t>(r_) * (d_ - 1),
                  "cover-freeness constraint violated");
+  VALOCAL_ENSURE(q_ <= 0xFFFFFFFFULL,
+                 "ground set q^2 must fit in 64 bits");
+  VALOCAL_ENSURE(d_ <= kMaxDigits, "degree exceeds the digit buffers");
 }
 
-std::uint64_t CoverFreeFamily::poly_eval(std::uint64_t color,
-                                         std::uint64_t x) const {
-  // Horner over the base-q digits of `color`, most significant first.
-  std::uint64_t digits[64];
-  unsigned k = 0;
-  std::uint64_t c = color;
+void CoverFreeFamily::digits_of(std::uint64_t color,
+                                std::uint64_t* out) const {
   for (unsigned i = 0; i < d_; ++i) {
-    digits[k++] = c % q_;
-    c /= q_;
+    out[i] = color % q_;
+    color /= q_;
   }
+}
+
+std::uint64_t CoverFreeFamily::eval_digits(const std::uint64_t* digits,
+                                           std::uint64_t x) const {
+  // Horner, most significant digit first; q < 2^32 keeps every
+  // acc * x + digit < q^2 within 64 bits.
   std::uint64_t acc = 0;
-  for (unsigned i = k; i-- > 0;) {
-    acc = (static_cast<unsigned __int128>(acc) * x + digits[i]) % q_;
-  }
+  for (unsigned i = d_; i-- > 0;) acc = (acc * x + digits[i]) % q_;
   return acc;
 }
 
@@ -82,7 +85,9 @@ std::uint64_t CoverFreeFamily::element(std::uint64_t color,
                                        std::uint64_t j) const {
   VALOCAL_DCHECK(color < m_, "color out of range");
   VALOCAL_DCHECK(j < q_, "set index out of range");
-  return j * q_ + poly_eval(color, j);
+  std::uint64_t digits[kMaxDigits];
+  digits_of(color, digits);
+  return j * q_ + eval_digits(digits, j);
 }
 
 std::vector<std::uint64_t> CoverFreeFamily::set_of(
@@ -97,16 +102,30 @@ std::uint64_t CoverFreeFamily::pick_escaping(
     std::uint64_t color, std::span<const std::uint64_t> others) const {
   VALOCAL_REQUIRE(others.size() <= r_,
                   "more parents than the family tolerates");
-  // Evaluation points where some other polynomial collides with ours.
-  std::unordered_set<std::uint64_t> blocked;
-  blocked.reserve(others.size() * (d_ > 0 ? d_ - 1 : 0) + 1);
+  std::uint64_t own[kMaxDigits];
+  digits_of(color, own);
+  // One difference polynomial p_o - p_color per parent o: our element
+  // at point j lies in F_o exactly when it vanishes at j. A parent with
+  // our own color is skipped — an identical set can never be escaped.
+  std::vector<std::uint64_t>& diffs =
+      thread_scratch<CoverFreeFamily, std::uint64_t>();
+  diffs.resize(others.size() * d_);
+  std::size_t parents = 0;
   for (std::uint64_t other : others) {
-    if (other == color) continue;  // identical set can never be escaped
-    for (std::uint64_t j = 0; j < q_; ++j)
-      if (poly_eval(other, j) == poly_eval(color, j)) blocked.insert(j);
+    if (other == color) continue;
+    std::uint64_t* diff = diffs.data() + parents * d_;
+    digits_of(other, diff);
+    for (unsigned i = 0; i < d_; ++i)
+      diff[i] = diff[i] >= own[i] ? diff[i] - own[i] : diff[i] + q_ - own[i];
+    ++parents;
   }
-  for (std::uint64_t j = 0; j < q_; ++j)
-    if (!blocked.contains(j)) return element(color, j);
+  // Ascending points, first collision rejects the point: the first
+  // point no parent hits carries the smallest escaping element.
+  for (std::uint64_t j = 0; j < q_; ++j) {
+    std::size_t p = 0;
+    while (p < parents && eval_digits(diffs.data() + p * d_, j) != 0) ++p;
+    if (p == parents) return j * q_ + eval_digits(own, j);
+  }
   VALOCAL_ENSURE(false, "cover-free family failed to provide an escape");
   return 0;
 }

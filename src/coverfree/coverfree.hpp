@@ -47,13 +47,31 @@ class CoverFreeFamily {
   std::vector<std::uint64_t> set_of(std::uint64_t color) const;
 
   /// Picks an element of F_color not contained in any F_p for p in
-  /// `others`. Guaranteed to exist when others.size() <= cover().
+  /// `others` (entries equal to `color` are ignored, duplicates are
+  /// allowed). Guaranteed to exist when others.size() <= cover().
   /// This is the single-round recoloring step of Arb-Linial.
+  ///
+  /// The pick is the element at the smallest escaping evaluation point
+  /// j*, i.e. the smallest element of set_of(color) outside the union —
+  /// every coloring output and the stored benchmark goldens rely on
+  /// exactly this choice. Points are tried in ascending order and a
+  /// point is rejected at its first colliding parent, so one call
+  /// costs O((j* + 1) * r * d) field operations for r parents, plus
+  /// O(r * d) to split the parents' colors into base-q digits once.
+  /// Allocation-free once the calling thread has seen its largest
+  /// parent list.
   std::uint64_t pick_escaping(std::uint64_t color,
                               std::span<const std::uint64_t> others) const;
 
  private:
-  std::uint64_t poly_eval(std::uint64_t color, std::uint64_t x) const;
+  // d never exceeds log2_ceil(m) + 2 <= 66 (the constructor's window).
+  static constexpr unsigned kMaxDigits = 66;
+
+  /// The d base-q digits of `color`, least significant first.
+  void digits_of(std::uint64_t color, std::uint64_t* out) const;
+  /// The polynomial with coefficients `digits` evaluated at x.
+  std::uint64_t eval_digits(const std::uint64_t* digits,
+                            std::uint64_t x) const;
 
   std::uint64_t m_;  // number of colors the family distinguishes
   std::size_t r_;    // cover-freeness parameter

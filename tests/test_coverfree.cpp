@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/mathx.hpp"
+#include "util/rng.hpp"
 
 namespace valocal {
 namespace {
@@ -85,6 +86,50 @@ TEST(CoverFree, PickEscapingIgnoresOwnColorAmongOthers) {
   const CoverFreeFamily f(50, 3);
   std::vector<std::uint64_t> parents{7, 7, 9};
   EXPECT_NO_FATAL_FAILURE({ (void)f.pick_escaping(7, parents); });
+}
+
+TEST(CoverFree, PickEscapingMatchesSetReference) {
+  // The pick is pinned, not just escaping: it must be the smallest
+  // element of F_color outside the union of the other colors' sets.
+  // (2^16, 9) is the family the benchmark's catalog runs; parent lists
+  // mix in duplicates and copies of the color itself.
+  struct Case {
+    std::uint64_t m;
+    std::size_t r;
+  };
+  const Case cases[] = {{1ULL << 16, 9}, {1ULL << 20, 8}, {1000, 5},
+                        {841, 9},        {64, 2},         {20, 2},
+                        {7, 1},          {2, 3}};
+  Xoshiro256 rng(2018);
+  for (const Case& c : cases) {
+    const CoverFreeFamily f(c.m, c.r);
+    for (int trial = 0; trial < 200; ++trial) {
+      const std::uint64_t color = rng.below(c.m);
+      const std::size_t count = rng.below(c.r + 1);
+      std::vector<std::uint64_t> others;
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::uint64_t roll = rng.below(8);
+        if (roll == 0)
+          others.push_back(color);
+        else if (roll == 1 && !others.empty())
+          others.push_back(others[rng.below(others.size())]);
+        else
+          others.push_back(rng.below(c.m));
+      }
+      std::set<std::uint64_t> cover;
+      for (std::uint64_t o : others)
+        if (o != color)
+          for (std::uint64_t x : f.set_of(o)) cover.insert(x);
+      const auto own = f.set_of(color);
+      const auto expected = std::find_if(
+          own.begin(), own.end(),
+          [&](std::uint64_t x) { return !cover.contains(x); });
+      ASSERT_NE(expected, own.end());
+      EXPECT_EQ(f.pick_escaping(color, others), *expected)
+          << "m=" << c.m << " r=" << c.r << " color=" << color
+          << " parents=" << others.size();
+    }
+  }
 }
 
 TEST(CoverFree, GroundSizeIsSubquadraticForLargeM) {
