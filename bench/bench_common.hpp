@@ -89,24 +89,6 @@ inline std::size_t configure_engine_threads() {
       std::exit(2);
     }
   }
-  // VALOCAL_LAYOUT=auto|packed|aos pins the engine's state layout
-  // (SoA hot-field columns vs classic AoS buffers) for algorithms that
-  // declare a StatePack. Byte-identical results under every setting —
-  // a memory-placement knob for A/B runs, mirroring --layout in
-  // valocal_cli.
-  if (const char* env = std::getenv("VALOCAL_LAYOUT");
-      env != nullptr && *env != '\0') {
-    if (const auto layout = state_layout_from_name(env);
-        layout.has_value()) {
-      set_engine_state_layout(*layout);
-      std::cout << "[engine: state layout " << state_layout_name(*layout)
-                << "]\n";
-    } else {
-      std::cerr << "VALOCAL_LAYOUT: unknown layout '" << env
-                << "' (want auto|packed|aos)\n";
-      std::exit(2);
-    }
-  }
   configure_tracing();
   return threads;
 }

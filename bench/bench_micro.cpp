@@ -203,40 +203,6 @@ BENCHMARK(BM_EngineWaitHeavyMode)
     ->Args({1 << 16, 3})
     ->Args({1 << 16, 4});
 
-// Layout fixture pair: the SECOND argument is the numeric StateLayout
-// the run is pinned to (2 packed, 3 aos — the StateLayout values
-// scripts/perf_snapshot.py decodes from the fixture name). ring3
-// declares a StatePack, so the two rows A/B the SoA hot columns
-// against the classic AoS buffers on the same workload; outputs and
-// metrics are byte-identical by the determinism contract
-// (tests/test_frontier_engine.cpp), and the perf-smoke job fails if
-// the packed row falls below the AoS row on any layout fixture. The
-// 2^20 ring leaves cache, where the packed working set (12 hot bytes
-// per vertex vs the 16-byte State) is the measured difference.
-StateLayout layout_arg(const benchmark::State& state) {
-  return static_cast<StateLayout>(state.range(1));
-}
-
-void BM_EngineRing3Layout(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph& g = ring(n);
-  const RingColoring3Algo algo(n);
-  std::uint64_t stepped = 0;
-  for (auto _ : state) {
-    auto result = run_local(g, algo, {.layout = layout_arg(state)});
-    stepped = stepped_vertex_rounds(result.metrics);
-    benchmark::DoNotOptimize(result.outputs.data());
-  }
-  state.counters["stepped"] = static_cast<double>(stepped);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stepped));
-}
-BENCHMARK(BM_EngineRing3Layout)
-    ->Args({1 << 16, 2})
-    ->Args({1 << 16, 3})
-    ->Args({1 << 20, 2})
-    ->Args({1 << 20, 3});
-
 // Calendar-queue microbenchmark: schedule n vertices across a 64-round
 // horizon and drain bucket by bucket — the two operations the wake
 // path adds to every engine round. items_per_second = vertices

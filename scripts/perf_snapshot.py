@@ -27,10 +27,6 @@ Subcommands:
       4 calendar): the auto row must reach at least 90% of the best
       forced mode's throughput on every fixture — the hybrid switch
       must never cost more than its decision overhead.
-      Also cross-checks the per-layout fixtures (BM_Engine*Layout/N/L,
-      where L is the StateLayout value 2 packed / 3 aos): the packed
-      row must reach at least 1.0x the AoS row on every fixture — the
-      SoA columns exist to be faster, never a tax.
 
 Used by scripts/bench_baseline.sh (append) and the perf-smoke job in
 scripts/run_all.sh (check). See docs/BENCHMARKS.md.
@@ -47,13 +43,6 @@ BENCH_FILE = "BENCH_engine.json"
 MODE_FIXTURE = re.compile(r"^(BM_Engine\w+Mode(?:/\d+)*)/([1-4])$")
 MODE_NAMES = {1: "auto", 2: "dense", 3: "sparse", 4: "calendar"}
 AUTO_VS_BEST_THRESHOLD = 0.9
-
-# BM_EngineRing3Layout/65536/2 -> (family "BM_EngineRing3Layout/65536",
-# layout 2). Layout values mirror sim/network.hpp's StateLayout
-# (2 packed, 3 aos).
-LAYOUT_FIXTURE = re.compile(r"^(BM_Engine\w+Layout(?:/\d+)*)/([23])$")
-LAYOUT_NAMES = {2: "packed", 3: "aos"}
-PACKED_VS_AOS_THRESHOLD = 1.0
 
 
 # bench_micro rows the snapshots record and the check gates.
@@ -158,7 +147,6 @@ def cmd_check(micro_path, threshold):
               "scripts/bench_baseline.sh and commit BENCH_engine.json.")
         sys.exit(1)
     check_auto_vs_forced(fresh)
-    check_packed_vs_aos(fresh)
     print("perf-smoke: engine round-throughput within budget")
 
 
@@ -189,32 +177,6 @@ def check_auto_vs_forced(fresh):
         print("PERF-SMOKE FAILED: hybrid auto frontier mode fell >"
               f"{(1 - AUTO_VS_BEST_THRESHOLD) * 100:.0f}% behind the "
               f"best forced mode on: {', '.join(failures)}")
-        sys.exit(1)
-
-
-def check_packed_vs_aos(fresh):
-    """Packed state columns must never run slower than AoS."""
-    families = {}
-    for b in fresh:
-        m = LAYOUT_FIXTURE.match(b["name"])
-        if m and b.get("items_per_second"):
-            families.setdefault(m.group(1), {})[int(m.group(2))] = \
-                b["items_per_second"]
-    failures = []
-    for family, layouts in sorted(families.items()):
-        packed, aos = layouts.get(2), layouts.get(3)
-        if not packed or not aos:
-            continue
-        ratio = packed / aos
-        verdict = ("ok" if ratio >= PACKED_VS_AOS_THRESHOLD
-                   else "PACKED REGRESSION")
-        print(f"  {family}: packed {packed / 1e6:.2f}M vs aos "
-              f"{aos / 1e6:.2f}M ({ratio:.2f}x) {verdict}")
-        if ratio < PACKED_VS_AOS_THRESHOLD:
-            failures.append(family)
-    if failures:
-        print("PERF-SMOKE FAILED: packed state layout ran slower than "
-              f"AoS on: {', '.join(failures)}")
         sys.exit(1)
 
 

@@ -80,27 +80,6 @@ for mode in dense sparse calendar; do
 done
 echo "frontier-mode smoke: metrics identical across auto/dense/sparse/calendar"
 
-# State-layout smoke: the same run under the packed SoA columns, forced
-# AoS, and the auto default must print identical semantic metrics
-# through the real CLI path (test_frontier_engine and test_registry
-# prove the byte-level contract in-process across every spec; this
-# guards the --layout flag plumbing). ring3 declares a StatePack, so
-# packed vs aos genuinely exercises both storage layouts.
-echo "--- state-layout smoke ---"
-for layout in auto packed aos; do
-  build/tools/valocal_cli --gen ring --n 65536 --algo ring3 \
-    --threads 2 --layout "$layout" \
-    | grep '^rounds:' | sed 's/ wall-ms=.*//' \
-    > "trace_output/layout_$layout.txt"
-done
-for layout in packed aos; do
-  cmp trace_output/layout_auto.txt "trace_output/layout_$layout.txt" || {
-    echo "state-layout smoke: --layout $layout changed the metrics"
-    exit 1
-  }
-done
-echo "state-layout smoke: metrics identical across auto/packed/aos"
-
 # Registry smoke: --list-algos must enumerate the catalog, and every
 # registered algorithm must run and VALIDATE on a tiny graph through
 # the exact CLI path users take. ring(64) with a=2 satisfies every

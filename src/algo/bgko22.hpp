@@ -21,7 +21,7 @@
 //    bounded-degree graphs as well.
 //
 // Both run through run_local, so they inherit the engine's frontier /
-// layout / thread determinism contract and fill the full measure
+// thread determinism contract and fill the full measure
 // summary (sim/metrics.hpp) like every other catalog entry.
 #pragma once
 

@@ -30,26 +30,14 @@ namespace valocal {
 
 class DeltaPlusOneAlgo {
  public:
+  /// Field order sets sizeof(State), and so the bytes every round
+  /// copies: `color` fills the 4 bytes after the base's `hset` that
+  /// would otherwise pad `aux` to its 8-byte alignment (16 B, not 24).
   struct State : PartitionState {
-    std::uint64_t aux = 0;
     std::int32_t color = -1;  // final color; -1 until decided
+    std::uint64_t aux = 0;
   };
-  /// SoA layout trait (StatePacked): every published field is hot —
-  /// partition counts `hset`, the plan reads `aux`, the sweep scans
-  /// neighbor `color`s (see sim/state_pack.hpp).
-  struct Ref {
-    std::int32_t& hset;
-    std::uint64_t& aux;
-    std::int32_t& color;
-  };
-  struct CRef {
-    const std::int32_t& hset;
-    const std::uint64_t& aux;
-    const std::int32_t& color;
-  };
-  using StatePack =
-      StatePackDesc<State, Ref, CRef, Hot<&State::hset>,
-                    Hot<&State::aux>, Hot<&State::color>>;
+  static_assert(sizeof(State) == 16);
   using Output = int;
 
   DeltaPlusOneAlgo(std::size_t num_vertices, std::size_t max_degree,
@@ -69,11 +57,8 @@ class DeltaPlusOneAlgo {
     if (v < preset_.size() && preset_[v] >= 0) s.color = preset_[v];
   }
 
-  /// Generic over the view/state representation (AoS State& or packed
-  /// Ref) — one body serves both layouts byte-identically.
-  template <class View, class NextState>
-  bool step(Vertex, std::size_t round, const View& view,
-            NextState& next, Xoshiro256&) const {
+  bool step(Vertex, std::size_t round, const RoundView<State>& view,
+            State& next, Xoshiro256&) const {
     VALOCAL_ENSURE(round <= schedule_.total_rounds(),
                    "delta_plus1 schedule exhausted with active vertices");
     const auto& self = view.self();
@@ -129,10 +114,7 @@ class DeltaPlusOneAlgo {
     return true;
   }
 
-  template <class StateLike>
-  Output output(Vertex, const StateLike& s) const {
-    return s.color;
-  }
+  Output output(Vertex, const State& s) const { return s.color; }
 
   /// Wake hint (WakeHinted): the composition schedule makes idle
   /// stretches exactly computable from the published state. A vertex
@@ -143,9 +125,7 @@ class DeltaPlusOneAlgo {
   /// iteration's sweep acts only at its auxiliary class's slot; the
   /// earlier sweep rounds are no-ops too. Plan rounds refresh `aux`
   /// every round and stay unhinted.
-  template <class StateLike>
-  std::size_t next_wake(Vertex, std::size_t round,
-                        const StateLike& s) const {
+  std::size_t next_wake(Vertex, std::size_t round, const State& s) const {
     const std::size_t block = schedule_.block();
     std::size_t wake = round + 1;
     if (s.hset <= 0) {
@@ -170,9 +150,8 @@ class DeltaPlusOneAlgo {
   std::span<const char* const> trace_phases() const {
     return kTracePhases;
   }
-  template <class StateLike>
   std::size_t trace_phase_of(Vertex, std::size_t round,
-                             const StateLike&) const {
+                             const State&) const {
     const std::size_t pos = schedule_.position(round);
     if (pos == 0) return 0;
     return pos <= plan_->num_rounds() ? 1 : 2;

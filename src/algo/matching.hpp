@@ -43,32 +43,6 @@ class MatchingAlgo {
     std::int64_t matched_edge = -1;      // global edge id, -1 if none
     std::int32_t accepted_port = -1;     // head-side acceptance this stage
   };
-  /// SoA layout trait (StatePacked): the scalar fields every cross/
-  /// sweep scan reads are hot; the per-port vectors (heap-owning, read
-  /// only on intra-set code paths) stay cold. `matched` widens to a
-  /// byte column (see sim/state_pack.hpp).
-  struct Ref {
-    std::int32_t& hset;
-    std::vector<std::int64_t>& lcolor;
-    std::vector<std::int8_t>& kind;
-    std::vector<std::int8_t>& out_label;
-    std::uint8_t& matched;
-    std::int64_t& matched_edge;
-    std::int32_t& accepted_port;
-  };
-  struct CRef {
-    const std::int32_t& hset;
-    const std::vector<std::int64_t>& lcolor;
-    const std::vector<std::int8_t>& kind;
-    const std::vector<std::int8_t>& out_label;
-    const std::uint8_t& matched;
-    const std::int64_t& matched_edge;
-    const std::int32_t& accepted_port;
-  };
-  using StatePack = StatePackDesc<
-      State, Ref, CRef, Hot<&State::hset>, Cold<&State::lcolor>,
-      Cold<&State::kind>, Cold<&State::out_label>, Hot<&State::matched>,
-      Hot<&State::matched_edge>, Hot<&State::accepted_port>>;
   using Output = std::int64_t;  // matched edge id or -1
 
   MatchingAlgo(std::size_t num_vertices, std::size_t num_edges,
@@ -76,11 +50,8 @@ class MatchingAlgo {
 
   void init(Vertex v, const Graph& g, State& s) const;
 
-  /// Generic over the view/state representation (AoS State& or packed
-  /// Ref) — one body serves both layouts byte-identically.
-  template <class View, class NextState>
-  bool step(Vertex, std::size_t round, const View& view,
-            NextState& next, Xoshiro256&) const {
+  bool step(Vertex, std::size_t round, const RoundView<State>& view,
+            State& next, Xoshiro256&) const {
     VALOCAL_ENSURE(round <= schedule_.total_rounds(),
                    "matching schedule exhausted with active vertices");
     const auto& self = view.self();
@@ -211,10 +182,7 @@ class MatchingAlgo {
     return pos == schedule_.sub_rounds;
   }
 
-  template <class StateLike>
-  Output output(Vertex, const StateLike& s) const {
-    return s.matched_edge;
-  }
+  Output output(Vertex, const State& s) const { return s.matched_edge; }
 
   static constexpr bool uses_rng = false;
 
@@ -228,9 +196,8 @@ class MatchingAlgo {
   std::span<const char* const> trace_phases() const {
     return kTracePhases;
   }
-  template <class StateLike>
   std::size_t trace_phase_of(Vertex, std::size_t round,
-                             const StateLike&) const {
+                             const State&) const {
     const std::size_t pos = schedule_.position(round);
     if (pos == 0) return 0;
     if (pos == 1) return 1;

@@ -25,37 +25,22 @@ namespace valocal {
 
 class MisAlgo {
  public:
+  /// Field order sets sizeof(State), and so the bytes every round
+  /// copies: `status` sits in the padding between the base's `hset`
+  /// and the 8-byte-aligned `aux` (16 B, not 24).
   struct State : PartitionState {
-    std::uint64_t aux = 0;
     std::int8_t status = 0;  // 0 undecided, 1 in MIS, -1 dominated
+    std::uint64_t aux = 0;
   };
-  /// SoA layout trait (StatePacked): every published field is hot —
-  /// the domination scan reads `status`, the partition step `hset`,
-  /// the plan sweep `aux` (see sim/state_pack.hpp).
-  struct Ref {
-    std::int32_t& hset;
-    std::uint64_t& aux;
-    std::int8_t& status;
-  };
-  struct CRef {
-    const std::int32_t& hset;
-    const std::uint64_t& aux;
-    const std::int8_t& status;
-  };
-  using StatePack =
-      StatePackDesc<State, Ref, CRef, Hot<&State::hset>,
-                    Hot<&State::aux>, Hot<&State::status>>;
+  static_assert(sizeof(State) == 16);
   using Output = std::int8_t;
 
   MisAlgo(std::size_t num_vertices, PartitionParams params);
 
   void init(Vertex v, const Graph&, State& s) const { s.aux = v; }
 
-  /// Generic over the view/state representation (AoS State& or packed
-  /// Ref) — one body serves both layouts byte-identically.
-  template <class View, class NextState>
-  bool step(Vertex, std::size_t round, const View& view,
-            NextState& next, Xoshiro256&) const {
+  bool step(Vertex, std::size_t round, const RoundView<State>& view,
+            State& next, Xoshiro256&) const {
     VALOCAL_ENSURE(round <= schedule_.total_rounds(),
                    "mis schedule exhausted with active vertices");
     const auto& self = view.self();
@@ -99,10 +84,7 @@ class MisAlgo {
     return true;
   }
 
-  template <class StateLike>
-  Output output(Vertex, const StateLike& s) const {
-    return s.status;
-  }
+  Output output(Vertex, const State& s) const { return s.status; }
 
   // Deliberately NOT WakeHinted: an undecided vertex checks every round
   // whether a neighbor just entered the MIS (early domination exit), so
@@ -117,9 +99,8 @@ class MisAlgo {
   std::span<const char* const> trace_phases() const {
     return kTracePhases;
   }
-  template <class StateLike>
   std::size_t trace_phase_of(Vertex, std::size_t round,
-                             const StateLike&) const {
+                             const State&) const {
     const std::size_t pos = schedule_.position(round);
     if (pos == 0) return 0;
     return pos <= plan_->num_rounds() ? 1 : 2;

@@ -54,7 +54,8 @@ struct PartitionState {
 
 /// Number of neighbors of v that are active (hset == 0) in the previous
 /// round's snapshot — i.e., neighbors in the same or a later H-set if v
-/// joins this round. Generic over the view (AoS or packed layout).
+/// joins this round. Generic over the view: any RoundView whose State
+/// derives from PartitionState.
 template <class View>
 std::size_t active_neighbor_count(const View& view) {
   std::size_t count = 0;

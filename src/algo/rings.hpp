@@ -80,38 +80,22 @@ class RingColoring3Algo {
   /// Published state is the color word alone: the terminal color IS
   /// `color` at commit time (the engine snapshots outputs at the
   /// commit round), so a separate final_color member would be dead
-  /// weight copied every round in both layouts.
+  /// weight copied every round.
   struct State {
     std::uint64_t color = 0;
   };
-  /// SoA layout trait (StatePacked): the single published field is hot
-  /// — the Cole-Vishkin loop reads nothing but `color`, so the packed
-  /// engine runs one flat u64 column per side. The proxy structs
-  /// mirror State's member names so step bodies stay layout-oblivious
-  /// (see sim/state_pack.hpp).
-  struct Ref {
-    std::uint64_t& color;
-  };
-  struct CRef {
-    const std::uint64_t& color;
-  };
-  using StatePack = StatePackDesc<State, Ref, CRef, Hot<&State::color>>;
   using Output = int;
 
   explicit RingColoring3Algo(std::size_t num_vertices);
 
   void init(Vertex v, const Graph&, State& s) const { s.color = v; }
 
-  /// Generic over the view/state representation (AoS State& or packed
-  /// Ref) — one body serves both layouts byte-identically. Forced
-  /// inline: the step is a handful of bit operations, and the packed
-  /// instantiation's proxy plumbing otherwise tips GCC's inline-cost
-  /// model into an out-of-line call per vertex — which then dominates
-  /// the engine fixtures this algorithm exists to keep honest.
-  template <class View, class NextState>
+  /// Forced inline: the step is a handful of bit operations, and an
+  /// out-of-line call per vertex would dominate the engine fixtures
+  /// this algorithm exists to keep honest.
   [[gnu::always_inline]] inline bool step(Vertex v, std::size_t round,
-                                          const View& view,
-                                          NextState& next,
+                                          const RoundView<State>& view,
+                                          State& next,
                                           Xoshiro256&) const {
     const auto& self = view.self();
 
@@ -151,8 +135,7 @@ class RingColoring3Algo {
 
   /// Read at the commit round (slot 3), where color <= 2 is
   /// guaranteed by the step contract above.
-  template <class StateLike>
-  Output output(Vertex, const StateLike& s) const {
+  Output output(Vertex, const State& s) const {
     return static_cast<Output>(s.color);
   }
 
@@ -160,9 +143,7 @@ class RingColoring3Algo {
   /// slots retire colors 5, 4, 3 in fixed rounds — a vertex whose
   /// color is not scheduled for retirement idles until its slot (or
   /// the joint termination round).
-  template <class StateLike>
-  std::size_t next_wake(Vertex, std::size_t round,
-                        const StateLike& s) const {
+  std::size_t next_wake(Vertex, std::size_t round, const State& s) const {
     if (round < cv_rounds_) return round + 1;  // bit reduction each round
     // Slots cv+1, cv+2, cv+3 retire colors 5, 4, 3; a vertex acts only
     // in its own retirement slot and in the joint termination slot

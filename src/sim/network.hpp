@@ -71,22 +71,12 @@
 // unhinted engine; Metrics::skipped_steps and the trace `asleep` field
 // record the simulator work saved.
 //
-// State layout (opt-in, see sim/state_pack.hpp / RunOptions::layout).
-// Algorithms may declare a StatePack descriptor naming their published
-// fields; the engine then stores the hot fields in per-field
-// double-buffered flat columns (SoA) instead of the AoS State arrays:
-// the packed dense scan bulk-memcpys each hot column's live word
-// ranges as carry-forward (on top of the shared bitset walk), the
-// freeze-at-barrier publication copies only packed fields, and reads
-// go through struct-of-reference proxies so the same (templated)
-// step() compiles against either layout. Unpacked algorithms keep the
-// AoS path unchanged; both layouts are byte-identical in outputs,
-// r(v), active_per_round, and RNG streams.
-//
 // Algorithm interface (duck-typed; see LocalAlgorithm below):
 //
 //   struct MyAlgo {
-//     struct State { ... };                 // published to neighbors
+//     struct State { ... };                 // published to neighbors;
+//                                           // copied whole every round,
+//                                           // so keep it small
 //     using Output = ...;                   // final per-vertex output
 //     void init(Vertex v, const Graph& g, State& s) const;
 //     bool step(Vertex v, std::size_t round,             // 1-based
@@ -118,7 +108,6 @@
 
 #include "graph/graph.hpp"
 #include "sim/metrics.hpp"
-#include "sim/state_pack.hpp"
 #include "sim/wake_calendar.hpp"
 #include "trace/trace.hpp"
 #include "util/assertx.hpp"
@@ -127,26 +116,6 @@
 
 namespace valocal {
 
-/// Default (AoS) state access for RoundView: the read side is a dense
-/// State array and a read is one indexed load.
-template <class State>
-struct AosStateAccess {
-  using Handle = const State*;
-  using CRef = const State&;
-  static CRef at(Handle read, Vertex v) { return read[v]; }
-};
-
-/// Packed (SoA) state access: the read side is the pack's bundle of
-/// per-field column pointers; a read materializes the algorithm's CRef
-/// proxy (a struct of references), so only the fields the step
-/// actually dereferences cost a load.
-template <class Pack>
-struct PackedStateAccess {
-  using Handle = typename Pack::CPtrs;
-  using CRef = typename Pack::CRef;
-  static CRef at(const Handle& read, Vertex v) { return Pack::cref(read, v); }
-};
-
 /// Read-only window onto the previous round: own state plus the states
 /// of the (radius-1) neighborhood. Backed by the engine's double
 /// buffer: during round r the read side is buffer (r-1) mod 2, and the
@@ -154,16 +123,10 @@ struct PackedStateAccess {
 /// at its last round's barrier, so one indexed load suffices for any
 /// vertex — active, parked, or terminated. One view is constructed per
 /// work chunk and rebound per vertex; it never owns or copies state.
-/// The Access policy abstracts the buffer layout (AoS State array vs
-/// packed per-field columns, see sim/state_pack.hpp); the default
-/// keeps the classic `RoundView<State>` spelling and semantics.
-template <class State, class Access = AosStateAccess<State>>
+template <class State>
 class RoundView {
  public:
-  using Handle = typename Access::Handle;
-  using StateRef = typename Access::CRef;
-
-  RoundView(const Graph& g, const Handle& read_buf)
+  RoundView(const Graph& g, const State* read_buf)
       : graph_(&g), read_(read_buf) {}
 
   std::size_t degree() const { return nbrs_.size(); }
@@ -176,8 +139,8 @@ class RoundView {
 
   Vertex neighbor(std::size_t i) const { return nbrs_[i]; }
 
-  StateRef neighbor_state(std::size_t i) const {
-    return Access::at(read_, nbrs_[i]);
+  const State& neighbor_state(std::size_t i) const {
+    return read_[nbrs_[i]];
   }
 
   /// Port of the shared edge within neighbor i's incident list — lets
@@ -187,13 +150,13 @@ class RoundView {
   }
 
   /// State of a specific neighbor u (debug-checked to be adjacent).
-  StateRef state_of(Vertex u) const {
+  const State& state_of(Vertex u) const {
     VALOCAL_DCHECK(graph_->has_edge(v_, u),
                    "LOCAL violation: reading a non-neighbor's state");
-    return Access::at(read_, u);
+    return read_[u];
   }
 
-  StateRef self() const { return Access::at(read_, v_); }
+  const State& self() const { return read_[v_]; }
 
   /// Engine-internal: retarget the view at another vertex (run_local
   /// hoists view construction out of the per-vertex loop). Caches the
@@ -208,7 +171,7 @@ class RoundView {
 
  private:
   const Graph* graph_;
-  Handle read_;
+  const State* read_;
   Vertex v_ = 0;
   std::span<const Vertex> nbrs_{};
 };
@@ -408,6 +371,16 @@ inline FrontierMode engine_frontier_mode() {
   return detail_engine_frontier_mode();
 }
 
+/// The engine stores states in one layout, the AoS double buffer. This
+/// fixed one-value report exists only because the repository
+/// benchmark's run record (perfbench/valocal_bench.cpp) prints it; that
+/// record is its only reader.
+enum class StateLayout : std::uint8_t { kAos };
+
+inline const char* state_layout_name(StateLayout) { return "aos"; }
+
+inline StateLayout engine_state_layout() { return StateLayout::kAos; }
+
 struct RunOptions {
   std::uint64_t seed = 0x5eedULL;
   /// Hard cap on rounds; 0 = automatic generous bound (64n + 100000).
@@ -442,19 +415,11 @@ struct RunOptions {
   /// simulator-cost knob — every setting is byte-identical (see
   /// FrontierMode).
   FrontierMode frontier_mode = FrontierMode::kInherit;
-  /// State layout policy: kInherit follows the process-wide default
-  /// (set_engine_state_layout(), initially kAuto = packed whenever the
-  /// algorithm declares a StatePack, see sim/state_pack.hpp). Purely a
-  /// memory-placement knob — every setting is byte-identical in
-  /// outputs, r(v), active_per_round, and RNG streams; forcing kAos on
-  /// a packed algorithm runs the classic AoS engine for A/B diffs.
-  StateLayout layout = StateLayout::kInherit;
   /// Materialize RunResult::final_states (every vertex's post-run
   /// State). Off by default: outputs + metrics are the production
-  /// surface, and a packed run would otherwise pay a full column
-  /// gather pass — one extra sweep of all state per run — just to
-  /// fill a vector nothing reads. Purely a result-shape knob; has no
-  /// effect on outputs, r(v), or any semantic metric.
+  /// surface, and only tests read the final states. Purely a
+  /// result-shape knob; has no effect on outputs, r(v), or any
+  /// semantic metric.
   bool want_final_states = false;
 };
 
@@ -490,9 +455,9 @@ struct EngineScratch {
   /// terminated. Authoritative; the sparse rebuild and wake logic
   /// read it.
   std::vector<std::uint8_t> inactive;
-  /// Bitset mirror of `inactive`: one awake bit per vertex, so both
-  /// layouts' dense scans test 64 vertices per load and a fully
-  /// dormant block costs nothing. Maintained serially (wake phase and
+  /// Bitset mirror of `inactive`: one awake bit per vertex, so the
+  /// dense scan tests 64 vertices per load and a fully dormant block
+  /// costs nothing. Maintained serially (wake phase and
   /// round barrier only). `committed` deliberately stays a byte array
   /// — distinct vertices stamp it concurrently from worker threads,
   /// which a shared-word bitset cannot support without atomics.
@@ -542,53 +507,43 @@ class ScratchLease {
   EngineScratch<State> fallback_;
 };
 
-/// Thread-local packed-column store, leased exactly like EngineScratch
-/// (same reuse across batch trials, same nested-run fallback). Keyed by
-/// the pack type — two algorithms sharing a State type never alias —
-/// and a no-op for NoStatePack, whose Store is empty.
-template <class Pack>
-struct PackedScratch {
-  typename Pack::Store store;
-  bool in_use = false;
-};
-
-template <class Pack>
-class PackedScratchLease {
- public:
-  PackedScratchLease() {
-    thread_local PackedScratch<Pack> scratch;
-    if (!scratch.in_use) {
-      scratch.in_use = true;
-      leased_ = &scratch;
-    }
-  }
-  ~PackedScratchLease() {
-    if (leased_ != nullptr) leased_->in_use = false;
-  }
-  PackedScratchLease(const PackedScratchLease&) = delete;
-  PackedScratchLease& operator=(const PackedScratchLease&) = delete;
-
-  PackedScratch<Pack>& operator*() {
-    return leased_ != nullptr ? *leased_ : fallback_;
-  }
-
- private:
-  PackedScratch<Pack>* leased_ = nullptr;
-  PackedScratch<Pack> fallback_;
-};
-
-/// The layout-independent back half of step_one: runs the algorithm's
-/// step against the already-carried next-slot reference (State& for
-/// AoS, the pack's Ref proxy for packed) and stages the verdict's side
-/// effects. Split out so step_one can pick the slot reference with
-/// plain if-constexpr blocks instead of a closure.
-template <LocalAlgorithm A, class View, class NextRef>
-[[gnu::always_inline]] inline bool step_verdict(
-    const A& algo, std::size_t round, Vertex v, View& view, NextRef& next,
-    Xoshiro256& vertex_stream, std::uint8_t* committed,
-    std::vector<typename A::Output>& outputs, std::uint32_t* rounds_out,
-    bool parking, trace::ChunkCounters* counters,
+/// Steps one vertex and stages its side effects; returns true iff the
+/// vertex stays on the frontier (termination and parking are recorded
+/// as chunk-local dormancy deltas and applied at the round barrier).
+/// Deliberately a free function with explicit parameters, not a
+/// capturing lambda shared by the dense and sparse loops: the capture
+/// struct defeats scalar replacement and costs ~20% on step-light
+/// workloads, while explicit arguments inline cleanly into both loops.
+template <LocalAlgorithm A>
+[[gnu::always_inline]] inline bool step_one(
+    const A& algo, const Graph& g, std::size_t round, Vertex v,
+    RoundView<typename A::State>& view, const typename A::State* read,
+    typename A::State* write, std::uint8_t* committed,
+    std::vector<typename A::Output>& outputs,
+    std::uint32_t* rounds_out, Xoshiro256* rng_streams,
+    Xoshiro256& null_rng, bool parking, trace::ChunkCounters* counters,
     std::vector<std::pair<Vertex, std::size_t>>& dormant) {
+  using State = typename A::State;
+  Xoshiro256& vertex_stream = [&]() -> Xoshiro256& {
+    if constexpr (algorithm_uses_rng<A>)
+      return rng_streams[v];
+    else
+      return null_rng;
+  }();
+  if (counters != nullptr) {
+    if (!committed[v]) {
+      ++counters->charged;
+      if constexpr (trace::PhaseTraced<A>)
+        ++counters->phase_charged[algo.trace_phase_of(v, round, read[v])];
+    }
+    counters->volume_bytes +=
+        static_cast<std::uint64_t>(sizeof(State)) * g.degree(v);
+  }
+  view.rebind(v);
+  // Carry the last published state forward into this round's write
+  // slot, then step against it.
+  State& next = write[v];
+  next = read[v];
   StepResult verdict;
   if constexpr (std::is_same_v<decltype(algo.step(v, round, view, next,
                                                   vertex_stream)),
@@ -625,97 +580,48 @@ template <LocalAlgorithm A, class View, class NextRef>
   return true;
 }
 
-/// Steps one vertex and stages its side effects; returns true iff the
-/// vertex stays on the frontier (termination and parking are recorded
-/// as chunk-local dormancy deltas and applied at the round barrier).
-/// Deliberately a free function with explicit parameters, not a
-/// capturing lambda shared by the dense and sparse loops: the capture
-/// struct defeats scalar replacement and costs ~20% on step-light
-/// workloads, while explicit arguments inline cleanly into both loops.
-///
-/// Layout-generic: PackT = NoStatePack reads/writes whole State slots
-/// (read/write are the State arrays); a real pack reads/writes through
-/// per-field column pointers (read/write are the pack's CPtrs/Ptrs
-/// bundles). kHotCarried marks callers that already bulk-copied the
-/// hot columns for this vertex's range (the packed dense scan), so
-/// only the cold slot still needs carrying here.
-template <class PackT, bool kHotCarried, LocalAlgorithm A, class View,
-          class ReadP, class WriteP>
-[[gnu::always_inline]] inline bool step_one(
-    const A& algo, const Graph& g, std::size_t round, Vertex v,
-    View& view, const ReadP& read, const WriteP& write,
-    std::uint8_t* committed, std::vector<typename A::Output>& outputs,
-    std::uint32_t* rounds_out, Xoshiro256* rng_streams,
-    Xoshiro256& null_rng, bool parking, trace::ChunkCounters* counters,
-    std::vector<std::pair<Vertex, std::size_t>>& dormant) {
-  using State = typename A::State;
-  constexpr bool kPacked = !std::is_same_v<PackT, NoStatePack>;
-  Xoshiro256& vertex_stream = [&]() -> Xoshiro256& {
-    if constexpr (algorithm_uses_rng<A>)
-      return rng_streams[v];
-    else
-      return null_rng;
-  }();
-  if (counters != nullptr) {
-    if (!committed[v]) {
-      ++counters->charged;
-      if constexpr (trace::PhaseTraced<A>) {
-        if constexpr (kPacked)
-          ++counters->phase_charged[
-              algo.trace_phase_of(v, round, PackT::cref(read, v))];
-        else
-          ++counters->phase_charged[
-              algo.trace_phase_of(v, round, read[v])];
-      }
-    }
-    // volume_bytes stays sizeof(State)-scaled in BOTH layouts: it is a
-    // semantic field (LOCAL-model publication volume) covered by the
-    // cross-layout byte-identity contract. The layout-dependent
-    // packed_bytes derived from it is reported separately.
-    counters->volume_bytes +=
-        static_cast<std::uint64_t>(sizeof(State)) * g.degree(v);
-  }
-  view.rebind(v);
-  // Carry the last published state forward into this round's write
-  // slot, then step against the layout's own next-slot reference.
-  // The layout split lives up here as plain if-constexpr blocks — no
-  // closures: an immediately-invoked lambda returning the slot ref
-  // gets outlined by GCC in large instantiations, and its by-ref
-  // captures then escape, costing the whole surrounding loop its
-  // scalar replacement (see the sparse-loop note below).
-  if constexpr (kPacked) {
-    if constexpr (!kHotCarried) PackT::copy_hot(write, read, v);
-    PackT::copy_cold(write, read, v);
-    auto next = PackT::ref(write, v);
-    return step_verdict(algo, round, v, view, next, vertex_stream,
-                        committed, outputs, rounds_out, parking, counters,
-                        dormant);
-  } else {
-    State& next = write[v];
-    next = read[v];
-    return step_verdict(algo, round, v, view, next, vertex_stream,
-                        committed, outputs, rounds_out, parking, counters,
-                        dormant);
-  }
-}
+}  // namespace detail_engine
 
-/// Layout-generic engine body shared by the AoS and packed paths.
-/// PackT = NoStatePack compiles to exactly the classic AoS engine
-/// (every packed operation sits behind `if constexpr`); a real pack
-/// stores the hot published fields in per-field double-buffered flat
-/// columns (see sim/state_pack.hpp), scans the dense frontier through
-/// a 64-vertex-per-word awake bitset with bulk per-column
-/// carry-forward, and freezes dormant vertices by copying only their
-/// packed fields. Both instantiations run the same frontier logic, the
-/// same barrier order, and the same RNG stream discipline, which is
-/// what makes the layouts byte-identical.
-template <class PackT, LocalAlgorithm A>
-RunResult<A> run_local_impl(const Graph& g, const A& algo,
-                            const RunOptions& opt) {
+/// Runs `algo` on `g` to completion and returns outputs plus metrics.
+///
+/// Determinism contract. For fixed (graph, algorithm, seed), outputs,
+/// final_states, Metrics::rounds, and Metrics::active_per_round are
+/// byte-identical for every num_threads/grain/frontier_mode/sleep_hints
+/// combination: each awake vertex is stepped exactly once per round
+/// against the previous round's buffer with its own RNG stream, every
+/// per-vertex write (next state, r(v), committed output, dormancy
+/// freeze) lands in a slot only that vertex touches, dormancy deltas
+/// are applied at the barrier in ascending-vertex chunk order, and the
+/// representation schedule is a pure function of the (deterministic)
+/// awake counts — so dense scans, sparse lists, and the calendar all
+/// reproduce exactly the serial ascending-vertex iteration.
+///
+/// Output freezing. The first round in which a vertex returns kCommit
+/// or kTerminate fixes BOTH r(v) and its output: the engine snapshots
+/// algo.output(v, ·) on that round's staged state. A committed vertex
+/// may keep computing and relaying (kCommit), but nothing it does
+/// afterwards can alter the recorded output.
+///
+/// Observability. When a trace sink is installed (trace::set_sink —
+/// the slot is thread-local; the engine consults the calling thread's),
+/// the engine reports one RoundEvent per round — active / charged /
+/// committed / terminated counts, the round's frontier representation,
+/// published-state volume (sizeof(State) * degree summed over stepped
+/// vertices) and, for algorithms satisfying trace::PhaseTraced,
+/// per-phase charged counts — plus run begin/end events carrying the
+/// representation-switch total and the pool's worker-load counters.
+/// All trace fields except wall_ns (and the schedule-dependent
+/// frontier_mode label under kAuto vs forced modes) are sums over the
+/// round's vertex set and therefore covered by the determinism
+/// contract above. With no sink installed (the default) the tracing
+/// path reduces to one null-pointer test per vertex and the engine
+/// behaves exactly as before.
+template <LocalAlgorithm A>
+RunResult<A> run_local(const Graph& g, const A& algo,
+                       RunOptions opt = {}) {
   using State = typename A::State;
   using Output = typename A::Output;
   using Clock = std::chrono::steady_clock;
-  constexpr bool kPacked = !std::is_same_v<PackT, NoStatePack>;
   static_assert(std::is_default_constructible_v<Output>,
                 "run_local stores outputs in a dense array; Output must "
                 "be default-constructible");
@@ -725,38 +631,19 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
   result.metrics.rounds.assign(n, 0);
 
   // Thread-local workspace: non-escaping buffers keep their capacity
-  // across runs (see EngineScratch / PackedScratch).
-  ScratchLease<State> lease;
-  EngineScratch<State>& ws = *lease;
-  PackedScratchLease<PackT> pack_lease;
-  typename PackT::Store& pack = (*pack_lease).store;
+  // across runs (see EngineScratch).
+  detail_engine::ScratchLease<State> lease;
+  detail_engine::EngineScratch<State>& ws = *lease;
 
   // The double buffer (see file comment). init() is round 0's
-  // publication: every vertex publishes into buffer 0. AoS: buf0 is
-  // freshly constructed — init() may assume a default State — and
-  // escapes as final_states; buf1 is pooled (never read before
-  // whole-object assignment). Packed: init() runs on a fresh State
-  // per vertex and is scattered into side 0's columns; side 1 is
-  // pooled under the same never-read-before-carry argument, and
-  // final_states (when requested) are gathered back out of the
-  // columns at the end.
-  std::vector<State> buf0;
-  State* bufs[2] = {nullptr, nullptr};
-  if constexpr (kPacked) {
-    pack.resize(n);
-    const auto init_ptrs = PackT::ptrs(pack, 0);
-    for (Vertex v = 0; v < n; ++v) {
-      State s{};
-      algo.init(v, g, s);
-      PackT::scatter(init_ptrs, v, s);
-    }
-  } else {
-    buf0.resize(n);
-    ws.buf1.resize(n);
-    for (Vertex v = 0; v < n; ++v) algo.init(v, g, buf0[v]);
-    bufs[0] = buf0.data();
-    bufs[1] = ws.buf1.data();
-  }
+  // publication: every vertex publishes into buffer 0. buf0 is freshly
+  // constructed — init() may assume a default State — and escapes as
+  // final_states; buf1 is pooled (never read before whole-object
+  // assignment).
+  std::vector<State> buf0(n);
+  ws.buf1.resize(n);
+  for (Vertex v = 0; v < n; ++v) algo.init(v, g, buf0[v]);
+  State* const bufs[2] = {buf0.data(), ws.buf1.data()};
 
   // Per-vertex RNG streams — skipped wholesale for algorithms that
   // declare uses_rng = false (the streams would never be drawn from).
@@ -772,7 +659,7 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
   // round invalidates it, and the first list round after a dense run
   // rebuilds it with one O(n) scan. The awake bitset stays in lockstep
   // (one bit per vertex, maintained at the same serial points as the
-  // byte array): both layouts' dense scans walk it word by word, so a
+  // byte array): the dense scan walks it word by word, so a
   // fully dormant 64-vertex block costs one load — the byte-at-a-time
   // skip loop it replaces paid a taken branch per dormant vertex, and
   // GCC's block layout made that two taken branches in the big
@@ -818,7 +705,7 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
   // kAuto picks dense while awake_count >= n / kDenseFractionDenominator
   // (evaluated multiplication-side to avoid rounding): deterministic,
   // since awake counts are schedule-independent.
-  const std::size_t dense_num = kDenseFractionDenominator;
+  const std::size_t dense_num = detail_engine::kDenseFractionDenominator;
 
   // Outputs snapshotted at commit/terminate time (see contract above):
   // dense array + committed bitmap, so the hot path never touches an
@@ -842,9 +729,6 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
                        .num_edges = g.num_edges(),
                        .num_threads = num_threads,
                        .state_bytes = sizeof(State),
-                       .packed_state_bytes = kPacked ? PackT::kHotBytes : 0,
-                       .layout = static_cast<std::uint8_t>(
-                           kPacked ? StateLayout::kPacked : StateLayout::kAos),
                        .seed = opt.seed},
         phase_names);
 
@@ -970,20 +854,8 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
     // This round's write side; the other one is the frozen read side.
     // Every awake vertex writes only its own slots; dormant vertices'
     // slots are never written, so reads of their frozen state are safe.
-    // (The packed dense scan's bulk column copy rewrites dormant slots
-    // with their own frozen bytes — value-identical, and strictly
-    // within the owning chunk's range, so still write-disjoint.)
-    State* next_buf = nullptr;
-    const State* read_buf = nullptr;
-    typename PackT::Ptrs wp{};
-    typename PackT::CPtrs rp{};
-    if constexpr (kPacked) {
-      wp = PackT::ptrs(pack, static_cast<int>(round & 1));
-      rp = PackT::cptrs(pack, static_cast<int>(1 - (round & 1)));
-    } else {
-      next_buf = bufs[round & 1];
-      read_buf = bufs[1 - (round & 1)];
-    }
+    State* const next_buf = bufs[round & 1];
+    const State* const read_buf = bufs[1 - (round & 1)];
 
     pool.parallel_for_chunks(
         domain, grain,
@@ -998,12 +870,7 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
           // Shared null stream for algorithms that never draw: keeps
           // the step signature uniform without building n streams.
           [[maybe_unused]] Xoshiro256 null_rng(0);
-          auto view = [&] {
-            if constexpr (kPacked)
-              return RoundView<State, PackedStateAccess<PackT>>(g, rp);
-            else
-              return RoundView<State>(g, read_buf);
-          }();
+          RoundView<State> view(g, read_buf);
           Xoshiro256* const rng_streams = [&]() -> Xoshiro256* {
             if constexpr (algorithm_uses_rng<A>)
               return rng.data();
@@ -1013,43 +880,13 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
           std::uint32_t* const rounds_out = result.metrics.rounds.data();
           std::uint8_t* const committed_out = committed.data();
           if (dense) {
-            // Word-granular scan over the awake bitset, both layouts:
-            // a fully dormant 64-vertex block costs one load, and the
-            // set-bit walk takes no per-vertex branch on the dormancy
-            // byte (the flat byte-tested scan this replaces cost two
-            // taken branches per dormant vertex once GCC split the
-            // skip loop across the big composed instantiations). A
-            // packed carry-forward runs as a prepass that coalesces
-            // contiguous awake words into one bulk read -> write copy
-            // per run, so a fully dense chunk costs a single large
-            // memcpy per hot column instead of one small memcpy per
-            // 64-vertex block (the per-word copies left packed ~10%
-            // behind AoS once the columns outgrew L2). Copying the
-            // dormant slots inside an awake run is harmless: both
-            // buffers already hold their frozen values.
+            // Word-granular scan over the awake bitset: a fully
+            // dormant 64-vertex block costs one load, and the set-bit
+            // walk takes no per-vertex branch on the dormancy byte (the
+            // flat byte-tested scan this replaces cost two taken
+            // branches per dormant vertex once GCC split the skip loop
+            // across the big composed instantiations).
             const std::uint64_t* const words = awake_words.data();
-            if constexpr (kPacked) {
-              std::size_t run_lo = 0;
-              bool in_run = false;
-              for (std::size_t w = begin >> 6; (w << 6) < end; ++w) {
-                const std::size_t base = w << 6;
-                std::uint64_t bits = words[w];
-                if (base < begin)
-                  bits &= ~std::uint64_t{0} << (begin - base);
-                if (end - base < 64)
-                  bits &= (std::uint64_t{1} << (end - base)) - 1;
-                if (bits != 0) {
-                  if (!in_run) {
-                    run_lo = std::max(begin, base);
-                    in_run = true;
-                  }
-                } else if (in_run) {
-                  PackT::copy_hot_range(wp, rp, run_lo, base);
-                  in_run = false;
-                }
-              }
-              if (in_run) PackT::copy_hot_range(wp, rp, run_lo, end);
-            }
             for (std::size_t w = begin >> 6; (w << 6) < end; ++w) {
               const std::size_t base = w << 6;
               std::uint64_t bits = words[w];
@@ -1061,42 +898,22 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
                 const auto b =
                     static_cast<unsigned>(std::countr_zero(bits));
                 bits &= bits - 1;
-                if constexpr (kPacked)
-                  (void)step_one<PackT, true>(
-                      algo, g, round, static_cast<Vertex>(base + b), view,
-                      rp, wp, committed_out, outputs, rounds_out,
-                      rng_streams, null_rng, parking, counters, dormant);
-                else
-                  (void)step_one<PackT, false>(
-                      algo, g, round, static_cast<Vertex>(base + b), view,
-                      read_buf, next_buf, committed_out, outputs,
-                      rounds_out, rng_streams, null_rng, parking, counters,
-                      dormant);
+                (void)detail_engine::step_one(
+                    algo, g, round, static_cast<Vertex>(base + b), view,
+                    read_buf, next_buf, committed_out, outputs, rounds_out,
+                    rng_streams, null_rng, parking, counters, dormant);
               }
             }
           } else {
             auto& still = chunk_active[chunk];
             still.clear();
-            // Plain if-constexpr, NOT an immediately-invoked [&]
-            // lambda: GCC outlines the closure in the packed
-            // instantiation, and the by-reference capture of `view`
-            // then pins the view to the stack for the WHOLE chunk
-            // worker — every loop above loses scalar replacement and
-            // re-spills the cached neighbor span per vertex.
             for (std::size_t i = begin; i < end; ++i) {
               const Vertex v = active[i];
-              bool alive;
-              if constexpr (kPacked)
-                alive = step_one<PackT, false>(
-                    algo, g, round, v, view, rp, wp, committed_out,
-                    outputs, rounds_out, rng_streams, null_rng, parking,
-                    counters, dormant);
-              else
-                alive = step_one<PackT, false>(
-                    algo, g, round, v, view, read_buf, next_buf,
-                    committed_out, outputs, rounds_out, rng_streams,
-                    null_rng, parking, counters, dormant);
-              if (alive) still.push_back(v);
+              if (detail_engine::step_one(
+                      algo, g, round, v, view, read_buf, next_buf,
+                      committed_out, outputs, rounds_out, rng_streams,
+                      null_rng, parking, counters, dormant))
+                still.push_back(v);
             }
           }
         });
@@ -1121,14 +938,9 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
       calendar.for_each_sleeping([&](Vertex v) {
         if (!committed[v]) {
           ++sleep_counters.charged;
-          if constexpr (trace::PhaseTraced<A>) {
-            if constexpr (kPacked)
-              ++sleep_counters.phase_charged[
-                  algo.trace_phase_of(v, round, PackT::cref(rp, v))];
-            else
-              ++sleep_counters.phase_charged[
-                  algo.trace_phase_of(v, round, read_buf[v])];
-          }
+          if constexpr (trace::PhaseTraced<A>)
+            ++sleep_counters.phase_charged[
+                algo.trace_phase_of(v, round, read_buf[v])];
         }
         sleep_counters.volume_bytes +=
             static_cast<std::uint64_t>(sizeof(State)) * g.degree(v);
@@ -1140,40 +952,21 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
     // rounds' single-buffer reads see it without republication), its
     // byte (and awake bit) is stamped, and parked vertices enter the
     // calendar — serially, in chunk order, touching per-vertex slots
-    // only. The packed freeze moves exactly the fields the vertex
-    // publishes: the hot columns plus, when declared, its cold slot.
+    // only.
     std::size_t dormant_total = 0;
-    if constexpr (kPacked) {
-      const auto other = PackT::ptrs(pack, static_cast<int>(1 - (round & 1)));
-      const auto written = PackT::cptrs(pack, static_cast<int>(round & 1));
-      for (std::size_t c = 0; c < num_chunks; ++c) {
-        for (const auto& [v, wake] : chunk_dormant[c]) {
-          PackT::copy_vertex(other, written, v);
-          awake_words[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
-          if (wake == 0) {
-            inactive[v] = 2;
-          } else {
-            inactive[v] = 1;
-            calendar.schedule(v, wake);
-          }
+    State* const other_buf = bufs[1 - (round & 1)];
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      for (const auto& [v, wake] : chunk_dormant[c]) {
+        other_buf[v] = next_buf[v];
+        awake_words[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
+        if (wake == 0) {
+          inactive[v] = 2;
+        } else {
+          inactive[v] = 1;
+          calendar.schedule(v, wake);
         }
-        dormant_total += chunk_dormant[c].size();
       }
-    } else {
-      State* const other_buf = bufs[1 - (round & 1)];
-      for (std::size_t c = 0; c < num_chunks; ++c) {
-        for (const auto& [v, wake] : chunk_dormant[c]) {
-          other_buf[v] = next_buf[v];
-          awake_words[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
-          if (wake == 0) {
-            inactive[v] = 2;
-          } else {
-            inactive[v] = 1;
-            calendar.schedule(v, wake);
-          }
-        }
-        dormant_total += chunk_dormant[c].size();
-      }
+      dormant_total += chunk_dormant[c].size();
     }
     awake_count -= dormant_total;
 
@@ -1204,13 +997,6 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
         for (std::size_t p = 0; p < num_phases; ++p)
           round_phase_charged[p] += sleep_counters.phase_charged[p];
       }
-      // Layout-dependent, contract-exempt (like wall_ns): bytes the
-      // packed layout actually moved for the charged volume. Exact
-      // rescale — volume_bytes is sizeof(State) * degree summed over
-      // the same vertex set the columns served.
-      if constexpr (kPacked)
-        event.packed_bytes =
-            event.volume_bytes / sizeof(State) * PackT::kHotBytes;
       event.wall_ns = result.metrics.round_wall_ns.back();
       event.phase_charged = round_phase_charged;
       sink->on_round(event);
@@ -1240,83 +1026,14 @@ RunResult<A> run_local_impl(const Graph& g, const A& algo,
   // Every vertex that left the frontier committed on the way out, so
   // the dense array IS the output vector; the fallback only covers
   // vertices that never ran (n == 0 is the only such case today).
-  // final_states is opt-in (see RunOptions): packed runs reassemble
-  // it out of the columns — dormancy freezes made both sides
-  // identical, so side 0 is canonical — and skipping that gather when
-  // nobody asked keeps the epilogue off the packed run's bill.
-  if constexpr (kPacked) {
-    const auto final_side = PackT::cptrs(pack, 0);
-    for (Vertex v = 0; v < n; ++v)
-      if (!committed[v])
-        outputs[v] = algo.output(v, PackT::cref(final_side, v));
-    result.outputs = std::move(outputs);
-    if (opt.want_final_states)
-      PackT::gather_all(result.final_states, final_side, n);
-  } else {
-    for (Vertex v = 0; v < n; ++v)
-      if (!committed[v]) outputs[v] = algo.output(v, buf0[v]);
-    result.outputs = std::move(outputs);
-    // Dormancy freezes copied every vertex's final state into both
-    // buffers, and the loop only exits with every vertex terminated —
-    // so buffer 0 already IS the final-states vector, no collapse pass.
-    if (opt.want_final_states) result.final_states = std::move(buf0);
-  }
+  for (Vertex v = 0; v < n; ++v)
+    if (!committed[v]) outputs[v] = algo.output(v, buf0[v]);
+  result.outputs = std::move(outputs);
+  // Dormancy freezes copied every vertex's final state into both
+  // buffers, and the loop only exits with every vertex terminated — so
+  // buffer 0 already IS the final-states vector, no collapse pass.
+  if (opt.want_final_states) result.final_states = std::move(buf0);
   return result;
-}
-
-}  // namespace detail_engine
-
-/// Runs `algo` on `g` to completion and returns outputs plus metrics.
-///
-/// Determinism contract. For fixed (graph, algorithm, seed), outputs,
-/// final_states, Metrics::rounds, and Metrics::active_per_round are
-/// byte-identical for every num_threads/grain/frontier_mode/layout
-/// combination: each awake vertex is stepped exactly once per round
-/// against the previous round's buffer with its own RNG stream, every
-/// per-vertex write (next state, r(v), committed output, dormancy
-/// freeze) lands in a slot only that vertex touches, dormancy deltas
-/// are applied at the barrier in ascending-vertex chunk order, and the
-/// representation schedule is a pure function of the (deterministic)
-/// awake counts — so dense scans, sparse lists, and the calendar all
-/// reproduce exactly the serial ascending-vertex iteration.
-///
-/// Output freezing. The first round in which a vertex returns kCommit
-/// or kTerminate fixes BOTH r(v) and its output: the engine snapshots
-/// algo.output(v, ·) on that round's staged state. A committed vertex
-/// may keep computing and relaying (kCommit), but nothing it does
-/// afterwards can alter the recorded output.
-///
-/// Observability. When a trace sink is installed (trace::set_sink —
-/// the slot is thread-local; the engine consults the calling thread's),
-/// the engine reports one RoundEvent per round — active / charged /
-/// committed / terminated counts, the round's frontier representation,
-/// published-state volume (sizeof(State) * degree summed over stepped
-/// vertices) and, for algorithms satisfying trace::PhaseTraced,
-/// per-phase charged counts — plus run begin/end events carrying the
-/// representation-switch total and the pool's worker-load counters.
-/// All trace fields except wall_ns (and the schedule-dependent
-/// frontier_mode label under kAuto vs forced modes) are sums over the
-/// round's vertex set and therefore covered by the determinism
-/// contract above. With no sink installed (the default) the tracing
-/// path reduces to one null-pointer test per vertex and the engine
-/// behaves exactly as before.
-template <LocalAlgorithm A>
-RunResult<A> run_local(const Graph& g, const A& algo,
-                       RunOptions opt = {}) {
-  if constexpr (StatePacked<A>) {
-    // Resolve the layout exactly like the other knobs: per-run option,
-    // else the process-wide default (never kInherit after the setter's
-    // normalization); kAuto means packed for a pack-declaring
-    // algorithm. Unpacked algorithms skip the resolution entirely —
-    // there is only one layout for them.
-    const StateLayout layout = opt.layout != StateLayout::kInherit
-                                   ? opt.layout
-                                   : engine_state_layout();
-    if (layout != StateLayout::kAos)
-      return detail_engine::run_local_impl<typename A::StatePack>(g, algo,
-                                                                  opt);
-  }
-  return detail_engine::run_local_impl<NoStatePack>(g, algo, opt);
 }
 
 }  // namespace valocal

@@ -53,16 +53,6 @@ const char* frontier_mode_label(std::uint8_t mode) {
   }
 }
 
-/// Textual label of a RunRecord::layout byte (numeric StateLayout from
-/// sim/state_pack.hpp, which this layer cannot include).
-const char* state_layout_label(std::uint8_t layout) {
-  switch (layout) {
-    case 2: return "packed";
-    case 3: return "aos";
-    default: return "";
-  }
-}
-
 }  // namespace
 
 TraceCollector::TraceCollector() {
@@ -108,8 +98,6 @@ void TraceCollector::on_run_begin(const RunInfo& info,
   run.num_edges = info.num_edges;
   run.num_threads = info.num_threads;
   run.state_bytes = info.state_bytes;
-  run.packed_state_bytes = info.packed_state_bytes;
-  run.layout = info.layout;
   run.seed = info.seed;
   run.phase_names.assign(phases.begin(), phases.end());
   run.begin_us = now_us();
@@ -128,7 +116,6 @@ void TraceCollector::on_round(const RoundEvent& event) {
   sample.terminated = event.terminated;
   sample.volume_bytes = event.volume_bytes;
   sample.messages = event.messages;
-  sample.packed_bytes = event.packed_bytes;
   sample.wall_ns = event.wall_ns;
   sample.frontier_mode = event.frontier_mode;
   sample.phase_charged.assign(event.phase_charged.begin(),
@@ -216,16 +203,10 @@ std::vector<PhaseStats> TraceCollector::phase_breakdown(
 void TraceCollector::print_phase_table(std::ostream& os) const {
   for (const RunRecord& run : runs_) {
     std::uint64_t volume = 0;
-    std::uint64_t packed_total = 0;
-    for (const auto& r : run.rounds) {
-      volume += r.volume_bytes;
-      packed_total += r.packed_bytes;
-    }
+    for (const auto& r : run.rounds) volume += r.volume_bytes;
     os << "trace: " << (run.span.empty() ? run.engine : run.span)
        << " — engine=" << run.engine << " n=" << run.num_vertices
        << " m=" << run.num_edges << " threads=" << run.num_threads;
-    if (run.layout != 0)
-      os << " layout=" << state_layout_label(run.layout);
     os << " rounds=" << run.rounds.size() << "\n";
     Table table({"phase", "rounds", "round-sum", "vertex-avg",
                  "worst-case", "wall-ms"});
@@ -254,8 +235,6 @@ void TraceCollector::print_phase_table(std::ostream& os) const {
     if (run.frontier_switches > 0)
       os << "; " << run.frontier_switches
          << " frontier representation switches";
-    if (packed_total > 0)
-      os << "; " << packed_total << " hot bytes under the packed layout";
     os << "\n\n";
   }
 }
@@ -265,23 +244,14 @@ void TraceCollector::write_run_records_jsonl(std::ostream& os,
   for (const RunRecord& run : runs_) {
     std::uint64_t volume = 0;
     std::uint64_t round_messages = 0;
-    std::uint64_t packed_total = 0;
     for (const auto& r : run.rounds) {
       volume += r.volume_bytes;
       round_messages += r.messages;
-      packed_total += r.packed_bytes;
     }
     os << "{\"engine\":\"" << json_escape(run.engine) << "\"";
     os << ",\"span\":\"" << json_escape(run.span) << "\"";
     os << ",\"n\":" << run.num_vertices << ",\"m\":" << run.num_edges;
     os << ",\"state_bytes\":" << run.state_bytes;
-    // Layout label and packed width only for packed runs, so AoS
-    // records keep their exact historical byte layout (the same idiom
-    // as skipped_steps below). Both are contract-exempt.
-    if (run.layout == 2) {
-      os << ",\"layout\":\"" << state_layout_label(run.layout) << '"';
-      os << ",\"packed_state_bytes\":" << run.packed_state_bytes;
-    }
     os << ",\"seed\":" << run.seed;
     if (include_timing) os << ",\"threads\":" << run.num_threads;
     if (!context_.empty()) {
@@ -334,7 +304,6 @@ void TraceCollector::write_run_records_jsonl(std::ostream& os,
       os << ",\"skipped_steps\":" << run.skipped_steps;
     if (run.frontier_switches > 0)
       os << ",\"frontier_switches\":" << run.frontier_switches;
-    if (packed_total > 0) os << ",\"packed_bytes\":" << packed_total;
     if (include_timing) os << ",\"wall_ns\":" << run.wall_ns;
     os << "},\"rounds\":[";
     bool first_round = true;
@@ -352,8 +321,6 @@ void TraceCollector::write_run_records_jsonl(std::ostream& os,
          << ",\"committed\":" << r.committed
          << ",\"terminated\":" << r.terminated
          << ",\"volume_bytes\":" << r.volume_bytes;
-      if (r.packed_bytes > 0)
-        os << ",\"packed_bytes\":" << r.packed_bytes;
       if (r.messages > 0 || round_messages > 0)
         os << ",\"messages\":" << r.messages;
       if (include_timing) os << ",\"wall_ns\":" << r.wall_ns;

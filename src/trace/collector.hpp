@@ -39,9 +39,6 @@ struct RoundSample {
   std::size_t terminated = 0;
   std::uint64_t volume_bytes = 0;
   std::uint64_t messages = 0;
-  /// Bytes the packed (SoA) layout moved for the charged volume; 0 for
-  /// AoS runs. Layout-dependent, contract-exempt (like wall_ns).
-  std::uint64_t packed_bytes = 0;
   std::uint64_t wall_ns = 0;
   std::uint8_t frontier_mode = 0;  // FrontierMode value; 0 for mailbox
   std::vector<std::size_t> phase_charged;
@@ -55,11 +52,6 @@ struct RunRecord {
   std::size_t num_edges = 0;
   std::size_t num_threads = 1;
   std::size_t state_bytes = 0;
-  /// Hot bytes per vertex under the packed layout; 0 for AoS/mailbox.
-  std::size_t packed_state_bytes = 0;
-  /// Numeric StateLayout the run executed with (2 packed, 3 aos,
-  /// 0 mailbox). Contract-exempt configuration label.
-  std::uint8_t layout = 0;
   std::uint64_t seed = 0;
   std::vector<std::string> phase_names;
   std::vector<RoundSample> rounds;

@@ -61,15 +61,6 @@ struct RunInfo {
   std::size_t num_edges = 0;
   std::size_t num_threads = 1;    // engine workers (1 for mailbox)
   std::size_t state_bytes = 0;    // sizeof(State) / sizeof(Message)
-  /// Bytes per vertex resident in the hot columns under the packed
-  /// (SoA) layout; 0 for AoS runs and the mailbox engine. NOT covered
-  /// by the cross-layout determinism contract (it names the layout).
-  std::size_t packed_state_bytes = 0;
-  /// State layout the run executed with (numeric StateLayout value:
-  /// 2 packed, 3 aos; 0 for the mailbox engine). Like frontier_mode on
-  /// RoundEvent: a label of the configuration, deliberately different
-  /// between forced layouts and therefore contract-exempt.
-  std::uint8_t layout = 0;
   std::uint64_t seed = 0;
 };
 
@@ -96,11 +87,6 @@ struct RoundEvent {
   /// Explicit messages sent this round (mailbox engine; 0 for
   /// run_local, whose communication is the published-state volume).
   std::uint64_t messages = 0;
-  /// Bytes the packed (SoA) layout actually moved for the charged
-  /// volume: volume_bytes rescaled by hot-bytes / sizeof(State). 0 for
-  /// AoS runs. NOT semantic (layout-dependent, like wall_ns) — it
-  /// exists so traces quantify what the packing saved.
-  std::uint64_t packed_bytes = 0;
   std::uint64_t wall_ns = 0;   // NOT semantic: engine-measured time
   /// Frontier representation run_local executed this round with
   /// (numeric FrontierMode value: 2 dense, 3 sparse, 4 calendar; 0 for

@@ -41,11 +41,20 @@ std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
+  const std::string& text = it->second;
   char* end = nullptr;
-  const std::int64_t value = std::strtoll(it->second.c_str(), &end, 10);
-  VALOCAL_REQUIRE(end != nullptr && *end == '\0',
-                  "malformed integer flag value");
+  const std::int64_t value = std::strtoll(text.c_str(), &end, 10);
+  VALOCAL_REQUIRE(!text.empty() && end != nullptr && *end == '\0',
+                  ("malformed integer value for --" + name).c_str());
   return value;
+}
+
+std::size_t CliArgs::get_count(const std::string& name,
+                               std::size_t fallback) const {
+  if (!has(name)) return fallback;
+  const std::int64_t value = get_int(name, 0);
+  VALOCAL_REQUIRE(value >= 0, ("negative value for --" + name).c_str());
+  return static_cast<std::size_t>(value);
 }
 
 double CliArgs::get_double(const std::string& name,

@@ -3,6 +3,7 @@
 // and an unknown-flag check so typos fail loudly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -20,6 +21,9 @@ class CliArgs {
                          const std::string& fallback) const;
   std::int64_t get_int(const std::string& name,
                        std::int64_t fallback) const;
+  /// Non-negative integer flag (a count or a size). Aborts with a
+  /// message naming the flag on an empty, malformed or negative value.
+  std::size_t get_count(const std::string& name, std::size_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
 

@@ -228,143 +228,5 @@ TEST(FrontierEngine, ModeNamesRoundTrip) {
   EXPECT_FALSE(frontier_mode_from_name("").has_value());
 }
 
-// ---------------------------------------------------------------------
-// State-layout axis (sim/state_pack.hpp): packed vs AoS storage must be
-// byte-identical in outputs, r(v), and active_per_round for every
-// frontier mode x threads x grain x sleep-hint combination — the same
-// contract as the frontier representation, extended to the layout.
-
-/// Sweeps both forced layouts across the full mode/threads/grain grid
-/// against the forced-AoS sparse serial reference.
-template <class A>
-void expect_layout_equivalence(const Graph& g, const A& algo,
-                               std::uint64_t seed, SleepHints hints) {
-  const auto ref = run_local(g, algo,
-                             {.seed = seed,
-                              .num_threads = 1,
-                              .sleep_hints = hints,
-                              .frontier_mode = FrontierMode::kSparse,
-                              .layout = StateLayout::kAos});
-  for (const StateLayout layout :
-       {StateLayout::kPacked, StateLayout::kAos}) {
-    for (const FrontierMode mode : kModes) {
-      for (std::size_t threads : {1u, 4u}) {
-        for (std::size_t grain : {0u, 7u}) {
-          const auto run = run_local(g, algo,
-                                     {.seed = seed,
-                                      .num_threads = threads,
-                                      .grain = grain,
-                                      .sleep_hints = hints,
-                                      .frontier_mode = mode,
-                                      .layout = layout});
-          const std::string what =
-              std::string("layout=") + state_layout_name(layout) +
-              " mode=" + frontier_mode_name(mode) +
-              " threads=" + std::to_string(threads) +
-              " grain=" + std::to_string(grain) +
-              " hints=" + (hints == SleepHints::kOn ? "on" : "off");
-          EXPECT_EQ(run.outputs, ref.outputs) << what;
-          EXPECT_EQ(run.metrics.rounds, ref.metrics.rounds) << what;
-          EXPECT_EQ(run.metrics.active_per_round,
-                    ref.metrics.active_per_round)
-              << what;
-        }
-      }
-    }
-  }
-}
-
-TEST(StateLayout, RingColoringIsByteIdenticalAcrossLayouts) {
-  const Graph g = gen::ring(2048);
-  const RingColoring3Algo algo(g.num_vertices());
-  static_assert(StatePacked<RingColoring3Algo>);
-  expect_layout_equivalence(g, algo, 0x5eed, SleepHints::kOff);
-  expect_layout_equivalence(g, algo, 0x5eed, SleepHints::kOn);
-}
-
-TEST(StateLayout, PartitionOnTreeIsByteIdenticalAcrossLayouts) {
-  // PartitionAlgo declares no pack: forcing kPacked must silently run
-  // the AoS path (the layout trait is opt-in), and both forced values
-  // must agree with the default.
-  const PartitionParams params{.arboricity = 1, .epsilon = 1.0};
-  const Graph g = gen::dary_tree(1500, params.threshold() + 1);
-  const PartitionAlgo algo(params);
-  static_assert(!StatePacked<PartitionAlgo>);
-  expect_layout_equivalence(g, algo, 0x5eed, SleepHints::kOff);
-}
-
-TEST(StateLayout, PackedRunsLabelTraceAndCountPackedBytes) {
-  // The trace layer labels each run with its layout and reports the
-  // hot-byte volume: packed runs carry layout=2 (kPacked), nonzero
-  // packed_state_bytes, and per-round packed_bytes scaled by
-  // kHotBytes/sizeof(State); AoS runs carry layout=3 and zeros.
-  // volume_bytes itself is semantic and must not depend on the layout.
-  struct LayoutLog final : trace::TraceSink {
-    std::uint8_t layout = 0;
-    std::size_t packed_state_bytes = 0;
-    std::uint64_t packed_bytes = 0;
-    std::uint64_t volume_bytes = 0;
-    void on_run_begin(const trace::RunInfo& info,
-                      std::span<const char* const>) override {
-      layout = info.layout;
-      packed_state_bytes = info.packed_state_bytes;
-    }
-    void on_round(const trace::RoundEvent& e) override {
-      packed_bytes += e.packed_bytes;
-      volume_bytes += e.volume_bytes;
-    }
-  };
-  const Graph g = gen::ring(512);
-  const RingColoring3Algo algo(g.num_vertices());
-  LayoutLog packed, aos;
-  {
-    trace::ScopedSink scoped(&packed);
-    (void)run_local(g, algo, {.seed = 1, .layout = StateLayout::kPacked});
-  }
-  {
-    trace::ScopedSink scoped(&aos);
-    (void)run_local(g, algo, {.seed = 1, .layout = StateLayout::kAos});
-  }
-  EXPECT_EQ(packed.layout, static_cast<std::uint8_t>(StateLayout::kPacked));
-  EXPECT_EQ(aos.layout, static_cast<std::uint8_t>(StateLayout::kAos));
-  EXPECT_EQ(packed.packed_state_bytes, RingColoring3Algo::StatePack::kHotBytes);
-  EXPECT_EQ(aos.packed_state_bytes, 0u);
-  EXPECT_EQ(packed.volume_bytes, aos.volume_bytes)
-      << "volume is semantic: layout must not change it";
-  EXPECT_EQ(packed.packed_bytes,
-            packed.volume_bytes / sizeof(RingColoring3Algo::State) *
-                RingColoring3Algo::StatePack::kHotBytes);
-  EXPECT_EQ(aos.packed_bytes, 0u);
-}
-
-TEST(StateLayout, ProcessWideDefaultIsInheritedAndOverridable) {
-  const Graph g = gen::ring(256);
-  const RingColoring3Algo algo(g.num_vertices());
-  const auto ref =
-      run_local(g, algo, {.seed = 1, .layout = StateLayout::kPacked});
-
-  set_engine_state_layout(StateLayout::kAos);
-  const auto inherited = run_local(g, algo, {.seed = 1});
-  const auto overridden =
-      run_local(g, algo, {.seed = 1, .layout = StateLayout::kPacked});
-  set_engine_state_layout(StateLayout::kAuto);
-
-  EXPECT_EQ(inherited.outputs, ref.outputs);
-  EXPECT_EQ(overridden.outputs, ref.outputs);
-  const auto back = run_local(g, algo, {.seed = 1});
-  EXPECT_EQ(back.outputs, ref.outputs);
-}
-
-TEST(StateLayout, LayoutNamesRoundTrip) {
-  for (const StateLayout layout :
-       {StateLayout::kAuto, StateLayout::kPacked, StateLayout::kAos}) {
-    const auto parsed = state_layout_from_name(state_layout_name(layout));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, layout);
-  }
-  EXPECT_FALSE(state_layout_from_name("bogus").has_value());
-  EXPECT_FALSE(state_layout_from_name("").has_value());
-}
-
 }  // namespace
 }  // namespace valocal

@@ -108,6 +108,18 @@ TEST(Cli, MalformedNumberDies) {
   const char* argv[] = {"prog", "--n", "notanumber"};
   CliArgs args(3, argv);
   EXPECT_DEATH((void)args.get_int("n", 0), "malformed");
+
+  // Count flags: negative and empty values die naming the flag instead
+  // of wrapping to a huge size_t (or, for an empty value, reading 0).
+  const char* hostile[] = {"prog", "--threads", "-1", "--batch-trials",
+                           "-3", "--n=", "--a", "-2"};
+  CliArgs counts(8, hostile);
+  EXPECT_DEATH((void)counts.get_count("threads", 1), "negative.*--threads");
+  EXPECT_DEATH((void)counts.get_count("batch-trials", 0),
+               "negative.*--batch-trials");
+  EXPECT_DEATH((void)counts.get_count("n", 4096), "malformed.*--n");
+  EXPECT_DEATH((void)counts.get_int("n", 4096), "malformed.*--n");
+  EXPECT_DEATH((void)counts.get_count("a", 2), "negative.*--a");
 }
 
 }  // namespace

@@ -173,39 +173,36 @@ TEST(Registry, EverySpecIsByteStableAcrossFrontierModes) {
   }
 }
 
-TEST(Registry, EverySpecIsByteStableAcrossStateLayouts) {
-  // The engine's state layout (per-field packed columns vs AoS struct
-  // buffers) is a memory-placement knob: every spec — whether or not
-  // its algorithm declares a StatePack — must produce the same labels,
-  // r(v), and decay series under both forced layouts and every thread
-  // count as under the forced-AoS reference. For packed specs this
-  // pins the SoA path byte-for-byte against the classic engine; for
-  // unpacked specs it pins that forcing kPacked is a silent no-op.
+TEST(Registry, EverySpecIsByteStableUnderWakeScheduling) {
+  // Wake scheduling parks vertices whose next_wake hint names a future
+  // round and skips their no-op steps. It is a throughput knob: every
+  // spec must produce the same labels, r(v), decay series and summary
+  // with hints on, at every thread count, as the hints-off reference.
+  // The catalog-wide skipped-step total proves the sweep actually
+  // parked vertices rather than passing vacuously.
+  std::uint64_t skipped = 0;
   for (const AlgoSpec& spec : Registry::instance().all()) {
     SCOPED_TRACE(spec.name);
     const Graph g = compatible_graph(spec);
     AlgoParams p = default_params();
     p.seed = 41;
-    set_engine_state_layout(StateLayout::kAos);
+    set_engine_sleep_hints(false);
     const SolveOutcome ref = spec.run(g, p);
-    for (const StateLayout layout :
-         {StateLayout::kPacked, StateLayout::kAuto, StateLayout::kAos}) {
-      for (const std::size_t threads : {1u, 4u}) {
-        SCOPED_TRACE(std::string(state_layout_name(layout)) +
-                     " threads=" + std::to_string(threads));
-        set_engine_state_layout(layout);
-        set_engine_threads(threads);
-        const SolveOutcome o = spec.run(g, p);
-        EXPECT_EQ(o.labels, ref.labels);
-        EXPECT_EQ(o.metrics.rounds, ref.metrics.rounds);
-        EXPECT_EQ(o.metrics.active_per_round,
-                  ref.metrics.active_per_round);
-        EXPECT_EQ(o.summary, ref.summary);
-      }
+    set_engine_sleep_hints(true);
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      set_engine_threads(threads);
+      const SolveOutcome o = spec.run(g, p);
+      EXPECT_EQ(o.labels, ref.labels);
+      EXPECT_EQ(o.metrics.rounds, ref.metrics.rounds);
+      EXPECT_EQ(o.metrics.active_per_round, ref.metrics.active_per_round);
+      EXPECT_EQ(o.summary, ref.summary);
+      skipped += o.metrics.skipped_steps;
     }
-    set_engine_state_layout(StateLayout::kAuto);
+    set_engine_sleep_hints(false);
     set_engine_threads(1);
   }
+  EXPECT_GT(skipped, 0u) << "no catalog entry parked a vertex";
 }
 
 TEST(Registry, Bgko22EntriesHoldEdgeMeasuresByteStableAcrossEngines) {
@@ -213,7 +210,7 @@ TEST(Registry, Bgko22EntriesHoldEdgeMeasuresByteStableAcrossEngines) {
   // whole point of their rows is the EA column, so the edge-cost
   // rollup (edge_round_sum, the m_i decay series, and the derived
   // average) must be byte-stable across every engine configuration —
-  // threads 1/4, all four frontier modes, packed/AoS layouts — on a
+  // threads 1/4 and all four frontier modes — on a
   // bounded-degree graph large enough that the randomized schedules
   // have nontrivial tails.
   const Graph g = gen::torus(24, 24);
@@ -231,30 +228,23 @@ TEST(Registry, Bgko22EntriesHoldEdgeMeasuresByteStableAcrossEngines) {
     for (const FrontierMode mode :
          {FrontierMode::kAuto, FrontierMode::kDense, FrontierMode::kSparse,
           FrontierMode::kCalendar}) {
-      for (const StateLayout layout :
-           {StateLayout::kPacked, StateLayout::kAos}) {
-        for (const std::size_t threads : {1u, 4u}) {
-          SCOPED_TRACE(std::string(frontier_mode_name(mode)) + "/" +
-                       state_layout_name(layout) +
-                       " threads=" + std::to_string(threads));
-          set_engine_frontier_mode(mode);
-          set_engine_state_layout(layout);
-          set_engine_threads(threads);
-          const SolveOutcome o = spec->run(g, p);
-          EXPECT_EQ(o.labels, ref.labels);
-          EXPECT_EQ(o.metrics.rounds, ref.metrics.rounds);
-          EXPECT_EQ(o.metrics.edge_active_per_round,
-                    ref.metrics.edge_active_per_round);
-          EXPECT_EQ(o.metrics.edge_round_sum(),
-                    ref.metrics.edge_round_sum());
-          EXPECT_EQ(o.metrics.round_sum(), ref.metrics.round_sum());
-          EXPECT_EQ(o.metrics.worst_case(), ref.metrics.worst_case());
-          EXPECT_EQ(o.metrics.awake_sum(), ref.metrics.awake_sum());
-        }
+      for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(std::string(frontier_mode_name(mode)) +
+                     " threads=" + std::to_string(threads));
+        set_engine_frontier_mode(mode);
+        set_engine_threads(threads);
+        const SolveOutcome o = spec->run(g, p);
+        EXPECT_EQ(o.labels, ref.labels);
+        EXPECT_EQ(o.metrics.rounds, ref.metrics.rounds);
+        EXPECT_EQ(o.metrics.edge_active_per_round,
+                  ref.metrics.edge_active_per_round);
+        EXPECT_EQ(o.metrics.edge_round_sum(), ref.metrics.edge_round_sum());
+        EXPECT_EQ(o.metrics.round_sum(), ref.metrics.round_sum());
+        EXPECT_EQ(o.metrics.worst_case(), ref.metrics.worst_case());
+        EXPECT_EQ(o.metrics.awake_sum(), ref.metrics.awake_sum());
       }
     }
     set_engine_frontier_mode(FrontierMode::kAuto);
-    set_engine_state_layout(StateLayout::kAuto);
     set_engine_threads(1);
   }
 }

@@ -55,8 +55,8 @@ namespace valocal {
 namespace {
 
 /// Forwards every hook of A unchanged; step arms the counter for the
-/// duration of the wrapped call. Wake hints and the packed layout are
-/// forwarded too, so the engine drives the same path as for A itself.
+/// duration of the wrapped call. Wake hints are forwarded too, so the
+/// engine drives the same path as for A itself.
 template <class A>
 class CountingStep {
  public:
@@ -67,23 +67,17 @@ class CountingStep {
 
   void init(Vertex v, const Graph& g, State& s) const { algo_.init(v, g, s); }
 
-  template <class View, class NextState>
-  bool step(Vertex v, std::size_t round, const View& view, NextState& next,
-            Xoshiro256& rng) const {
+  bool step(Vertex v, std::size_t round, const RoundView<State>& view,
+            State& next, Xoshiro256& rng) const {
     counting = true;
     const bool done = algo_.step(v, round, view, next, rng);
     counting = false;
     return done;
   }
 
-  template <class StateLike>
-  Output output(Vertex v, const StateLike& s) const {
-    return algo_.output(v, s);
-  }
+  Output output(Vertex v, const State& s) const { return algo_.output(v, s); }
 
-  template <class StateLike>
-  std::size_t next_wake(Vertex v, std::size_t round,
-                        const StateLike& s) const
+  std::size_t next_wake(Vertex v, std::size_t round, const State& s) const
     requires WakeHinted<A>
   {
     return algo_.next_wake(v, round, s);
@@ -95,25 +89,12 @@ class CountingStep {
   const A& algo_;
 };
 
-template <class A>
-struct PackedCountingStep : CountingStep<A> {
-  using CountingStep<A>::CountingStep;
-  using Ref = typename A::Ref;
-  using CRef = typename A::CRef;
-  using StatePack = typename A::StatePack;
-};
-
 /// Allocations inside step during the second of two identical runs.
 template <class A>
 std::size_t second_run_step_allocations(const Graph& g, const A& algo) {
   RunOptions opt;
   opt.num_threads = 1;
-  const auto wrapped = [&] {
-    if constexpr (StatePacked<A>)
-      return PackedCountingStep<A>(algo);
-    else
-      return CountingStep<A>(algo);
-  }();
+  const CountingStep<A> wrapped(algo);
   const auto first = run_local(g, wrapped, opt);
   step_allocations = 0;
   const auto second = run_local(g, wrapped, opt);

@@ -48,9 +48,6 @@
 //              per-round frontier representation instead of the
 //              measured auto switch (byte-identical results under
 //              every setting — see docs/MODEL.md)
-//   --layout   auto|packed|aos: pin run_local's state layout (SoA
-//              packed columns vs AoS struct buffers) for A/B runs
-//              (byte-identical results — see docs/MODEL.md)
 //   --batch-trials  run N independent trials (seeds seed..seed+N-1)
 //              through the trial batcher (sim/batch.hpp) and print the
 //              VA/WC distribution; with --threads T > 1 the trials run
@@ -89,13 +86,12 @@ namespace {
 using namespace valocal;
 
 Graph make_graph(const CliArgs& args) {
-  const auto build_threads =
-      static_cast<std::size_t>(args.get_int("threads", 1));
+  const std::size_t build_threads = args.get_count("threads", 1);
   if (args.has("load-bin"))
     return load_graph_bin(args.get_string("load-bin", ""), build_threads);
   if (args.has("input")) return load_edge_list(args.get_string("input", ""));
-  const auto n = static_cast<std::size_t>(args.get_int("n", 4096));
-  const auto a = static_cast<std::size_t>(args.get_int("a", 2));
+  const std::size_t n = args.get_count("n", 4096);
+  const std::size_t a = args.get_count("a", 2);
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
   if (args.has("graph")) {
     const std::string spec = args.get_string("graph", "");
@@ -196,7 +192,7 @@ void maybe_dot(const CliArgs& args, const Graph& g,
 
 registry::AlgoParams params_from(const CliArgs& args) {
   registry::AlgoParams p;
-  p.arboricity = static_cast<std::size_t>(args.get_int("a", 2));
+  p.arboricity = args.get_count("a", 2);
   p.epsilon = args.get_double("eps", 1.0);
   p.k = static_cast<int>(args.get_int("k", 0));
   p.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
@@ -299,13 +295,12 @@ int main(int argc, char** argv) {
                     "threads", "batch-trials", "timings-csv",
                     "rounds-csv", "histogram-csv", "phase-table",
                     "trace-json", "run-json", "sleep-hints",
-                    "frontier-mode", "layout", "list-algos",
+                    "frontier-mode", "list-algos",
                     "validate"});
   if (args.has("list-algos"))
     return list_algos(args.get_string("list-algos", ""));
 
-  set_engine_threads(
-      static_cast<std::size_t>(args.get_int("threads", 1)));
+  set_engine_threads(args.get_count("threads", 1));
   set_engine_sleep_hints(args.get_bool("sleep-hints", false));
   if (args.has("frontier-mode")) {
     const std::string mode_name = args.get_string("frontier-mode", "");
@@ -316,16 +311,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     set_engine_frontier_mode(*mode);
-  }
-  if (args.has("layout")) {
-    const std::string layout_name = args.get_string("layout", "");
-    const auto layout = state_layout_from_name(layout_name);
-    if (!layout.has_value()) {
-      std::cerr << "unknown state layout: " << layout_name
-                << " (want auto|packed|aos)\n";
-      return 2;
-    }
-    set_engine_state_layout(*layout);
   }
 
   const std::string algo = args.get_string("algo", "a2logn");
@@ -383,8 +368,7 @@ int main(int argc, char** argv) {
   if (args.has("stats"))
     print_graph_stats(std::cout, compute_graph_stats(g));
 
-  const auto batch_trials =
-      static_cast<std::size_t>(args.get_int("batch-trials", 0));
+  const std::size_t batch_trials = args.get_count("batch-trials", 0);
   const int rc = batch_trials > 1
                      ? run_batched(args, *spec, g, batch_trials)
                      : run_single(args, opts, *spec, g);
