@@ -6,6 +6,7 @@
 // solutions validate.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -20,6 +21,7 @@
 #include "sim/network.hpp"
 #include "trace/collector.hpp"
 #include "trace/trace.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
 
 namespace valocal::bench {
@@ -48,47 +50,19 @@ inline void configure_tracing() {
 }
 
 /// Installs the engine-wide worker-thread default from VALOCAL_THREADS
-/// (unset/empty/0 = 1, serial) and returns it. Benches call this first
-/// thing in main() so every compute_* under a Table 1/Table 2 sweep
-/// exploits the parallel round engine; results are byte-identical for
-/// every value, so the tables themselves never change. Also hooks
-/// VALOCAL_TRACE (see configure_tracing) so any bench can emit run
-/// records without code changes.
+/// (unset/0 = 1, serial; a malformed or negative value aborts naming
+/// the variable) and returns it. Benches call this first thing in
+/// main() so every compute_* under a Table 1/Table 2 sweep exploits the
+/// parallel round engine; results are byte-identical for every value,
+/// so the tables themselves never change. Also hooks VALOCAL_TRACE (see
+/// configure_tracing) so any bench can emit run records without code
+/// changes.
 inline std::size_t configure_engine_threads() {
-  std::size_t threads = 1;
-  if (const char* env = std::getenv("VALOCAL_THREADS");
-      env != nullptr && *env != '\0') {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 1) threads = static_cast<std::size_t>(parsed);
-  }
+  const std::size_t threads =
+      std::max<std::size_t>(1, env_count("VALOCAL_THREADS", 1));
   set_engine_threads(threads);
   if (threads > 1)
     std::cout << "[engine: " << threads << " worker threads]\n";
-  // VALOCAL_SLEEP_HINTS=1 flips the engine-wide wake-scheduling
-  // default: hinted algorithms park idle vertices in the calendar
-  // queue instead of stepping them. Byte-identical results, so the
-  // tables never change; only throughput does.
-  if (const char* env = std::getenv("VALOCAL_SLEEP_HINTS");
-      env != nullptr && *env != '\0' && std::strtol(env, nullptr, 10) != 0) {
-    set_engine_sleep_hints(true);
-    std::cout << "[engine: wake scheduling (sleep hints) enabled]\n";
-  }
-  // VALOCAL_FRONTIER_MODE=auto|dense|sparse|calendar pins the engine's
-  // per-round frontier representation (default auto). Byte-identical
-  // results under every setting — a throughput knob for A/B runs and
-  // CI diffs, mirroring --frontier-mode in valocal_cli.
-  if (const char* env = std::getenv("VALOCAL_FRONTIER_MODE");
-      env != nullptr && *env != '\0') {
-    if (const auto mode = frontier_mode_from_name(env); mode.has_value()) {
-      set_engine_frontier_mode(*mode);
-      std::cout << "[engine: frontier mode " << frontier_mode_name(*mode)
-                << "]\n";
-    } else {
-      std::cerr << "VALOCAL_FRONTIER_MODE: unknown mode '" << env
-                << "' (want auto|dense|sparse|calendar)\n";
-      std::exit(2);
-    }
-  }
   configure_tracing();
   return threads;
 }
@@ -114,10 +88,10 @@ inline void print_header(const std::string& title) {
 /// Wait-heavy engine workload: the Section 6.2 H-set composition with
 /// a per-H-set subroutine that terminates after 2 of its 64 budgeted
 /// sub-rounds. Unjoined vertices therefore idle through ~63 no-op
-/// rounds of every block — exactly the regime wake scheduling
-/// (RunOptions::sleep_hints) turns from O(active) per round into
-/// O(awake + newly-woken). Used by bench_micro's BM_EngineWaitHeavy*
-/// fixtures and bench_engine_scaling's sleep-hints section.
+/// rounds of every block — exactly the regime wake scheduling turns
+/// from O(active) per round into O(awake + newly-woken). Used by
+/// bench_micro's BM_EngineWaitHeavy* fixtures and bench_engine_scaling's
+/// wake-scheduling section.
 struct WaitHeavySub {
   struct State {
     std::uint64_t x = 1;

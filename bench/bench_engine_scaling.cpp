@@ -113,13 +113,6 @@ double peak_rss_mb() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
 }
 
-std::size_t env_or(const char* name, std::size_t fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  const long parsed = std::strtol(raw, nullptr, 10);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
-
 /// Structural CSR fingerprint (FNV-1a over n, m, and every adjacency
 /// slice) so the staging-vs-streaming equivalence check does not need
 /// both graphs resident at once — keeping the peak-RSS comparison
@@ -327,13 +320,13 @@ int run() {
   }
   bt.print(std::cout);
 
-  // Wake scheduling (sleep hints): the wait-heavy composition workload
-  // on the adversarial tree, hinted vs unhinted, serial engine. The
-  // identical column is the hard byte-equality check (outputs, r(v),
-  // n_i); speedup = unhinted_ms / hinted_ms is the round-loop
-  // throughput wake scheduling buys on an idle-dominated schedule.
-  print_header(
-      "Wake scheduling (sleep hints): wait-heavy composition, n = 2^16");
+  // Wake scheduling: the wait-heavy composition workload on the
+  // adversarial tree, default (hinted) engine vs the forced-sparse
+  // no-calendar reference (unhinted), serial engine. The identical
+  // column is the hard byte-equality check (outputs, r(v), n_i);
+  // speedup = unhinted_ms / hinted_ms is the round-loop throughput
+  // wake scheduling buys on an idle-dominated schedule.
+  print_header("Wake scheduling: wait-heavy composition, n = 2^16");
   const std::size_t wn = 1 << 16;
   const PartitionParams wparams{.arboricity = 1, .epsilon = 1.0};
   const Graph wg = adversarial_tree(wn, wparams);
@@ -343,14 +336,15 @@ int run() {
   const auto wref = timed_best_of(
       3,
       [&] {
-        return run_local(wg, walgo, {.sleep_hints = SleepHints::kOff});
+        return run_local(wg, walgo,
+                         {.frontier_mode = FrontierMode::kSparse});
       },
       unhinted_ms);
   double hinted_ms = 0.0;
   const auto whinted = timed_best_of(
       3,
       [&] {
-        return run_local(wg, walgo, {.sleep_hints = SleepHints::kOn});
+        return run_local(wg, walgo);
       },
       hinted_ms);
 
@@ -358,9 +352,9 @@ int run() {
       whinted.outputs == wref.outputs &&
       whinted.metrics.rounds == wref.metrics.rounds &&
       whinted.metrics.active_per_round == wref.metrics.active_per_round;
-  tracker.expect(widentical, "sleep-hints determinism (wait-heavy)");
+  tracker.expect(widentical, "wake-scheduling determinism (wait-heavy)");
   tracker.expect(wref.metrics.skipped_steps == 0,
-                 "unhinted engine must skip nothing");
+                 "forced-sparse engine must skip nothing");
   tracker.expect(whinted.metrics.skipped_steps > 0,
                  "hinted engine must actually park vertices");
 
@@ -401,9 +395,7 @@ int run() {
                  });
   frontier_sweep(ft, tracker, "wait_heavy_hinted",
                  [&](FrontierMode mode) {
-                   return run_local(wg, walgo,
-                                    {.sleep_hints = SleepHints::kOn,
-                                     .frontier_mode = mode});
+                   return run_local(wg, walgo, {.frontier_mode = mode});
                  });
   ft.print(std::cout);
 
@@ -471,8 +463,8 @@ int run() {
   {
     gen::RmatParams big;
     big.scale =
-        static_cast<std::uint32_t>(env_or("VALOCAL_RMAT_SCALE", 24));
-    big.edge_factor = env_or("VALOCAL_RMAT_EDGE_FACTOR", 16);
+        static_cast<std::uint32_t>(env_count("VALOCAL_RMAT_SCALE", 24));
+    big.edge_factor = env_count("VALOCAL_RMAT_EDGE_FACTOR", 16);
     big.seed = 1;
     const std::string tag = "rmat_s" + std::to_string(big.scale) + "x" +
                             std::to_string(big.edge_factor);

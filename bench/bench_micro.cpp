@@ -90,12 +90,14 @@ void BM_EngineA2LogN(benchmark::State& state) {
 BENCHMARK(BM_EngineA2LogN)->Arg(1 << 12)->Arg(1 << 16);
 
 // Wait-heavy fixture pair: the composition workload whose subroutine
-// terminates early, so most vertex-rounds are idle waiting. Both
-// fixtures process the SAME stepped vertex-rounds (sleepers stay in
-// active_per_round by contract), so the hinted/unhinted
-// items_per_second ratio is exactly the round-loop speedup wake
-// scheduling buys; counters["skipped"] shows the steps it elided.
-void wait_heavy_fixture(benchmark::State& state, SleepHints hints) {
+// terminates early, so most vertex-rounds are idle waiting. The
+// unhinted row pins forced sparse, the no-calendar reference; the
+// hinted row runs the default wake-scheduled engine. Both process the
+// SAME stepped vertex-rounds (sleepers stay in active_per_round by
+// contract), so the hinted/unhinted items_per_second ratio is exactly
+// the round-loop speedup wake scheduling buys; counters["skipped"]
+// shows the steps it elided.
+void wait_heavy_fixture(benchmark::State& state, FrontierMode mode) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Graph& g = tree(n);
   const PartitionParams params{.arboricity = 1, .epsilon = 1.0};
@@ -103,7 +105,7 @@ void wait_heavy_fixture(benchmark::State& state, SleepHints hints) {
   std::uint64_t stepped = 0;
   std::uint64_t skipped = 0;
   for (auto _ : state) {
-    auto result = run_local(g, algo, {.sleep_hints = hints});
+    auto result = run_local(g, algo, {.frontier_mode = mode});
     stepped = stepped_vertex_rounds(result.metrics);
     skipped = result.metrics.skipped_steps;
     benchmark::DoNotOptimize(result.outputs.data());
@@ -114,11 +116,11 @@ void wait_heavy_fixture(benchmark::State& state, SleepHints hints) {
                           static_cast<std::int64_t>(stepped));
 }
 void BM_EngineWaitHeavy(benchmark::State& state) {
-  wait_heavy_fixture(state, SleepHints::kOff);
+  wait_heavy_fixture(state, FrontierMode::kSparse);
 }
 BENCHMARK(BM_EngineWaitHeavy)->Arg(1 << 16);
 void BM_EngineWaitHeavyHinted(benchmark::State& state) {
-  wait_heavy_fixture(state, SleepHints::kOn);
+  wait_heavy_fixture(state, FrontierMode::kAuto);
 }
 BENCHMARK(BM_EngineWaitHeavyHinted)->Arg(1 << 16);
 
@@ -130,9 +132,8 @@ BENCHMARK(BM_EngineWaitHeavyHinted)->Arg(1 << 16);
 // determinism contract (tests/test_frontier_engine.cpp); only
 // throughput differs, and the perf-smoke job fails if the auto row
 // falls more than 10% behind the best forced row on any fixture.
-// Family policy: ring and dense-phase run hints-off (pure frontier
-// cost), wait-heavy runs hints-on (so dense/calendar park sleepers
-// while forced sparse shows the no-calendar engine on the same run).
+// Every hinted family parks sleepers under auto, dense and calendar,
+// while forced sparse shows the no-calendar engine on the same run.
 FrontierMode mode_arg(const benchmark::State& state) {
   return static_cast<FrontierMode>(state.range(1));
 }
@@ -185,9 +186,7 @@ void BM_EngineWaitHeavyMode(benchmark::State& state) {
   std::uint64_t stepped = 0;
   std::uint64_t skipped = 0;
   for (auto _ : state) {
-    auto result = run_local(g, algo,
-                            {.sleep_hints = SleepHints::kOn,
-                             .frontier_mode = mode_arg(state)});
+    auto result = run_local(g, algo, {.frontier_mode = mode_arg(state)});
     stepped = stepped_vertex_rounds(result.metrics);
     skipped = result.metrics.skipped_steps;
     benchmark::DoNotOptimize(result.outputs.data());

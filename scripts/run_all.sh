@@ -25,11 +25,12 @@ build/tools/valocal_cli --gen er --n 20000 --avg-deg 6 --a 6 \
   --run-json trace_output/rand.json \
   --trace-json trace_output/rand.trace.json \
   2>&1 | tee trace_output/rand.txt
-# Wake-scheduling smoke: the same deterministic workload with sleep
-# hints on must actually skip steps (recorded in the run record) while
-# test_wake_engine separately proves the results stay byte-identical.
+# Wake-scheduling smoke: wake scheduling is always on, so a hinted
+# deterministic workload under default CLI settings must actually skip
+# steps (recorded in the run record) while test_wake_engine separately
+# proves the results stay byte-identical to the no-calendar engine.
 build/tools/valocal_cli --gen adversarial --n 65536 --algo ka2 \
-  --threads 4 --sleep-hints --phase-table \
+  --threads 4 --phase-table \
   --run-json trace_output/ka2_hinted.json \
   2>&1 | tee trace_output/ka2_hinted.txt
 if command -v python3 >/dev/null 2>&1; then
@@ -59,26 +60,6 @@ EOF
 else
   echo "python3 unavailable; skipping trace JSON validation"
 fi
-
-# Frontier-mode smoke: the same run under every forced representation
-# and the auto switch must print identical semantic metrics through the
-# real CLI path (test_frontier_engine proves the byte-level contract
-# in-process; this guards the flag plumbing). wall-ms is the one
-# nondeterministic field on the line, so strip it before diffing.
-echo "--- frontier-mode smoke ---"
-for mode in auto dense sparse calendar; do
-  build/tools/valocal_cli --gen adversarial --n 20000 --algo ka2 \
-    --threads 2 --sleep-hints --frontier-mode "$mode" \
-    | grep '^rounds:' | sed 's/ wall-ms=.*//' \
-    > "trace_output/frontier_$mode.txt"
-done
-for mode in dense sparse calendar; do
-  cmp trace_output/frontier_auto.txt "trace_output/frontier_$mode.txt" || {
-    echo "frontier-mode smoke: --frontier-mode $mode changed the metrics"
-    exit 1
-  }
-done
-echo "frontier-mode smoke: metrics identical across auto/dense/sparse/calendar"
 
 # Registry smoke: --list-algos must enumerate the catalog, and every
 # registered algorithm must run and VALIDATE on a tiny graph through
@@ -143,21 +124,25 @@ fi
 
 # AddressSanitizer + UndefinedBehaviorSanitizer job over the graph
 # ingestion suites (the streaming CSR build's scatter, radix sort and
-# cursor sweep index raw arrays, and the binary loader reads an mmap)
-# and the color-reduction kernel's users (pick_escaping walks
-# per-thread digit buffers; the Kuhn-Wattenhofer and list-color sweeps
-# index reused `taken` arrays). UBSan findings abort the test instead
-# of scrolling by. Skipped gracefully where libasan or libubsan is
-# absent.
+# cursor sweep index raw arrays, and the binary loader reads an mmap),
+# the color-reduction kernel's users (pick_escaping walks per-thread
+# digit buffers; the Kuhn-Wattenhofer and list-color sweeps index
+# reused `taken` arrays) and the round engine's suites (the per-thread
+# workspace is shared by every State type and reused across runs; the
+# dense scan, calendar and dormancy barrier index it raw). UBSan
+# findings abort the test instead of scrolling by. Skipped gracefully
+# where libasan or libubsan is absent.
 if echo 'int main(){}' | c++ -fsanitize=address,undefined -x c++ - -o /tmp/valocal_asan_probe 2>/dev/null; then
   rm -f /tmp/valocal_asan_probe
   cmake -B build-asan -G Ninja -DVALOCAL_SANITIZE=address,undefined
   cmake --build build-asan --target test_graph test_rmat test_edgelist_bin \
     test_coverfree test_kw_reduce test_coloring_a2 test_coloring_a2logn \
-    test_coloring_oa test_determinism
+    test_coloring_oa test_determinism test_engine test_engine_contracts \
+    test_wake_engine test_frontier_engine test_parallel_engine \
+    test_registry test_step_alloc
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan --output-on-failure \
-    -R 'test_graph|test_rmat|test_edgelist_bin|test_coverfree|test_kw_reduce|test_coloring_a2$|test_coloring_a2logn|test_coloring_oa|test_determinism' \
+    -R 'test_graph|test_rmat|test_edgelist_bin|test_coverfree|test_kw_reduce|test_coloring_a2$|test_coloring_a2logn|test_coloring_oa|test_determinism|test_engine$|test_engine_contracts|test_wake_engine|test_frontier_engine|test_parallel_engine|test_registry|test_step_alloc' \
     2>&1 | tee asan_output.txt
 else
   echo "ASan/UBSan unavailable; skipping ASan+UBSan job" | tee asan_output.txt

@@ -50,26 +50,27 @@
 //              O(awake + newly-woken).
 //
 // `auto` picks dense above the threshold and otherwise
-// calendar-or-sparse (calendar iff sleep hints are armed); a switch is
-// a cheap comparison on the maintained awake count, not a rebuild —
-// only a dense->list transition pays one O(n) scan to rebuild the
-// list. The representation schedule is a pure function of the awake
-// counts, which are schedule-independent, so forcing any mode (tests,
-// CI diffs) or letting auto switch yields byte-identical outputs,
-// r(v), active_per_round, and RNG streams.
+// calendar-or-sparse (calendar iff the algorithm is WakeHinted); a
+// switch is a cheap comparison on the maintained awake count, not a
+// rebuild — only a dense->list transition pays one O(n) scan to
+// rebuild the list. The representation schedule is a pure function of
+// the awake counts, which are schedule-independent, so forcing any
+// mode (tests, benches) or letting auto switch yields byte-identical
+// outputs, r(v), active_per_round, and RNG streams.
 //
-// Wake scheduling (opt-in, see WakeHinted / RunOptions::sleep_hints).
-// Algorithms whose vertices idle until a precomputed round — block
-// schedules, segment start rounds, phase boundaries — may declare a
-// next_wake() hint; the engine then parks such vertices in a calendar
-// queue (sim/wake_calendar.hpp) and skips their no-op steps. A parked
-// vertex is exactly the terminated-vertex path generalized to "until
-// round T": its published state freezes into both buffers, then it
-// rejoins the frontier. Parking works in dense mode too (sleepers'
-// awake bits are cleared, so the word scan skips them for free).
-// Results are byte-identical to the
-// unhinted engine; Metrics::skipped_steps and the trace `asleep` field
-// record the simulator work saved.
+// Wake scheduling (always on for WakeHinted algorithms). Algorithms
+// whose vertices idle until a precomputed round — block schedules,
+// segment start rounds, phase boundaries — declare a next_wake() hint;
+// the engine parks such vertices in a calendar queue
+// (sim/wake_calendar.hpp) and skips their no-op steps. A parked vertex
+// is exactly the terminated-vertex path generalized to "until round
+// T": its published state freezes into both buffers, then it rejoins
+// the frontier. Parking works in dense mode too (sleepers' awake bits
+// are cleared, so the word scan skips them for free). Forcing
+// FrontierMode::kSparse turns parking off: that mode is the
+// no-calendar reference the wake-scheduled runs are byte-compared
+// against. Metrics::skipped_steps and the trace `asleep` field record
+// the simulator work saved.
 //
 // Algorithm interface (duck-typed; see LocalAlgorithm below):
 //
@@ -99,9 +100,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -205,7 +204,7 @@ concept LocalAlgorithm = requires(const A a, Vertex v, const Graph& g,
   { a.output(v, s) } -> std::same_as<typename A::Output>;
 };
 
-/// Opt-in wake-hint trait. An algorithm may declare
+/// Wake-hint trait. An algorithm may declare
 ///
 ///   std::size_t next_wake(Vertex v, std::size_t round,
 ///                         const State& next) const;
@@ -218,7 +217,8 @@ concept LocalAlgorithm = requires(const A a, Vertex v, const Graph& g,
 /// state unchanged, returned kContinue, and drawn nothing from the RNG
 /// — then the frozen published state is value-identical to what
 /// republication would have produced, and outputs, r(v), and RNG
-/// streams are byte-identical to the unhinted engine. Hints may be
+/// streams are byte-identical to the no-calendar engine (forced
+/// FrontierMode::kSparse). Hints may be
 /// conservative (round + 1 is always sound) but never optimistic.
 template <class A>
 concept WakeHinted =
@@ -287,36 +287,20 @@ class ScopedEngineThreadOverride {
   std::size_t previous_;
 };
 
-/// Per-run sleep-hint policy (see RunOptions::sleep_hints).
-enum class SleepHints : std::uint8_t {
-  kInherit = 0,  // follow the process-wide default (set_engine_sleep_hints)
-  kOn = 1,
-  kOff = 2,
-};
-
-/// Process-wide default for wake scheduling, consulted by runs whose
-/// RunOptions::sleep_hints is kInherit. Off by default: hints are a
-/// pure simulator-cost optimization (results are byte-identical either
-/// way), toggled once by tools/benches via --sleep-hints /
-/// VALOCAL_SLEEP_HINTS, mirroring set_engine_threads().
-inline bool& detail_engine_sleep_hints() {
-  static bool enabled = false;
-  return enabled;
-}
-
-inline void set_engine_sleep_hints(bool enabled) {
-  detail_engine_sleep_hints() = enabled;
-}
-
-inline bool engine_sleep_hints() { return detail_engine_sleep_hints(); }
+/// Wake scheduling is always on (see the file comment). This fixed
+/// report exists only because the repository benchmark's run record
+/// (perfbench/valocal_bench.cpp) prints it; that record is its only
+/// reader.
+inline bool engine_sleep_hints() { return true; }
 
 /// Per-round frontier representation policy (see the file comment and
 /// RunOptions::frontier_mode). kAuto switches on the measured
 /// awake-fraction threshold; the forced modes pin one representation
-/// for every round so tests and CI can diff them. Forcing kSparse also
-/// disarms wake-calendar parking (that is what distinguishes it from
-/// kCalendar); forcing kDense keeps parking armed — sleepers are
-/// skipped by byte test in the flat scan. All settings are
+/// for every round so tests and benches can diff them. Forcing kSparse
+/// also disarms wake-calendar parking (that is what distinguishes it
+/// from kCalendar, and what makes it the no-calendar reference);
+/// forcing kDense keeps parking armed — sleepers' awake bits are
+/// cleared, so the word scan skips them. All settings are
 /// byte-identical in outputs, r(v), active_per_round, and RNG streams.
 enum class FrontierMode : std::uint8_t {
   kInherit = 0,  // RunOptions only: follow the process-wide default
@@ -342,21 +326,10 @@ inline const char* frontier_mode_name(FrontierMode mode) {
   return "inherit";
 }
 
-/// Parses the --frontier-mode / VALOCAL_FRONTIER_MODE spelling; empty
-/// optional on an unknown name.
-inline std::optional<FrontierMode> frontier_mode_from_name(
-    std::string_view name) {
-  if (name == "auto") return FrontierMode::kAuto;
-  if (name == "dense") return FrontierMode::kDense;
-  if (name == "sparse") return FrontierMode::kSparse;
-  if (name == "calendar") return FrontierMode::kCalendar;
-  return std::nullopt;
-}
-
 /// Process-wide default frontier mode, consulted by runs whose
-/// RunOptions::frontier_mode is kInherit. kAuto by default; tools and
-/// benches set it once from --frontier-mode / VALOCAL_FRONTIER_MODE,
-/// mirroring set_engine_threads().
+/// RunOptions::frontier_mode is kInherit. kAuto by default; a test or
+/// bench hook (it sweeps whole registry pipelines across modes), not a
+/// user-facing option.
 inline FrontierMode& detail_engine_frontier_mode() {
   static FrontierMode mode = FrontierMode::kAuto;
   return mode;
@@ -400,20 +373,11 @@ struct RunOptions {
   /// Vertices per parallel work chunk; 0 = automatic. Purely a
   /// scheduling knob: any value yields identical results.
   std::size_t grain = 0;
-  /// Wake scheduling: when enabled and the algorithm satisfies
-  /// WakeHinted, vertices whose next_wake hint names a future round
-  /// are parked in a calendar queue and their no-op steps skipped —
-  /// per-round simulator cost drops from O(active) to
-  /// O(awake + newly-woken). Semantics are byte-for-byte unchanged
-  /// (outputs, r(v), active_per_round, RNG streams, semantic trace
-  /// fields); sleepers still count as active in active_per_round —
-  /// they ARE running in the LOCAL model, only the simulator skips
-  /// them. Metrics::skipped_steps records the saved work.
-  SleepHints sleep_hints = SleepHints::kInherit;
   /// Frontier representation policy: kInherit follows the process-wide
   /// default (set_engine_frontier_mode(), initially kAuto). Purely a
   /// simulator-cost knob — every setting is byte-identical (see
-  /// FrontierMode).
+  /// FrontierMode); forced kSparse is the one setting under which
+  /// WakeHinted algorithms' idle vertices are stepped, not parked.
   FrontierMode frontier_mode = FrontierMode::kInherit;
   /// Materialize RunResult::final_states (every vertex's post-run
   /// State). Off by default: outputs + metrics are the production
@@ -440,17 +404,13 @@ namespace detail_engine {
 /// the representation schedule is deterministic for any value).
 inline constexpr std::size_t kDenseFractionDenominator = 4;
 
-/// Reusable per-thread engine workspace. Everything run_local allocates
-/// that does NOT escape into the RunResult lives here, so repeated runs
-/// on the same thread — a batch worker draining same-graph trials, a
-/// pipeline of compute_* stages — reuse capacity instead of paying the
-/// allocator per trial. buf0 and the outputs vector are deliberately
-/// absent: they are moved into the result. Pooling buf1 is safe
-/// because every slot is whole-object assigned (`next = prev`) before
-/// any read; stale values from a previous run are never observed.
-template <class State>
-struct EngineScratch {
-  std::vector<State> buf1;
+/// Reusable engine workspace, one per thread whatever the State type:
+/// everything run_local allocates that neither escapes into the
+/// RunResult nor depends on State. Repeated runs on a thread — a batch
+/// worker draining trials, a pipeline of compute_* stages — reuse its
+/// capacity instead of paying the allocator, or keeping a copy per
+/// State type alive.
+struct EngineWorkspace {
   /// Structure-of-arrays dormancy bytes: 0 awake, 1 parked, 2
   /// terminated. Authoritative; the sparse rebuild and wake logic
   /// read it.
@@ -478,15 +438,27 @@ struct EngineScratch {
   bool in_use = false;
 };
 
-/// Leases the calling thread's scratch for one run_local invocation;
-/// if the thread's scratch is already leased (an algorithm re-entering
-/// run_local from inside a compute function), falls back to a fresh
-/// local workspace so nested runs never alias buffers.
+/// The one State-typed engine buffer: the double buffer's second half.
+/// buf0 and the outputs vector are deliberately not pooled: they are
+/// moved into the result. Pooling buf1 is safe because every slot is
+/// whole-object assigned (`next = prev`) before any read; stale values
+/// from a previous run are never observed.
 template <class State>
+struct StateBuffer {
+  std::vector<State> buf1;
+  bool in_use = false;
+};
+
+/// Leases the calling thread's `Scratch` (EngineWorkspace or a
+/// StateBuffer) for one run_local invocation; if it is already leased
+/// (an algorithm re-entering run_local from inside a step or a compute
+/// function), falls back to a fresh local instance so nested runs never
+/// alias buffers.
+template <class Scratch>
 class ScratchLease {
  public:
   ScratchLease() {
-    thread_local EngineScratch<State> scratch;
+    thread_local Scratch scratch;
     if (!scratch.in_use) {
       scratch.in_use = true;
       leased_ = &scratch;
@@ -498,13 +470,14 @@ class ScratchLease {
   ScratchLease(const ScratchLease&) = delete;
   ScratchLease& operator=(const ScratchLease&) = delete;
 
-  EngineScratch<State>& operator*() {
-    return leased_ != nullptr ? *leased_ : fallback_;
-  }
+  Scratch& operator*() { return leased_ != nullptr ? *leased_ : fallback_; }
+
+  /// False iff this lease fell back to a fresh local instance.
+  bool pooled() const { return leased_ != nullptr; }
 
  private:
-  EngineScratch<State>* leased_ = nullptr;
-  EngineScratch<State> fallback_;
+  Scratch* leased_ = nullptr;
+  Scratch fallback_;
 };
 
 /// Steps one vertex and stages its side effects; returns true iff the
@@ -586,7 +559,7 @@ template <LocalAlgorithm A>
 ///
 /// Determinism contract. For fixed (graph, algorithm, seed), outputs,
 /// final_states, Metrics::rounds, and Metrics::active_per_round are
-/// byte-identical for every num_threads/grain/frontier_mode/sleep_hints
+/// byte-identical for every num_threads/grain/frontier_mode
 /// combination: each awake vertex is stepped exactly once per round
 /// against the previous round's buffer with its own RNG stream, every
 /// per-vertex write (next state, r(v), committed output, dormancy
@@ -630,10 +603,11 @@ RunResult<A> run_local(const Graph& g, const A& algo,
   RunResult<A> result;
   result.metrics.rounds.assign(n, 0);
 
-  // Thread-local workspace: non-escaping buffers keep their capacity
-  // across runs (see EngineScratch).
-  detail_engine::ScratchLease<State> lease;
-  detail_engine::EngineScratch<State>& ws = *lease;
+  // Thread-local workspaces: non-escaping buffers keep their capacity
+  // across runs (see EngineWorkspace and StateBuffer).
+  detail_engine::ScratchLease<detail_engine::EngineWorkspace> lease;
+  detail_engine::EngineWorkspace& ws = *lease;
+  detail_engine::ScratchLease<detail_engine::StateBuffer<State>> buf_lease;
 
   // The double buffer (see file comment). init() is round 0's
   // publication: every vertex publishes into buffer 0. buf0 is freshly
@@ -641,9 +615,10 @@ RunResult<A> run_local(const Graph& g, const A& algo,
   // final_states; buf1 is pooled (never read before whole-object
   // assignment).
   std::vector<State> buf0(n);
-  ws.buf1.resize(n);
+  std::vector<State>& buf1 = (*buf_lease).buf1;
+  buf1.resize(n);
   for (Vertex v = 0; v < n; ++v) algo.init(v, g, buf0[v]);
-  State* const bufs[2] = {buf0.data(), ws.buf1.data()};
+  State* const bufs[2] = {buf0.data(), buf1.data()};
 
   // Per-vertex RNG streams — skipped wholesale for algorithms that
   // declare uses_rng = false (the streams would never be drawn from).
@@ -682,24 +657,15 @@ RunResult<A> run_local(const Graph& g, const A& algo,
           ? opt.num_threads
           : (thread_override != 0 ? thread_override : engine_threads());
 
-  // Wake scheduling: compile-time capability (WakeHinted) gated by the
-  // per-run / process-wide toggle. With hints off (or an unhinted
-  // algorithm) the calendar stays empty and every path below reduces
-  // to the original engine.
-  bool sleep_hints = false;
-  if constexpr (WakeHinted<A>) {
-    sleep_hints =
-        opt.sleep_hints == SleepHints::kOn ||
-        (opt.sleep_hints == SleepHints::kInherit && engine_sleep_hints());
-  }
   FrontierMode forced = opt.frontier_mode != FrontierMode::kInherit
                             ? opt.frontier_mode
                             : engine_frontier_mode();
   if (forced == FrontierMode::kInherit) forced = FrontierMode::kAuto;
-  // Parking is armed by the sleep-hint toggle and survives dense rounds
-  // (the flat scan skips sleepers); only forcing kSparse disarms it —
-  // that forced mode IS the no-calendar engine.
-  const bool parking = sleep_hints && forced != FrontierMode::kSparse;
+  // Wake scheduling: every WakeHinted algorithm parks, in dense rounds
+  // too (the word scan skips sleepers); only forcing kSparse disarms
+  // it — that forced mode IS the no-calendar engine. Unhinted
+  // algorithms never touch the calendar.
+  const bool parking = WakeHinted<A> && forced != FrontierMode::kSparse;
   WakeCalendar& calendar = ws.calendar;
   calendar.reset(1);
   // kAuto picks dense while awake_count >= n / kDenseFractionDenominator
@@ -747,7 +713,7 @@ RunResult<A> run_local(const Graph& g, const A& algo,
   auto& still_active = ws.still_active;
   // Counters for parked vertices: sleepers are active in the LOCAL
   // model, so when a sink is installed they must be charged each round
-  // exactly as the unhinted engine would — the engine walks the
+  // exactly as the no-calendar engine would — the engine walks the
   // calendar (O(sleeping), only when traced) instead of stepping them.
   trace::ChunkCounters sleep_counters;
 
@@ -931,8 +897,8 @@ RunResult<A> run_local(const Graph& g, const A& algo,
 
     // Sleeper accounting, BEFORE parking this round's new sleepers
     // (those were stepped above and already counted by their chunks).
-    // A parked vertex is charged exactly as the unhinted engine would
-    // charge it: it is running, merely simulated for free.
+    // A parked vertex is charged exactly as the no-calendar engine
+    // would charge it: it is running, merely simulated for free.
     if (sink != nullptr && asleep > 0) {
       sleep_counters.reset(num_phases);
       calendar.for_each_sleeping([&](Vertex v) {

@@ -1,6 +1,6 @@
 // Calendar queue for the wake-scheduled round engine.
 //
-// run_local's sleep-hint path (see network.hpp) parks a vertex until an
+// run_local's wake scheduling (see network.hpp) parks a vertex until an
 // absolute round chosen by the algorithm's next_wake() hint. The engine
 // pops exactly one bucket per round, rounds strictly increasing by one,
 // so the natural structure is a calendar queue: a dense array of

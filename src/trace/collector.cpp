@@ -297,7 +297,7 @@ void TraceCollector::write_run_records_jsonl(std::ostream& os,
                                static_cast<double>(run.num_edges)
                          : 0.0);
     // Emitted only when wake scheduling actually skipped work, so
-    // hints-off records keep their exact historical byte layout; same
+    // unhinted and forced-sparse records keep their byte layout; same
     // conditional idiom for frontier switches (0 under forced modes
     // and for the mailbox engine).
     if (run.skipped_steps > 0)

@@ -33,7 +33,7 @@ namespace valocal::trace {
 struct RoundSample {
   std::size_t round = 0;
   std::size_t active = 0;
-  std::size_t asleep = 0;  // parked by wake scheduling (0 hints-off)
+  std::size_t asleep = 0;  // parked by wake scheduling (0 forced-sparse)
   std::size_t charged = 0;
   std::size_t committed = 0;
   std::size_t terminated = 0;
@@ -61,7 +61,7 @@ struct RunRecord {
   std::uint64_t edge_round_sum = 0;  // sum_e max(r(u), r(v)); 0 pre-summary
   std::uint64_t wall_ns = 0;
   std::uint64_t messages = 0;
-  std::uint64_t skipped_steps = 0;  // wake-scheduling savings (0 hints-off)
+  std::uint64_t skipped_steps = 0;  // wake-scheduling savings
   std::uint64_t frontier_switches = 0;  // representation changes (0 forced)
   std::vector<std::uint64_t> worker_chunks;   // schedule-dependent
   std::vector<std::uint64_t> worker_indices;  // schedule-dependent

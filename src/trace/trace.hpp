@@ -69,12 +69,14 @@ struct RunInfo {
 struct RoundEvent {
   std::size_t round = 0;       // 1-based engine round
   /// Vertices running this round in the LOCAL-model sense: stepped
-  /// plus asleep. Identical with sleep hints on or off.
+  /// plus asleep. Identical under every frontier mode.
   std::size_t active = 0;
   /// Of `active`, the vertices the wake-scheduled engine parked (their
-  /// no-op steps were skipped). 0 with sleep hints off. Semantic under
-  /// a FIXED hint setting, but intentionally different between hinted
-  /// and unhinted runs — it measures the simulator work saved.
+  /// no-op steps were skipped). 0 only under forced sparse (the
+  /// no-calendar reference), for algorithms without a next_wake hint,
+  /// and for the mailbox engine. Semantic under a FIXED frontier mode,
+  /// but intentionally different between forced sparse and the
+  /// wake-scheduled modes — it measures the simulator work saved.
   std::size_t asleep = 0;
   std::size_t charged = 0;     // round-sum contribution (r(v) still open)
   std::size_t committed = 0;   // outputs frozen this round (r(v) stamped)
@@ -91,9 +93,9 @@ struct RoundEvent {
   /// Frontier representation run_local executed this round with
   /// (numeric FrontierMode value: 2 dense, 3 sparse, 4 calendar; 0 for
   /// the mailbox engine, which has no representation choice). Semantic
-  /// under a FIXED frontier-mode setting — it is a pure function of
+  /// under a FIXED frontier mode setting — it is a pure function of
   /// the deterministic awake counts — but intentionally different
-  /// between forced modes, like `asleep` between hint settings.
+  /// between forced modes, like `asleep`.
   std::uint8_t frontier_mode = 0;
   /// Charged count per algorithm phase, parallel to the names passed
   /// to on_run_begin; empty when the algorithm declares no phases.
@@ -115,7 +117,8 @@ struct RunEndEvent {
   /// Total messages including init-round pre-sends (mailbox engine).
   std::uint64_t messages = 0;
   /// Total vertex-rounds skipped by wake scheduling (sum of the
-  /// per-round `asleep` counts); 0 with sleep hints off.
+  /// per-round `asleep` counts); 0 only under forced sparse, for
+  /// unhinted algorithms, and for the mailbox engine.
   std::uint64_t skipped_steps = 0;
   /// Frontier-representation changes between consecutive rounds; 0
   /// under a forced mode and for the mailbox engine.

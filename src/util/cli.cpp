@@ -7,6 +7,31 @@
 
 namespace valocal {
 
+namespace {
+
+/// Signed decimal integer; aborts naming `name` unless all of `text`
+/// parses.
+std::int64_t parse_int(const std::string& text, const std::string& name) {
+  char* end = nullptr;
+  const std::int64_t value = std::strtoll(text.c_str(), &end, 10);
+  VALOCAL_REQUIRE(!text.empty() && end != nullptr && *end == '\0',
+                  ("malformed integer value for " + name).c_str());
+  return value;
+}
+
+}  // namespace
+
+std::size_t parse_count(const std::string& text, const std::string& name) {
+  const std::int64_t value = parse_int(text, name);
+  VALOCAL_REQUIRE(value >= 0, ("negative value for " + name).c_str());
+  return static_cast<std::size_t>(value);
+}
+
+std::size_t env_count(const char* name, std::size_t fallback) {
+  const char* text = std::getenv(name);
+  return text == nullptr ? fallback : parse_count(text, name);
+}
+
 CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -40,21 +65,13 @@ std::string CliArgs::get_string(const std::string& name,
 std::int64_t CliArgs::get_int(const std::string& name,
                               std::int64_t fallback) const {
   const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  const std::string& text = it->second;
-  char* end = nullptr;
-  const std::int64_t value = std::strtoll(text.c_str(), &end, 10);
-  VALOCAL_REQUIRE(!text.empty() && end != nullptr && *end == '\0',
-                  ("malformed integer value for --" + name).c_str());
-  return value;
+  return it == flags_.end() ? fallback : parse_int(it->second, "--" + name);
 }
 
 std::size_t CliArgs::get_count(const std::string& name,
                                std::size_t fallback) const {
-  if (!has(name)) return fallback;
-  const std::int64_t value = get_int(name, 0);
-  VALOCAL_REQUIRE(value >= 0, ("negative value for --" + name).c_str());
-  return static_cast<std::size_t>(value);
+  const auto it = flags_.find(name);
+  return it == flags_.end() ? fallback : parse_count(it->second, "--" + name);
 }
 
 double CliArgs::get_double(const std::string& name,
@@ -66,13 +83,6 @@ double CliArgs::get_double(const std::string& name,
   VALOCAL_REQUIRE(end != nullptr && *end == '\0',
                   "malformed floating-point flag value");
   return value;
-}
-
-bool CliArgs::get_bool(const std::string& name, bool fallback) const {
-  const auto it = flags_.find(name);
-  if (it == flags_.end()) return fallback;
-  return it->second == "true" || it->second == "1" ||
-         it->second == "yes";
 }
 
 void CliArgs::check_known(const std::vector<std::string>& known) const {

@@ -11,6 +11,16 @@
 
 namespace valocal {
 
+/// Non-negative decimal count (a thread count, a size). Aborts with a
+/// message naming `name` — a flag such as "--threads" or an
+/// environment variable such as "VALOCAL_THREADS" — on an empty,
+/// malformed (trailing junk included) or negative value.
+std::size_t parse_count(const std::string& text, const std::string& name);
+
+/// parse_count applied to environment variable `name`; `fallback` when
+/// the variable is unset. A set-but-empty variable is malformed.
+std::size_t env_count(const char* name, std::size_t fallback);
+
 class CliArgs {
  public:
   CliArgs(int argc, const char* const* argv);
@@ -25,7 +35,6 @@ class CliArgs {
   /// message naming the flag on an empty, malformed or negative value.
   std::size_t get_count(const std::string& name, std::size_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
-  bool get_bool(const std::string& name, bool fallback) const;
 
   /// Aborts with a usage message listing the offending flags unless
   /// every provided flag is in `known`.

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -83,14 +85,15 @@ TEST(GraphIo, DotOutputContainsEdgesAndColors) {
 
 TEST(Cli, ParsesFlagsAndPositionals) {
   // Note the parser's rule: "--flag token" binds the token as the
-  // flag's value, so bare booleans must use "--flag=true" (or appear
+  // flag's value, so bare flags must use "--flag=true" (or appear
   // last / before another flag).
   const char* argv[] = {"prog",          "--n",       "42", "--eps=1.5",
                         "--verbose=true", "input.txt", "--name", "ring"};
   CliArgs args(8, argv);
   EXPECT_EQ(args.get_int("n", 0), 42);
   EXPECT_DOUBLE_EQ(args.get_double("eps", 0.0), 1.5);
-  EXPECT_TRUE(args.get_bool("verbose", false));
+  EXPECT_TRUE(args.has("verbose"));
+  EXPECT_EQ(args.get_string("verbose", ""), "true");
   EXPECT_EQ(args.get_string("name", ""), "ring");
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "input.txt");
@@ -120,6 +123,32 @@ TEST(Cli, MalformedNumberDies) {
   EXPECT_DEATH((void)counts.get_count("n", 4096), "malformed.*--n");
   EXPECT_DEATH((void)counts.get_int("n", 4096), "malformed.*--n");
   EXPECT_DEATH((void)counts.get_count("a", 2), "negative.*--a");
+}
+
+TEST(Cli, EnvCountParsesOrFallsBack) {
+  ::unsetenv("VALOCAL_TEST_COUNT");
+  EXPECT_EQ(env_count("VALOCAL_TEST_COUNT", 7), 7u);
+  ::setenv("VALOCAL_TEST_COUNT", "4", 1);
+  EXPECT_EQ(env_count("VALOCAL_TEST_COUNT", 7), 4u);
+  ::setenv("VALOCAL_TEST_COUNT", "0", 1);
+  EXPECT_EQ(env_count("VALOCAL_TEST_COUNT", 7), 0u);
+  ::unsetenv("VALOCAL_TEST_COUNT");
+  EXPECT_EQ(parse_count("12", "VALOCAL_THREADS"), 12u);
+}
+
+TEST(Cli, MalformedEnvCountDiesNamingTheVariable) {
+  // Empty, non-numeric, negative and trailing-junk values must abort
+  // naming the variable instead of silently becoming the default (or,
+  // for "4x", silently becoming 4).
+  for (const char* bad : {"", "abc", "-2", "4x"}) {
+    SCOPED_TRACE(std::string("value '") + bad + "'");
+    ::setenv("VALOCAL_THREADS", bad, 1);
+    EXPECT_DEATH((void)env_count("VALOCAL_THREADS", 1),
+                 "(malformed|negative).*VALOCAL_THREADS");
+    EXPECT_DEATH((void)parse_count(bad, "VALOCAL_THREADS"),
+                 "(malformed|negative).*VALOCAL_THREADS");
+  }
+  ::unsetenv("VALOCAL_THREADS");
 }
 
 }  // namespace

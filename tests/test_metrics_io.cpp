@@ -66,8 +66,7 @@ TEST(MetricsIo, RoundTimingsAwakeColumnMatchesEngine) {
   const Graph g = gen::forest_union(800, 2, 13);
   const PartitionParams params{.arboricity = 2, .epsilon = 1.0};
   const ColoringKa2Algo algo(g.num_vertices(), params, 2);
-  const auto run =
-      run_local(g, algo, {.sleep_hints = SleepHints::kOn});
+  const auto run = run_local(g, algo);
   const Metrics& m = run.metrics;
   ASSERT_GT(m.skipped_steps, 0u) << "fixture parked nothing";
   ASSERT_EQ(m.parked_per_round.size(), m.active_per_round.size());

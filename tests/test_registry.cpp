@@ -175,20 +175,22 @@ TEST(Registry, EverySpecIsByteStableAcrossFrontierModes) {
 
 TEST(Registry, EverySpecIsByteStableUnderWakeScheduling) {
   // Wake scheduling parks vertices whose next_wake hint names a future
-  // round and skips their no-op steps. It is a throughput knob: every
-  // spec must produce the same labels, r(v), decay series and summary
-  // with hints on, at every thread count, as the hints-off reference.
-  // The catalog-wide skipped-step total proves the sweep actually
-  // parked vertices rather than passing vacuously.
+  // round and skips their no-op steps; it is always on except under
+  // forced sparse, the no-calendar reference. Every spec must produce
+  // the same labels, r(v), decay series and summary by default, at
+  // every thread count, as that reference. The catalog-wide
+  // skipped-step total proves the sweep actually parked vertices
+  // rather than passing vacuously.
   std::uint64_t skipped = 0;
   for (const AlgoSpec& spec : Registry::instance().all()) {
     SCOPED_TRACE(spec.name);
     const Graph g = compatible_graph(spec);
     AlgoParams p = default_params();
     p.seed = 41;
-    set_engine_sleep_hints(false);
+    set_engine_frontier_mode(FrontierMode::kSparse);
     const SolveOutcome ref = spec.run(g, p);
-    set_engine_sleep_hints(true);
+    set_engine_frontier_mode(FrontierMode::kAuto);
+    EXPECT_EQ(ref.metrics.skipped_steps, 0u);
     for (const std::size_t threads : {1u, 4u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       set_engine_threads(threads);
@@ -199,7 +201,6 @@ TEST(Registry, EverySpecIsByteStableUnderWakeScheduling) {
       EXPECT_EQ(o.summary, ref.summary);
       skipped += o.metrics.skipped_steps;
     }
-    set_engine_sleep_hints(false);
     set_engine_threads(1);
   }
   EXPECT_GT(skipped, 0u) << "no catalog entry parked a vertex";

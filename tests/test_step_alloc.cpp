@@ -44,6 +44,19 @@ void* operator new(std::size_t size) {
 void* operator new(std::size_t size, std::align_val_t align) {
   return counted_alloc(size, static_cast<std::size_t>(align));
 }
+// The nothrow form too (std::inplace_merge's temporary buffer in the
+// wake calendar uses it): otherwise a sanitizer's own nothrow new
+// would pair with the free() below and report a mismatch.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return counted_alloc(size, alignof(std::max_align_t));
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }

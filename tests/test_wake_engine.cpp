@@ -1,8 +1,10 @@
 // Wake-scheduled engine contract tests: for every hinted algorithm,
-// turning sleep hints on must leave the run byte-identical to the
-// unhinted engine — outputs, r(v), active_per_round, and the semantic
-// trace event stream — for every threads x grain combination, while
-// Metrics::skipped_steps records the simulator work actually saved.
+// the default (wake-scheduled) run must be byte-identical to the
+// forced-sparse no-calendar reference — outputs, r(v),
+// active_per_round, and the semantic trace event stream — for every
+// threads x grain combination, while Metrics::skipped_steps records
+// the simulator work actually saved. Also pins the engine's shared
+// per-thread workspace against nested runs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -90,8 +92,8 @@ static_assert(!algorithm_uses_rng<ColoringKaAlgo>);
 
 /// Serializes the SEMANTIC trace fields (everything the determinism
 /// contract covers; no wall-clock, no worker load, no asleep split):
-/// log equality means hinted and unhinted engines are observationally
-/// identical to any tooling built on the trace layer.
+/// log equality means the wake-scheduled and no-calendar engines are
+/// observationally identical to any tooling built on the trace layer.
 struct SemanticLog final : trace::TraceSink {
   std::ostringstream log;
 
@@ -123,16 +125,17 @@ std::string traced_log(const Graph& g, const A& algo, RunOptions opt) {
   return log.log.str();
 }
 
-/// The core equivalence sweep: unhinted reference vs hinted runs for
-/// threads {1,2,4} x grain {1,5,64}. Returns the hinted runs'
-/// skipped_steps (identical across all combinations by construction).
+/// The core equivalence sweep: forced-sparse reference vs default
+/// (wake-scheduled) runs for threads {1,2,4} x grain {1,5,64}. Returns
+/// the default runs' skipped_steps (identical across all combinations
+/// by construction).
 template <class A>
 std::uint64_t expect_hint_equivalence(const Graph& g, const A& algo,
                                       std::uint64_t seed) {
-  const RunOptions off{.seed = seed, .sleep_hints = SleepHints::kOff};
+  const RunOptions off{.seed = seed, .frontier_mode = FrontierMode::kSparse};
   const auto ref = run_local(g, algo, off);
   EXPECT_EQ(ref.metrics.skipped_steps, 0u)
-      << "hints off must never skip a step";
+      << "forced sparse must never skip a step";
   const std::string ref_log = traced_log(g, algo, off);
   EXPECT_FALSE(ref_log.empty());
 
@@ -140,10 +143,8 @@ std::uint64_t expect_hint_equivalence(const Graph& g, const A& algo,
   bool first = true;
   for (std::size_t threads : {1u, 2u, 4u}) {
     for (std::size_t grain : {1u, 5u, 64u}) {
-      const RunOptions on{.seed = seed,
-                          .num_threads = threads,
-                          .grain = grain,
-                          .sleep_hints = SleepHints::kOn};
+      const RunOptions on{
+          .seed = seed, .num_threads = threads, .grain = grain};
       const auto hinted = run_local(g, algo, on);
       const std::string what = "threads=" + std::to_string(threads) +
                                " grain=" + std::to_string(grain);
@@ -215,8 +216,8 @@ TEST(WakeEngine, RingColoring3IsByteIdentical) {
 
 TEST(WakeEngine, TrivialHintsNeverPark) {
   // Procedure Partition's hint is necessarily round + 1 (the join
-  // decision is data-dependent every round): the hinted path must run
-  // with an empty calendar and still be byte-identical.
+  // decision is data-dependent every round): the wake-scheduled path
+  // must run with an empty calendar and still be byte-identical.
   const PartitionParams params{.arboricity = 1, .epsilon = 1.0};
   const Graph g = gen::dary_tree(1200, 4);
   const PartitionAlgo algo(params);
@@ -224,38 +225,130 @@ TEST(WakeEngine, TrivialHintsNeverPark) {
   EXPECT_EQ(skipped, 0u);
 }
 
-TEST(WakeEngine, ProcessWideDefaultIsInheritedAndOverridable) {
+TEST(WakeEngine, DefaultRunParksAndForcedSparseIsTheReference) {
+  // Wake scheduling has no switch: every mode but forced sparse parks
+  // a hinted algorithm's idle vertices, forced sparse never does, and
+  // all of them agree byte for byte.
   const PartitionParams params{.arboricity = 1, .epsilon = 1.0};
   const Graph g = gen::dary_tree(600, 4);
   const HSetComposition<MixSub> algo(g.num_vertices(), params, MixSub{});
 
-  const auto off = run_local(g, algo, {.sleep_hints = SleepHints::kOff});
-  set_engine_sleep_hints(true);
-  const auto inherited = run_local(g, algo, {});  // kInherit
-  const auto forced_off =
-      run_local(g, algo, {.sleep_hints = SleepHints::kOff});
-  set_engine_sleep_hints(false);
-  const auto back_off = run_local(g, algo, {});  // kInherit, now off
-
-  EXPECT_GT(inherited.metrics.skipped_steps, 0u);
-  EXPECT_EQ(forced_off.metrics.skipped_steps, 0u);
-  EXPECT_EQ(back_off.metrics.skipped_steps, 0u);
-  EXPECT_EQ(inherited.outputs, off.outputs);
-  EXPECT_EQ(inherited.metrics.rounds, off.metrics.rounds);
-  EXPECT_EQ(forced_off.outputs, off.outputs);
+  const auto sparse =
+      run_local(g, algo, {.frontier_mode = FrontierMode::kSparse});
+  EXPECT_EQ(sparse.metrics.skipped_steps, 0u);
+  EXPECT_TRUE(sparse.metrics.parked_per_round.empty());
+  const auto by_default = run_local(g, algo);
+  EXPECT_GT(by_default.metrics.skipped_steps, 0u);
+  for (const FrontierMode mode :
+       {FrontierMode::kAuto, FrontierMode::kDense, FrontierMode::kCalendar}) {
+    SCOPED_TRACE(frontier_mode_name(mode));
+    const auto run = run_local(g, algo, {.frontier_mode = mode});
+    EXPECT_EQ(run.metrics.skipped_steps, by_default.metrics.skipped_steps);
+    EXPECT_EQ(run.outputs, sparse.outputs);
+    EXPECT_EQ(run.metrics.rounds, sparse.metrics.rounds);
+    EXPECT_EQ(run.metrics.active_per_round, sparse.metrics.active_per_round);
+  }
 }
 
-TEST(WakeEngine, ToggleIsInertForUnhintedAlgorithms) {
-  // LeaderElectionAlgo declares no next_wake: kOn must compile down to
-  // the plain engine (calendar never consulted, nothing skipped).
+TEST(WakeEngine, UnhintedAlgorithmsNeverPark) {
+  // LeaderElectionAlgo declares no next_wake: the default engine must
+  // compile down to the no-calendar engine (nothing skipped).
   const Graph g = gen::ring(64);
   const LeaderElectionAlgo algo;
-  const auto off = run_local(g, algo, {.sleep_hints = SleepHints::kOff});
-  const auto on = run_local(g, algo, {.sleep_hints = SleepHints::kOn});
-  EXPECT_EQ(on.outputs, off.outputs);
-  EXPECT_EQ(on.metrics.rounds, off.metrics.rounds);
-  EXPECT_EQ(on.metrics.active_per_round, off.metrics.active_per_round);
-  EXPECT_EQ(on.metrics.skipped_steps, 0u);
+  const auto sparse =
+      run_local(g, algo, {.frontier_mode = FrontierMode::kSparse});
+  const auto by_default = run_local(g, algo);
+  EXPECT_EQ(by_default.outputs, sparse.outputs);
+  EXPECT_EQ(by_default.metrics.rounds, sparse.metrics.rounds);
+  EXPECT_EQ(by_default.metrics.active_per_round,
+            sparse.metrics.active_per_round);
+  EXPECT_EQ(by_default.metrics.skipped_steps, 0u);
+}
+
+// A hinted outer algorithm whose step, once, runs a whole inner
+// run_local on a different State type (RingColoring3Algo, itself
+// hinted). Every State type shares the thread's one engine workspace,
+// so the inner run must lease the fallback workspace; if it reused the
+// outer's, the outer's dormancy arrays, active list and calendar would
+// be clobbered mid-round.
+struct NestedRunRecord {
+  bool ran = false;
+  bool inner_pooled = true;
+  RunResult<RingColoring3Algo> inner;
+};
+
+struct NestingAlgo {
+  struct State {
+    std::uint64_t x = 0;
+  };
+  using Output = std::uint64_t;
+
+  const Graph* inner_graph = nullptr;  // null: never nest
+  NestedRunRecord* record = nullptr;
+
+  void init(Vertex v, const Graph&, State& s) const { s.x = v + 1; }
+
+  // The state changes only on rounds divisible by 4, and a vertex
+  // terminates in round 4 * (1 + v % 5), so every other step is a
+  // no-op and next_wake may skip to the next multiple of 4.
+  bool step(Vertex v, std::size_t round, const RoundView<State>& view,
+            State& next, Xoshiro256&) const {
+    if (inner_graph != nullptr && v == 0 && round == 1 && !record->ran) {
+      detail_engine::ScratchLease<detail_engine::EngineWorkspace> probe;
+      record->inner_pooled = probe.pooled();
+      const RingColoring3Algo inner(inner_graph->num_vertices());
+      record->inner = run_local(*inner_graph, inner, {.seed = 9});
+      record->ran = true;
+    }
+    if (round % 4 != 0) return false;
+    std::uint64_t mix = next.x * 0x9e3779b97f4a7c15ULL + round;
+    for (std::size_t i = 0; i < view.degree(); ++i)
+      mix += view.neighbor_state(i).x;
+    next.x = mix;
+    return round >= 4 * (1 + v % 5);
+  }
+
+  std::size_t next_wake(Vertex, std::size_t round, const State&) const {
+    return (round / 4 + 1) * 4;
+  }
+
+  Output output(Vertex, const State& s) const { return s.x; }
+
+  static constexpr bool uses_rng = false;
+};
+
+static_assert(WakeHinted<NestingAlgo>);
+
+TEST(WakeEngine, NestedRunOnAnotherStateTypeTakesTheFallbackWorkspace) {
+  const Graph outer_g = gen::forest_union(400, 2, 3);
+  const Graph inner_g = gen::ring(300);
+
+  NestedRunRecord record;
+  const NestingAlgo nesting{.inner_graph = &inner_g, .record = &record};
+  const auto nested = run_local(outer_g, nesting, {.num_threads = 1});
+  ASSERT_TRUE(record.ran);
+  EXPECT_FALSE(record.inner_pooled)
+      << "the inner run must not lease the outer run's workspace";
+
+  const auto plain = run_local(outer_g, NestingAlgo{}, {.num_threads = 1});
+  const auto inner_plain =
+      run_local(inner_g, RingColoring3Algo(inner_g.num_vertices()),
+                {.seed = 9});
+  EXPECT_GT(plain.metrics.skipped_steps, 0u);
+  EXPECT_GT(inner_plain.metrics.skipped_steps, 0u);
+
+  EXPECT_EQ(nested.outputs, plain.outputs);
+  EXPECT_EQ(nested.metrics.rounds, plain.metrics.rounds);
+  EXPECT_EQ(nested.metrics.active_per_round, plain.metrics.active_per_round);
+  EXPECT_EQ(nested.metrics.skipped_steps, plain.metrics.skipped_steps);
+  EXPECT_EQ(record.inner.outputs, inner_plain.outputs);
+  EXPECT_EQ(record.inner.metrics.rounds, inner_plain.metrics.rounds);
+  EXPECT_EQ(record.inner.metrics.active_per_round,
+            inner_plain.metrics.active_per_round);
+
+  // After the nested run the thread's workspace is free again.
+  detail_engine::ScratchLease<detail_engine::EngineWorkspace> after;
+  EXPECT_TRUE(after.pooled());
 }
 
 TEST(WakeCalendar, PopsSortedBucketsAndTracksSleepers) {

@@ -40,14 +40,10 @@
 //   --perm     relabel the graph's IDs before running: "random" or a
 //              seed value (the VA measure maxes over ID assignments)
 //   --threads  engine worker threads (default 1; results are
-//              byte-identical for every value — see docs/MODEL.md)
-//   --sleep-hints  enable wake scheduling: hinted algorithms park
+//              byte-identical for every value — see docs/MODEL.md).
+//              Wake scheduling is always on: hinted algorithms park
 //              idle vertices in a calendar queue instead of stepping
-//              them (byte-identical results — see docs/MODEL.md)
-//   --frontier-mode  auto|dense|sparse|calendar: pin run_local's
-//              per-round frontier representation instead of the
-//              measured auto switch (byte-identical results under
-//              every setting — see docs/MODEL.md)
+//              them, with byte-identical results
 //   --batch-trials  run N independent trials (seeds seed..seed+N-1)
 //              through the trial batcher (sim/batch.hpp) and print the
 //              VA/WC distribution; with --threads T > 1 the trials run
@@ -158,8 +154,8 @@ void write_csv_if(const std::string& path, const Metrics& m,
 
 void print_metrics(const Metrics& m, const ReportOptions& opts) {
   // Every semantic measure on one line; wall-ms stays last — it is the
-  // only nondeterministic field, and scripts strip the line's tail
-  // from "wall-ms=" on when diffing runs (scripts/run_all.sh).
+  // only nondeterministic field, so scripts strip the line's tail
+  // from "wall-ms=" on when diffing runs.
   std::cout << "rounds: vertex-averaged=" << m.vertex_averaged()
             << " edge-averaged=" << m.edge_averaged()
             << " worst-case=" << m.worst_case()
@@ -294,24 +290,12 @@ int main(int argc, char** argv) {
                     "edge-decay-csv", "measures-csv",
                     "threads", "batch-trials", "timings-csv",
                     "rounds-csv", "histogram-csv", "phase-table",
-                    "trace-json", "run-json", "sleep-hints",
-                    "frontier-mode", "list-algos",
+                    "trace-json", "run-json", "list-algos",
                     "validate"});
   if (args.has("list-algos"))
     return list_algos(args.get_string("list-algos", ""));
 
   set_engine_threads(args.get_count("threads", 1));
-  set_engine_sleep_hints(args.get_bool("sleep-hints", false));
-  if (args.has("frontier-mode")) {
-    const std::string mode_name = args.get_string("frontier-mode", "");
-    const auto mode = frontier_mode_from_name(mode_name);
-    if (!mode.has_value()) {
-      std::cerr << "unknown frontier mode: " << mode_name
-                << " (want auto|dense|sparse|calendar)\n";
-      return 2;
-    }
-    set_engine_frontier_mode(*mode);
-  }
 
   const std::string algo = args.get_string("algo", "a2logn");
   const registry::AlgoSpec* spec = registry::Registry::instance().find(algo);
