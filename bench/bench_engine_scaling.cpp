@@ -52,7 +52,7 @@ struct ScalingRow {
   // "dense" / "sparse" / "calendar") and how often the engine switched
   // representations mid-run (nonzero only under auto); empty/0
   // elsewhere and then omitted from the JSON.
-  std::string frontier_mode;
+  std::string frontier_mode = {};
   std::uint64_t switches = 0;
 };
 

@@ -5,7 +5,13 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build -G Ninja
-cmake --build build
+# Warning gate: the tier-1 build (-Wall -Wextra) is warning-free, and
+# any new warning fails the job.
+cmake --build build 2>&1 | tee build_output.txt
+if grep -q 'warning:' build_output.txt; then
+  echo "build emitted compiler warnings (see build_output.txt)"
+  exit 1
+fi
 
 ctest --test-dir build --output-on-failure 2>&1 | tee test_output.txt
 
@@ -29,10 +35,18 @@ build/tools/valocal_cli --gen er --n 20000 --avg-deg 6 --a 6 \
 # deterministic workload under default CLI settings must actually skip
 # steps (recorded in the run record) while test_wake_engine separately
 # proves the results stay byte-identical to the no-calendar engine.
+# oa and mis park H-set members through the (Delta+1)-plan's no-op
+# rounds; each of their run records must show skipped steps too.
 build/tools/valocal_cli --gen adversarial --n 65536 --algo ka2 \
   --threads 4 --phase-table \
   --run-json trace_output/ka2_hinted.json \
   2>&1 | tee trace_output/ka2_hinted.txt
+for algo in oa mis; do
+  build/tools/valocal_cli --gen forest --n 65536 --a 3 --algo "$algo" \
+    --threads 4 --phase-table \
+    --run-json "trace_output/${algo}_hinted.json" \
+    2>&1 | tee "trace_output/${algo}_hinted.txt"
+done
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json
@@ -55,6 +69,13 @@ with open("trace_output/ka2_hinted.json") as f:
     runs = [json.loads(line) for line in f]
 assert any(run["totals"].get("skipped_steps", 0) > 0 for run in runs), \
     "ka2_hinted.json: wake scheduling skipped no steps"
+for algo in ("oa", "mis"):
+    with open(f"trace_output/{algo}_hinted.json") as f:
+        runs = [json.loads(line) for line in f]
+    assert runs, f"{algo}_hinted.json: no run records"
+    for run in runs:
+        assert run["totals"].get("skipped_steps", 0) > 0, \
+            f"{algo}_hinted.json: a run skipped no steps"
 print("trace smoke: all emitted JSON parses and decomposes exactly")
 EOF
 else

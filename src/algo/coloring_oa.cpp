@@ -80,6 +80,37 @@ bool ColoringOaAlgo::in_phase(std::int32_t hset, int phase) const {
   return phase == 1 ? h <= t1_ : h > t1_;
 }
 
+std::size_t ColoringOaAlgo::block_start(std::size_t i) const {
+  return (i - 1) * (1 + tcol_) + 1 + (i > t1_ ? recolor1_ : 0);
+}
+
+std::size_t ColoringOaAlgo::recolor_start(int phase) const {
+  return phase == 1 ? t1_ * (1 + tcol_) + 1 : block_start(ell_ + 1);
+}
+
+std::size_t ColoringOaAlgo::next_wake(Vertex, std::size_t round,
+                                      const State& s) const {
+  const Region region = locate(round);
+  std::size_t wake = round + 1;
+  if (s.hset == 0) {
+    // Next partition round; phase 1's recoloring stage is skipped.
+    if (region.kind != 2)
+      wake = block_start(region.index + 1);
+    else if (region.phase == 1)
+      wake = block_start(t1_ + 1);
+  } else if (region.kind != 2) {
+    const auto own = static_cast<std::size_t>(s.hset);
+    const std::size_t recolor = recolor_start(in_phase(s.hset, 1) ? 1 : 2);
+    if (region.index != own) {
+      wake = recolor;  // plan done: idle until the recoloring stage
+    } else if (region.kind == 1) {
+      const std::size_t t = plan_->next_active(region.plan_round, s.aux);
+      wake = t < tcol_ ? block_start(own) + 1 + t : recolor;
+    }
+  }
+  return std::max(wake, round + 1);
+}
+
 bool ColoringOaAlgo::recolor_round(Vertex, int phase,
                                    const RoundView<State>& view,
                                    State& next) const {
@@ -107,7 +138,6 @@ bool ColoringOaAlgo::recolor_round(Vertex, int phase,
   VALOCAL_ENSURE(pick <= static_cast<std::int32_t>(params_.threshold()),
                  "recoloring palette exhausted: H-partition bound broken");
   next.pick = pick;
-  next.final_color = 2 * pick + (phase == 2 ? 1 : 0);
   return true;
 }
 

@@ -34,11 +34,15 @@ namespace valocal {
 
 class ColoringOaAlgo {
  public:
+  /// Field order sets sizeof(State), and so the bytes every round
+  /// copies: `pick` fills the 4 bytes after the base's `hset` that
+  /// would otherwise pad `aux` to its 8-byte alignment. The final color
+  /// is not stored: output() derives it from `pick` and the phase.
   struct State : PartitionState {
-    std::uint64_t aux = 0;     // (Delta+1)-plan color inside the H-set
     std::int32_t pick = -1;    // recoloring pick in {0..A}; -1 = none
-    std::int64_t final_color = -1;
+    std::uint64_t aux = 0;     // (Delta+1)-plan color inside the H-set
   };
+  static_assert(sizeof(State) == 16);
   using Output = int;
 
   ColoringOaAlgo(std::size_t num_vertices, PartitionParams params);
@@ -48,9 +52,23 @@ class ColoringOaAlgo {
   bool step(Vertex v, std::size_t round, const RoundView<State>& view,
             State& next, Xoshiro256&) const;
 
+  /// Phase-1 picks take the even colors, phase-2 picks the odd ones.
   Output output(Vertex, const State& s) const {
-    return static_cast<Output>(s.final_color);
+    if (s.pick < 0) return -1;
+    return 2 * s.pick + (in_phase(s.hset, 2) ? 1 : 0);
   }
+
+  /// Wake hint (WakeHinted). The schedule makes every idle stretch
+  /// computable from the published state:
+  ///   - an unsettled vertex acts only in partition rounds, so it
+  ///     sleeps to the next one (past the phase-1 recoloring stage,
+  ///     which it has no part in, to the start of phase 2);
+  ///   - an H-set member in its own block runs the plan only in the
+  ///     rounds DegPlusOnePlan::next_active names, then sleeps through
+  ///     the later blocks to its phase's recoloring stage;
+  ///   - in that stage it waits for its parents' picks, which it
+  ///     re-reads every round (round + 1).
+  std::size_t next_wake(Vertex, std::size_t round, const State& s) const;
 
   static constexpr bool uses_rng = false;
 
@@ -61,7 +79,20 @@ class ColoringOaAlgo {
   std::size_t phase1_sets() const { return t1_; }
   std::size_t plan_rounds() const { return tcol_; }
 
+  // Trace phases (trace::PhaseTraced): partition rounds, the auxiliary
+  // (A+1)-coloring plan, and the two recoloring stages.
+  std::span<const char* const> trace_phases() const {
+    return kTracePhases;
+  }
+  std::size_t trace_phase_of(Vertex, std::size_t round,
+                             const State&) const {
+    return static_cast<std::size_t>(locate(round).kind);
+  }
+
  private:
+  static constexpr const char* kTracePhases[] = {"partition", "aux_plan",
+                                                 "recolor"};
+
   struct Region {
     int kind;           // 0 = partition round, 1 = plan round, 2 = recolor
     int phase;          // 1 or 2
@@ -71,6 +102,13 @@ class ColoringOaAlgo {
   Region locate(std::size_t round) const;
 
   bool in_phase(std::int32_t hset, int phase) const;
+
+  /// Round of iteration i's partition round (1 <= i <= ell); i = ell + 1
+  /// gives the start of the phase-2 recoloring stage.
+  std::size_t block_start(std::size_t i) const;
+
+  /// First round of the given phase's recoloring stage.
+  std::size_t recolor_start(int phase) const;
 
   /// Recoloring attempt; returns true when the vertex picked (and thus
   /// terminates).

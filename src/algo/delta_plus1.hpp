@@ -121,21 +121,26 @@ class DeltaPlusOneAlgo {
   /// that has not joined an H-set steps usefully only in partition
   /// rounds (position 0); every in-between round is a provable no-op
   /// (it fails the `hset == iter` guard without writing), so it parks
-  /// until the next iteration opens. A vertex inside its own
-  /// iteration's sweep acts only at its auxiliary class's slot; the
-  /// earlier sweep rounds are no-ops too. Plan rounds refresh `aux`
-  /// every round and stay unhinted.
+  /// until the next iteration opens. A member of the fresh H-set runs
+  /// the plan only in the rounds DegPlusOnePlan::next_active names (in
+  /// the others its `aux` cannot change), and from its last plan round
+  /// or any earlier sweep round it jumps to its auxiliary class's
+  /// sweep slot, the one round it acts in.
   std::size_t next_wake(Vertex, std::size_t round, const State& s) const {
-    const std::size_t block = schedule_.block();
+    const std::size_t pos = schedule_.position(round);
     std::size_t wake = round + 1;
     if (s.hset <= 0) {
       // Next partition round: position 0 of the following iteration.
-      wake = schedule_.iteration(round) * block + 1;
-    } else if (schedule_.position(round) > plan_->num_rounds()) {
-      // Sweeping: acts (and terminates) only at its own slot.
-      wake = (static_cast<std::size_t>(s.hset) - 1) * block + 1 +
-             plan_->num_rounds() + 1 +
-             static_cast<std::size_t>(s.aux);
+      wake = schedule_.iteration(round) * schedule_.block() + 1;
+    } else if (pos > 0) {
+      // Plan round t sits at position t + 1, sweep slot c at position
+      // plan_rounds + 1 + c.
+      const std::size_t plan_rounds = plan_->num_rounds();
+      const std::size_t t = pos <= plan_rounds
+                                ? plan_->next_active(pos - 1, s.aux)
+                                : plan_rounds;
+      wake = round - pos + 1 + t;
+      if (t == plan_rounds) wake += static_cast<std::size_t>(s.aux);
     }
     return std::max(wake, round + 1);
   }

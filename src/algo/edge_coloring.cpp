@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "algo/line_plan.hpp"
 #include "util/assertx.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
@@ -119,22 +120,7 @@ bool EdgeColoringAlgo::step(Vertex, std::size_t round,
 
   if (pos < 2 + t_line) {
     // Line-graph plan round t = pos - 2 on the intra-set edges.
-    const std::size_t t = pos - 2;
-    for (std::size_t i = 0; i < view.degree(); ++i) {
-      if (self.kind[i] != 1) continue;
-      const auto& w = view.neighbor_state(i);
-      const std::size_t port = view.neighbor_port(i);
-      std::vector<std::uint64_t> line_nbrs;
-      for (std::size_t j = 0; j < view.degree(); ++j)
-        if (j != i && self.kind[j] == 1)
-          line_nbrs.push_back(
-              static_cast<std::uint64_t>(self.lcolor[j]));
-      for (std::size_t j = 0; j < w.kind.size(); ++j)
-        if (j != port && w.kind[j] == 1)
-          line_nbrs.push_back(static_cast<std::uint64_t>(w.lcolor[j]));
-      next.lcolor[i] = static_cast<std::int64_t>(plan_->advance(
-          t, static_cast<std::uint64_t>(self.lcolor[i]), line_nbrs));
-    }
+    line_plan_round(*plan_, pos - 2, view, next);
     return false;
   }
 

@@ -25,6 +25,22 @@ std::uint64_t KwReduction::final_palette() const {
   return std::min<std::uint64_t>(m0_, k_ + 1);
 }
 
+std::uint64_t KwReduction::palette_before(std::size_t t) const {
+  VALOCAL_REQUIRE(t <= rounds_.size(), "round index out of range");
+  return t < rounds_.size() ? rounds_[t].palette : final_palette();
+}
+
+std::size_t KwReduction::first_active(std::size_t t,
+                                      std::uint64_t color) const {
+  if (t >= rounds_.size()) return rounds_.size();
+  const Round& r = rounds_[t];
+  // The phase's rounds carry steps k+1 .. g-1 in order; its last one
+  // (step g-1) applies the remap.
+  const std::uint64_t index = color % r.group;
+  const std::uint64_t ahead = index >= r.step ? index : r.group - 1;
+  return t + static_cast<std::size_t>(ahead - r.step);
+}
+
 std::uint64_t KwReduction::advance(
     std::size_t t, std::uint64_t own,
     std::span<const std::uint64_t> neighbors) const {
@@ -33,7 +49,7 @@ std::uint64_t KwReduction::advance(
   VALOCAL_DCHECK(own < r.palette, "color exceeds the round's palette");
 
   std::uint64_t color = own;
-  if (own % r.group == r.step) {
+  if (reads_neighbors(t, own)) {
     const std::uint64_t base = (own / r.group) * r.group;
     // Smallest color in [base, base + k] unused by any neighbor.
     std::vector<char>& taken = thread_scratch<KwReduction, char>();

@@ -17,6 +17,12 @@
 //
 // This substitutes for the (Delta+1)-coloring reduction of [7]
 // (substitution S2 in DESIGN.md): O(k log k) instead of O(k) rounds.
+//
+// Most rounds are provable no-ops for a given vertex: a color changes
+// only in the round whose step equals its in-block index, and at the
+// phase-end remap. first_active() and reads_neighbors() expose that
+// structure as pure functions of (round, color), so schedulers can skip
+// the no-op rounds and callers can skip gathering neighbor colors.
 #pragma once
 
 #include <cstdint>
@@ -34,10 +40,27 @@ class KwReduction {
   std::uint64_t initial_palette() const { return m0_; }
   std::uint64_t final_palette() const;
 
+  /// Palette size entering round t; t == num_rounds() gives the final
+  /// palette.
+  std::uint64_t palette_before(std::size_t t) const;
+
   /// Round t (0-based): own color and the neighbors' colors, all in the
   /// palette of round t; returns the color for round t+1.
   std::uint64_t advance(std::size_t t, std::uint64_t own,
                         std::span<const std::uint64_t> neighbors) const;
+
+  /// First round t' >= t whose advance() can return something other
+  /// than `color` (a color in round t's palette): the round of the
+  /// current phase whose step is color's in-block index if that is
+  /// still ahead, else the phase-end remap round. num_rounds() if t is.
+  std::size_t first_active(std::size_t t, std::uint64_t color) const;
+
+  /// Whether advance(t, color, ·) reads the neighbor colors at all:
+  /// only a recoloring vertex does.
+  bool reads_neighbors(std::size_t t, std::uint64_t color) const {
+    const Round& r = rounds_[t];
+    return color % r.group == r.step;
+  }
 
  private:
   struct Round {

@@ -86,9 +86,34 @@ class MisAlgo {
 
   Output output(Vertex, const State& s) const { return s.status; }
 
-  // Deliberately NOT WakeHinted: an undecided vertex checks every round
-  // whether a neighbor just entered the MIS (early domination exit), so
-  // no round is a skippable no-op.
+  /// Wake hint (WakeHinted). An undecided vertex must be stepped in
+  /// the first round that shows it an MIS neighbor (early domination
+  /// exit), so parking rests on where joins can happen: only in sweep
+  /// slots. A join in a sweep slot is visible from the next round on,
+  /// which is another sweep round or the next iteration's partition
+  /// round, and every surviving vertex is awake in both: every sweep
+  /// round hints round + 1, and the H_i members all terminate within
+  /// their sweep, so the survivors are exactly the unsettled vertices.
+  /// Hence during an iteration's partition and plan rounds no neighbor
+  /// can newly enter the MIS, and
+  ///   - an unsettled vertex parks from the partition round until the
+  ///     sweep starts;
+  ///   - a fresh H_i member runs the plan only in the rounds
+  ///     DegPlusOnePlan::next_active names, then parks until the sweep
+  ///     starts.
+  std::size_t next_wake(Vertex, std::size_t round, const State& s) const {
+    const std::size_t pos = schedule_.position(round);
+    const std::size_t plan_rounds = plan_->num_rounds();
+    if (pos > plan_rounds) return round + 1;  // sweeping
+    // Plan round t sits at position t + 1; t = plan_rounds is the sweep.
+    std::size_t t = plan_rounds;
+    if (s.hset > 0) {
+      if (pos == 0) return round + 1;  // just joined: plan round 0 next
+      t = plan_->next_active(pos - 1, s.aux);
+    }
+    return std::max(round - pos + 1 + t, round + 1);
+  }
+
   static constexpr bool uses_rng = false;
 
   const CompositionSchedule& schedule() const { return schedule_; }

@@ -144,7 +144,8 @@ struct BenchRow {
 struct Bound {
   Measure measure = Measure::kVertexAveraged;
   std::string expr;       // e.g. "O~(a + log* n)"
-  std::string paper_ref;  // per-bound citation; empty = the spec's
+  // Defaulted so two-field {measure, expr} bounds need no third field.
+  std::string paper_ref = {};  // per-bound citation; empty = the spec's
 };
 
 struct AlgoSpec {

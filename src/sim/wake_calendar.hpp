@@ -22,9 +22,9 @@
 // determinism contract requires with successive std::inplace_merge over
 // those presorted runs instead of a blind is_sorted scan + std::sort.
 // The common single-run bucket pops with no comparison work at all.
-// Buckets already popped are compacted away periodically, so memory is
-// O(sleeping + horizon of the farthest pending wake), not O(total
-// rounds).
+// A popped bucket's storage is released as it is taken and its header
+// compacted away periodically, so memory is O(sleeping + horizon of the
+// farthest pending wake), not O(total rounds).
 #pragma once
 
 #include <algorithm>
@@ -101,6 +101,10 @@ class WakeCalendar {
         runs.clear();
       }
       taken_.swap(buckets_[head_]);
+      // The swap left the previous round's buffer in the popped slot;
+      // free it now instead of at compact(), or a run that parks whole
+      // vertex sets pins dozens of bucket-sized buffers at a time.
+      buckets_[head_] = std::vector<Vertex>();
       ++head_;
       compact();
     }

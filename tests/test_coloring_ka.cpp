@@ -27,8 +27,9 @@ TEST(Segmentation, GeometryInvariants) {
       for (std::size_t s = 0; s < segs.size(); ++s) {
         EXPECT_EQ(segs[s].partition_rounds,
                   segs[s].last_hset - segs[s].first_hset + 1);
-        if (s > 0)
+        if (s > 0) {
           EXPECT_EQ(segs[s].first_hset, segs[s - 1].last_hset + 1);
+        }
         total += segs[s].partition_rounds;
       }
       EXPECT_GE(total, partition_round_bound(n, 1.0));
@@ -82,10 +83,11 @@ TEST(ColoringKa, ProperWithKaPalette) {
     const auto result = compute_coloring_ka(g, {.arboricity = 2}, k);
     EXPECT_TRUE(is_proper_coloring(g, result.color)) << "k=" << k;
     EXPECT_LE(result.num_colors, result.palette_bound);
-    if (k > 0)
+    if (k > 0) {
       EXPECT_EQ(result.palette_bound,
                 static_cast<std::size_t>(k) *
                     (PartitionParams{.arboricity = 2}.threshold() + 1));
+    }
   }
 }
 

@@ -153,8 +153,11 @@ TEST(Definition81, ExtendsAnyPartialSolutionUnchanged) {
       extend_delta_plus1(g, {.arboricity = 3}, partial);
   EXPECT_TRUE(is_proper_coloring(g, result.color));
   EXPECT_LE(count_colors(result.color), g.max_degree() + 1);
-  for (Vertex v = 0; v < g.num_vertices(); ++v)
-    if (partial[v] >= 0) EXPECT_EQ(result.color[v], partial[v]) << v;
+  for (Vertex v = 0; v < g.num_vertices(); ++v) {
+    if (partial[v] >= 0) {
+      EXPECT_EQ(result.color[v], partial[v]) << v;
+    }
+  }
   // Preset vertices terminate in round 1.
   for (Vertex v = 0; v < g.num_vertices(); v += 2)
     EXPECT_EQ(result.metrics.rounds[v], 1u);

@@ -4,18 +4,23 @@
 // wrapper algorithm toggles it), so engine bookkeeping, result vectors
 // and graph generation never count. The first run of each entry warms
 // the per-thread scratch buffers; the second run must make zero
-// allocations inside step.
+// allocations inside step. The edge entries are held to that only in
+// their line-plan phase (their other stages still build per-port
+// vectors).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <string_view>
 
 #include "algo/coloring_a2.hpp"
 #include "algo/coloring_a2logn.hpp"
 #include "algo/coloring_ka2.hpp"
 #include "algo/coloring_oa.hpp"
 #include "algo/delta_plus1.hpp"
+#include "algo/edge_coloring.hpp"
+#include "algo/matching.hpp"
 #include "algo/mis.hpp"
 #include "baseline/wc_delta_plus1.hpp"
 #include "graph/generators.hpp"
@@ -68,21 +73,23 @@ namespace valocal {
 namespace {
 
 /// Forwards every hook of A unchanged; step arms the counter for the
-/// duration of the wrapped call. Wake hints are forwarded too, so the
-/// engine drives the same path as for A itself.
+/// duration of the wrapped call — only in the trace phase named `phase`
+/// when one is given. Wake hints are forwarded too, so the engine
+/// drives the same path as for A itself.
 template <class A>
 class CountingStep {
  public:
   using State = typename A::State;
   using Output = typename A::Output;
 
-  explicit CountingStep(const A& algo) : algo_(algo) {}
+  explicit CountingStep(const A& algo, const char* phase = nullptr)
+      : algo_(algo), phase_(phase) {}
 
   void init(Vertex v, const Graph& g, State& s) const { algo_.init(v, g, s); }
 
   bool step(Vertex v, std::size_t round, const RoundView<State>& view,
             State& next, Xoshiro256& rng) const {
-    counting = true;
+    counting = armed(v, round, view.self());
     const bool done = algo_.step(v, round, view, next, rng);
     counting = false;
     return done;
@@ -99,15 +106,30 @@ class CountingStep {
   static constexpr bool uses_rng = false;
 
  private:
+  bool armed(Vertex v, std::size_t round, const State& s) const {
+    if (phase_ == nullptr) return true;
+    if constexpr (trace::PhaseTraced<A>)
+      return std::string_view(
+                 algo_.trace_phases()[algo_.trace_phase_of(v, round, s)]) ==
+             phase_;
+    return false;
+  }
+
   const A& algo_;
+  const char* phase_;
 };
 
-/// Allocations inside step during the second of two identical runs.
+/// Allocations inside step during the second of two identical runs,
+/// counted in every step or only in the trace phase `phase`.
 template <class A>
-std::size_t second_run_step_allocations(const Graph& g, const A& algo) {
+std::size_t second_run_step_allocations(const Graph& g, const A& algo,
+                                        const char* phase = nullptr) {
+  if constexpr (!trace::PhaseTraced<A>) {
+    EXPECT_EQ(phase, nullptr) << "a phase filter needs trace phases";
+  }
   RunOptions opt;
   opt.num_threads = 1;
-  const CountingStep<A> wrapped(algo);
+  const CountingStep<A> wrapped(algo, phase);
   const auto first = run_local(g, wrapped, opt);
   step_allocations = 0;
   const auto second = run_local(g, wrapped, opt);
@@ -151,6 +173,18 @@ TEST(StepAlloc, DeltaPlusOne) {
 TEST(StepAlloc, Mis) {
   const MisAlgo algo(forest().num_vertices(), kParams);
   EXPECT_EQ(second_run_step_allocations(forest(), algo), 0u);
+}
+
+TEST(StepAlloc, EdgeColoringLinePlan) {
+  const EdgeColoringAlgo algo(forest().num_vertices(), forest().num_edges(),
+                              kParams);
+  EXPECT_EQ(second_run_step_allocations(forest(), algo, "line_plan"), 0u);
+}
+
+TEST(StepAlloc, MatchingLinePlan) {
+  const MatchingAlgo algo(forest().num_vertices(), forest().num_edges(),
+                          kParams);
+  EXPECT_EQ(second_run_step_allocations(forest(), algo, "line_plan"), 0u);
 }
 
 TEST(StepAlloc, WorstCaseDeltaPlusOne) {

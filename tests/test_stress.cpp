@@ -68,8 +68,9 @@ void check_metrics_sanity(const Metrics& m, std::size_t n,
   // Active counts never increase (vertices only terminate).
   for (std::size_t i = 1; i < m.active_per_round.size(); ++i)
     EXPECT_LE(m.active_per_round[i], m.active_per_round[i - 1]) << where;
-  if (!m.active_per_round.empty())
+  if (!m.active_per_round.empty()) {
     EXPECT_EQ(m.active_per_round[0], n) << where;
+  }
 }
 
 class StressBattery : public ::testing::TestWithParam<std::uint64_t> {};

@@ -7,14 +7,19 @@
 // per-thread workspace against nested runs.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algo/coloring_ka.hpp"
 #include "algo/coloring_ka2.hpp"
+#include "algo/coloring_oa.hpp"
+#include "algo/delta_plus1.hpp"
 #include "algo/hset_composition.hpp"
+#include "algo/mis.hpp"
 #include "algo/partition.hpp"
 #include "algo/rings.hpp"
 #include "graph/generators.hpp"
@@ -212,6 +217,77 @@ TEST(WakeEngine, RingColoring3IsByteIdentical) {
   // parks in every non-degenerate run.
   const auto skipped = expect_hint_equivalence(g, algo, 0x5eed);
   EXPECT_GT(skipped, 0u);
+}
+
+// The composed entries that park H-set members through the
+// (Delta+1)-plan's no-op rounds. Each must match forced sparse byte for
+// byte, skip steps itself, and park members during the plan: the
+// registry sweep only checks the catalog-wide total, which one entry's
+// hint silently falling back to round + 1 would not move.
+const PartitionParams kPlanParams{.arboricity = 3, .epsilon = 1.0};
+
+std::vector<Graph> plan_graphs() {
+  // forest_union(2^14, 3) and the (A+1)-ary adversarial tree.
+  return {gen::forest_union(1 << 14, 3, 5),
+          gen::dary_tree(1 << 14, kPlanParams.threshold() + 1)};
+}
+
+/// A with its hint instrumented: counts the hints that park an H-set
+/// member in an `aux_plan` round.
+template <class A>
+class CountsPlanParking : public A {
+ public:
+  using A::A;
+
+  std::size_t next_wake(Vertex v, std::size_t round,
+                        const typename A::State& s) const {
+    const std::size_t wake = A::next_wake(v, round, s);
+    const std::string_view phase =
+        this->trace_phases()[this->trace_phase_of(v, round, s)];
+    if (s.hset > 0 && wake > round + 1 && phase == "aux_plan")
+      plan_parks_.fetch_add(1, std::memory_order_relaxed);
+    return wake;
+  }
+
+  std::size_t plan_parks() const { return plan_parks_.load(); }
+
+ private:
+  mutable std::atomic<std::size_t> plan_parks_{0};
+};
+
+template <class A>
+void expect_entry_parks(const Graph& g, const CountsPlanParking<A>& algo) {
+  const auto sparse =
+      run_local(g, algo, {.frontier_mode = FrontierMode::kSparse});
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    const auto run = run_local(g, algo, {.num_threads = threads});
+    EXPECT_EQ(run.outputs, sparse.outputs);
+    EXPECT_EQ(run.metrics.rounds, sparse.metrics.rounds);
+    EXPECT_EQ(run.metrics.active_per_round,
+              sparse.metrics.active_per_round);
+    EXPECT_GT(run.metrics.skipped_steps, 0u);
+  }
+  EXPECT_GT(algo.plan_parks(), 0u);
+}
+
+TEST(WakeEngine, OaParksThroughThePlan) {
+  for (const Graph& g : plan_graphs())
+    expect_entry_parks(g, CountsPlanParking<ColoringOaAlgo>(
+                              g.num_vertices(), kPlanParams));
+}
+
+TEST(WakeEngine, DeltaPlusOneParksThroughThePlan) {
+  for (const Graph& g : plan_graphs())
+    expect_entry_parks(g, CountsPlanParking<DeltaPlusOneAlgo>(
+                              g.num_vertices(), g.max_degree(),
+                              kPlanParams));
+}
+
+TEST(WakeEngine, MisParksThroughThePlan) {
+  for (const Graph& g : plan_graphs())
+    expect_entry_parks(
+        g, CountsPlanParking<MisAlgo>(g.num_vertices(), kPlanParams));
 }
 
 TEST(WakeEngine, TrivialHintsNeverPark) {
