@@ -121,13 +121,12 @@ inline HSetComposition<WaitHeavySub> wait_heavy_composition(
   return HSetComposition<WaitHeavySub>(n, params, WaitHeavySub{});
 }
 
-/// Dense-regime engine workload: every vertex mixes neighbor state for
-/// a fixed prefix of rounds — the frontier stays the FULL vertex set,
-/// the regime the dense flat-scan representation targets — then all
-/// but a 1/64 tail terminate at once and the tail runs on to round 40,
-/// exercising the representation switch and the sparse path behind it.
-/// The hint is the trivial sound one (next round), so forcing the
-/// calendar mode runs the same schedule with an empty calendar.
+/// Dense-then-tail engine workload: every vertex mixes neighbor state
+/// for a fixed prefix of rounds — the frontier stays the FULL vertex
+/// set — then all but a 1/64 tail terminate at once and the tail runs
+/// on to round 40, so the bitset walk crosses words with one awake bit
+/// each. The hint is the trivial sound one (next round), so the wake
+/// path runs with an empty calendar.
 struct DensePhaseAlgo {
   struct State {
     std::uint64_t x = 1;

@@ -16,10 +16,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "baseline/luby_mis.hpp"
@@ -48,12 +46,6 @@ struct ScalingRow {
   // process peak RSS right after it (ru_maxrss); 0 elsewhere.
   double edges_per_sec = 0.0;
   double peak_rss_mb = 0.0;
-  // frontier rows: the representation the run was pinned to ("auto" /
-  // "dense" / "sparse" / "calendar") and how often the engine switched
-  // representations mid-run (nonzero only under auto); empty/0
-  // elsewhere and then omitted from the JSON.
-  std::string frontier_mode = {};
-  std::uint64_t switches = 0;
 };
 
 std::vector<ScalingRow>& json_rows() {
@@ -98,9 +90,6 @@ void write_json_rows() {
        << (r.identical ? "true" : "false")
        << ", \"edges_per_sec\": " << r.edges_per_sec
        << ", \"peak_rss_mb\": " << r.peak_rss_mb;
-    if (!r.frontier_mode.empty())
-      os << ", \"frontier_mode\": \"" << r.frontier_mode
-         << "\", \"switches\": " << r.switches;
     os << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
@@ -151,48 +140,6 @@ auto timed_best_of(int reps, const F& f, double& best_ms) {
     best_ms = std::min(best_ms, ms);
   }
   return result;
-}
-
-/// One workload of the frontier-representation section: run it pinned
-/// to auto first, then to each forced representation, byte-checking
-/// every forced run against the auto reference (outputs, r(v), n_i) and
-/// reporting per-mode wall-clock relative to the auto row. run_with
-/// must return a RunResult-shaped object (.outputs, .metrics).
-template <class RunFn>
-void frontier_sweep(Table& ft, ValidationTracker& tracker,
-                    const std::string& workload, RunFn&& run_with) {
-  constexpr FrontierMode kModes[] = {
-      FrontierMode::kAuto, FrontierMode::kDense, FrontierMode::kSparse,
-      FrontierMode::kCalendar};
-  double auto_ms = 0.0;
-  std::optional<std::invoke_result_t<RunFn&, FrontierMode>> ref;
-  for (const FrontierMode mode : kModes) {
-    double ms = 0.0;
-    auto r = timed_best_of(2, [&] { return run_with(mode); }, ms);
-    bool identical = true;
-    if (mode == FrontierMode::kAuto) {
-      auto_ms = ms;
-      ref.emplace(std::move(r));
-    } else {
-      identical = r.outputs == ref->outputs &&
-                  r.metrics.rounds == ref->metrics.rounds &&
-                  r.metrics.active_per_round ==
-                      ref->metrics.active_per_round;
-    }
-    const Metrics& m =
-        mode == FrontierMode::kAuto ? ref->metrics : r.metrics;
-    tracker.expect(identical,
-                   workload + " frontier determinism @" +
-                       std::string(frontier_mode_name(mode)));
-    ft.add_row({workload, frontier_mode_name(mode), Table::num(ms, 2),
-                Table::num(ms > 0 ? auto_ms / ms : 0.0, 2) + "x",
-                Table::num(m.frontier_switches),
-                identical ? "yes" : "NO"});
-    json_rows().push_back({"frontier", workload, 1, 1, ms,
-                           ms > 0 ? auto_ms / ms : 0.0, identical, 0.0,
-                           0.0, frontier_mode_name(mode),
-                           m.frontier_switches});
-  }
 }
 
 int run() {
@@ -321,8 +268,8 @@ int run() {
   bt.print(std::cout);
 
   // Wake scheduling: the wait-heavy composition workload on the
-  // adversarial tree, default (hinted) engine vs the forced-sparse
-  // no-calendar reference (unhinted), serial engine. The identical
+  // adversarial tree, default (hinted) engine vs the no-calendar
+  // reference under ScopedNoParking (unhinted), serial engine. The identical
   // column is the hard byte-equality check (outputs, r(v), n_i);
   // speedup = unhinted_ms / hinted_ms is the round-loop throughput
   // wake scheduling buys on an idle-dominated schedule.
@@ -336,8 +283,8 @@ int run() {
   const auto wref = timed_best_of(
       3,
       [&] {
-        return run_local(wg, walgo,
-                         {.frontier_mode = FrontierMode::kSparse});
+        const ScopedNoParking no_parking;
+        return run_local(wg, walgo);
       },
       unhinted_ms);
   double hinted_ms = 0.0;
@@ -354,7 +301,7 @@ int run() {
       whinted.metrics.active_per_round == wref.metrics.active_per_round;
   tracker.expect(widentical, "wake-scheduling determinism (wait-heavy)");
   tracker.expect(wref.metrics.skipped_steps == 0,
-                 "forced-sparse engine must skip nothing");
+                 "no-parking engine must skip nothing");
   tracker.expect(whinted.metrics.skipped_steps > 0,
                  "hinted engine must actually park vertices");
 
@@ -371,33 +318,6 @@ int run() {
                          unhinted_ms, 1.0, true});
   json_rows().push_back({"sleep_hints", "wait_heavy_hinted", 1, 1,
                          hinted_ms, wspeedup, widentical});
-
-  // Frontier representations: one workload per regime the per-round
-  // switch targets — run-to-completion Luby MIS on G(n,p) (the frontier
-  // stays dense until the final rounds), the dense-phase mix on a ring
-  // (dense prefix, 1/64 sparse tail), and the hinted wait-heavy
-  // composition (calendar regime, most of the frontier parked) — each
-  // pinned to every forced representation plus the hybrid auto switch.
-  // Forced rows are byte-checked against the auto run; "vs auto" > 1
-  // means the forced mode beat the hybrid (scripts/perf_snapshot.py
-  // enforces the 0.9x auto-vs-best floor on the micro fixtures).
-  print_header("Frontier representations: forced modes vs hybrid auto");
-  Table ft({"workload", "mode", "best ms", "vs auto", "switches",
-            "identical"});
-  frontier_sweep(ft, tracker, "luby_mis_er17", [&](FrontierMode mode) {
-    return run_local(g, LubyMisAlgo{}, {.seed = 7, .frontier_mode = mode});
-  });
-  const Graph fring = gen::ring(1 << 17);
-  frontier_sweep(ft, tracker, "dense_phase_ring17",
-                 [&](FrontierMode mode) {
-                   return run_local(fring, DensePhaseAlgo{},
-                                    {.frontier_mode = mode});
-                 });
-  frontier_sweep(ft, tracker, "wait_heavy_hinted",
-                 [&](FrontierMode mode) {
-                   return run_local(wg, walgo, {.frontier_mode = mode});
-                 });
-  ft.print(std::cout);
 
   // Graph substrate: the memory-lean streaming CSR build. Part 1
   // compares peak memory against the GraphBuilder staging path on the

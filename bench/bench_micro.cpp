@@ -53,22 +53,30 @@ std::uint64_t stepped_vertex_rounds(const Metrics& m) {
 
 // Engine round-throughput fixtures: algorithms whose per-vertex step is
 // a few instructions, so the measured time is dominated by the round
-// engine itself (buffer management, active-set bookkeeping, dispatch).
+// engine itself (buffer management, frontier walk, dispatch).
 // items_per_second = stepped vertex-rounds per second, the engine's
 // round-throughput — the number BENCH_engine.json tracks across PRs.
-void BM_EngineRing3(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph& g = ring(n);
-  const RingColoring3Algo algo(n);
+// counters["skipped"] is the vertex-rounds wake scheduling elided.
+template <class A>
+void engine_fixture(benchmark::State& state, const Graph& g,
+                    const A& algo) {
   std::uint64_t stepped = 0;
+  std::uint64_t skipped = 0;
   for (auto _ : state) {
     auto result = run_local(g, algo);
     stepped = stepped_vertex_rounds(result.metrics);
+    skipped = result.metrics.skipped_steps;
     benchmark::DoNotOptimize(result.outputs.data());
   }
   state.counters["stepped"] = static_cast<double>(stepped);
+  state.counters["skipped"] = static_cast<double>(skipped);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(stepped));
+}
+
+void BM_EngineRing3(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  engine_fixture(state, ring(n), RingColoring3Algo(n));
 }
 BENCHMARK(BM_EngineRing3)->Arg(1 << 12)->Arg(1 << 16);
 
@@ -76,131 +84,39 @@ void BM_EngineA2LogN(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const Graph& g = tree(n);
   const PartitionParams params{.arboricity = 1, .epsilon = 1.0};
-  const ColoringA2LogNAlgo algo(g.num_vertices(), params);
-  std::uint64_t stepped = 0;
-  for (auto _ : state) {
-    auto result = run_local(g, algo);
-    stepped = stepped_vertex_rounds(result.metrics);
-    benchmark::DoNotOptimize(result.outputs.data());
-  }
-  state.counters["stepped"] = static_cast<double>(stepped);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stepped));
+  engine_fixture(state, g, ColoringA2LogNAlgo(g.num_vertices(), params));
 }
 BENCHMARK(BM_EngineA2LogN)->Arg(1 << 12)->Arg(1 << 16);
 
+// Dense phase then a one-in-64 tail (bench::DensePhaseAlgo): the
+// active profile of the paper's algorithms, where the bitset walk
+// pays one load per mostly-dormant word through the tail.
+void BM_EngineDensePhase(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  engine_fixture(state, ring(n), bench::DensePhaseAlgo{});
+}
+BENCHMARK(BM_EngineDensePhase)->Arg(1 << 16);
+
 // Wait-heavy fixture pair: the composition workload whose subroutine
 // terminates early, so most vertex-rounds are idle waiting. The
-// unhinted row pins forced sparse, the no-calendar reference; the
-// hinted row runs the default wake-scheduled engine. Both process the
-// SAME stepped vertex-rounds (sleepers stay in active_per_round by
+// unhinted row runs under ScopedNoParking, the no-calendar reference;
+// the hinted row runs the default wake-scheduled engine. Both process
+// the SAME stepped vertex-rounds (sleepers stay in active_per_round by
 // contract), so the hinted/unhinted items_per_second ratio is exactly
-// the round-loop speedup wake scheduling buys; counters["skipped"]
-// shows the steps it elided.
-void wait_heavy_fixture(benchmark::State& state, FrontierMode mode) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph& g = tree(n);
-  const PartitionParams params{.arboricity = 1, .epsilon = 1.0};
-  const auto algo = bench::wait_heavy_composition(n, params);
-  std::uint64_t stepped = 0;
-  std::uint64_t skipped = 0;
-  for (auto _ : state) {
-    auto result = run_local(g, algo, {.frontier_mode = mode});
-    stepped = stepped_vertex_rounds(result.metrics);
-    skipped = result.metrics.skipped_steps;
-    benchmark::DoNotOptimize(result.outputs.data());
-  }
-  state.counters["stepped"] = static_cast<double>(stepped);
-  state.counters["skipped"] = static_cast<double>(skipped);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stepped));
-}
+// the round-loop speedup wake scheduling buys.
 void BM_EngineWaitHeavy(benchmark::State& state) {
-  wait_heavy_fixture(state, FrontierMode::kSparse);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const PartitionParams params{.arboricity = 1, .epsilon = 1.0};
+  const ScopedNoParking no_parking;
+  engine_fixture(state, tree(n), bench::wait_heavy_composition(n, params));
 }
 BENCHMARK(BM_EngineWaitHeavy)->Arg(1 << 16);
 void BM_EngineWaitHeavyHinted(benchmark::State& state) {
-  wait_heavy_fixture(state, FrontierMode::kAuto);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const PartitionParams params{.arboricity = 1, .epsilon = 1.0};
+  engine_fixture(state, tree(n), bench::wait_heavy_composition(n, params));
 }
 BENCHMARK(BM_EngineWaitHeavyHinted)->Arg(1 << 16);
-
-// Per-mode variants of the engine fixtures: the SECOND benchmark
-// argument is the numeric FrontierMode the run is pinned to (1 auto,
-// 2 dense, 3 sparse, 4 calendar — the FrontierMode values
-// scripts/perf_snapshot.py decodes from the fixture name). Outputs and
-// metrics are byte-identical across the four rows by the engine's
-// determinism contract (tests/test_frontier_engine.cpp); only
-// throughput differs, and the perf-smoke job fails if the auto row
-// falls more than 10% behind the best forced row on any fixture.
-// Every hinted family parks sleepers under auto, dense and calendar,
-// while forced sparse shows the no-calendar engine on the same run.
-FrontierMode mode_arg(const benchmark::State& state) {
-  return static_cast<FrontierMode>(state.range(1));
-}
-
-void BM_EngineRing3Mode(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph& g = ring(n);
-  const RingColoring3Algo algo(n);
-  std::uint64_t stepped = 0;
-  for (auto _ : state) {
-    auto result = run_local(g, algo, {.frontier_mode = mode_arg(state)});
-    stepped = stepped_vertex_rounds(result.metrics);
-    benchmark::DoNotOptimize(result.outputs.data());
-  }
-  state.counters["stepped"] = static_cast<double>(stepped);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stepped));
-}
-BENCHMARK(BM_EngineRing3Mode)
-    ->Args({1 << 16, 1})
-    ->Args({1 << 16, 2})
-    ->Args({1 << 16, 3})
-    ->Args({1 << 16, 4});
-
-void BM_EngineDensePhaseMode(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph& g = ring(n);
-  const bench::DensePhaseAlgo algo;
-  std::uint64_t stepped = 0;
-  for (auto _ : state) {
-    auto result = run_local(g, algo, {.frontier_mode = mode_arg(state)});
-    stepped = stepped_vertex_rounds(result.metrics);
-    benchmark::DoNotOptimize(result.outputs.data());
-  }
-  state.counters["stepped"] = static_cast<double>(stepped);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stepped));
-}
-BENCHMARK(BM_EngineDensePhaseMode)
-    ->Args({1 << 16, 1})
-    ->Args({1 << 16, 2})
-    ->Args({1 << 16, 3})
-    ->Args({1 << 16, 4});
-
-void BM_EngineWaitHeavyMode(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const Graph& g = tree(n);
-  const PartitionParams params{.arboricity = 1, .epsilon = 1.0};
-  const auto algo = bench::wait_heavy_composition(n, params);
-  std::uint64_t stepped = 0;
-  std::uint64_t skipped = 0;
-  for (auto _ : state) {
-    auto result = run_local(g, algo, {.frontier_mode = mode_arg(state)});
-    stepped = stepped_vertex_rounds(result.metrics);
-    skipped = result.metrics.skipped_steps;
-    benchmark::DoNotOptimize(result.outputs.data());
-  }
-  state.counters["stepped"] = static_cast<double>(stepped);
-  state.counters["skipped"] = static_cast<double>(skipped);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stepped));
-}
-BENCHMARK(BM_EngineWaitHeavyMode)
-    ->Args({1 << 16, 1})
-    ->Args({1 << 16, 2})
-    ->Args({1 << 16, 3})
-    ->Args({1 << 16, 4});
 
 // Calendar-queue microbenchmark: schedule n vertices across a 64-round
 // horizon and drain bucket by bucket — the two operations the wake
@@ -221,33 +137,6 @@ void BM_EngineCalendarQueue(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_EngineCalendarQueue)->Arg(1 << 20);
-
-// Worst case for bucket ordering: 8 scheduling waves, each appending
-// an ascending vertex subsequence into the same 16-bucket window — the
-// pattern an engine run produces when many rounds park vertices with
-// overlapping wake horizons. Every bucket accumulates 8 presorted runs
-// that take() must fold back into one ascending sequence; the
-// calendar's recorded run boundaries make that a cascade of
-// inplace_merges instead of a from-scratch sort of the whole bucket.
-void BM_EngineCalendarQueueInterleaved(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t waves = 8;
-  WakeCalendar cal;
-  for (auto _ : state) {
-    cal.reset(1);
-    for (std::size_t w = 0; w < waves; ++w)
-      for (Vertex v = static_cast<Vertex>(w); v < n;
-           v += static_cast<Vertex>(waves))
-        cal.schedule(v, 2 + ((v >> 3) & 15));
-    std::size_t drained = 0;
-    std::size_t round = 1;
-    while (cal.sleeping() > 0) drained += cal.take(round++).size();
-    benchmark::DoNotOptimize(drained);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_EngineCalendarQueueInterleaved)->Arg(1 << 20);
 
 // The Arb-Linial color-reduction kernel in isolation: one
 // CoverFreeFamily::pick_escaping call in the (2^16, 9) family the

@@ -22,28 +22,15 @@ Subcommands:
       kernel (picks per second) — against the LATEST snapshot; exit 1
       if any row drops below THRESHOLD * baseline (default 0.7, i.e. a
       30% regression budget).
-      Also cross-checks the per-mode fixtures (BM_Engine*Mode/N/M,
-      where M is the FrontierMode value 1 auto / 2 dense / 3 sparse /
-      4 calendar): the auto row must reach at least 90% of the best
-      forced mode's throughput on every fixture — the hybrid switch
-      must never cost more than its decision overhead.
 
 Used by scripts/bench_baseline.sh (append) and the perf-smoke job in
 scripts/run_all.sh (check). See docs/BENCHMARKS.md.
 """
 import datetime
 import json
-import re
 import sys
 
 BENCH_FILE = "BENCH_engine.json"
-
-# BM_EngineRing3Mode/65536/2 -> (family "BM_EngineRing3Mode/65536",
-# mode 2). Mode values mirror sim/network.hpp's FrontierMode.
-MODE_FIXTURE = re.compile(r"^(BM_Engine\w+Mode(?:/\d+)*)/([1-4])$")
-MODE_NAMES = {1: "auto", 2: "dense", 3: "sparse", 4: "calendar"}
-AUTO_VS_BEST_THRESHOLD = 0.9
-
 
 # bench_micro rows the snapshots record and the check gates.
 GATED_PREFIXES = ("BM_Engine", "BM_PickEscaping")
@@ -146,38 +133,7 @@ def cmd_check(micro_path, threshold):
         print("If the regression is intended, refresh the baseline with "
               "scripts/bench_baseline.sh and commit BENCH_engine.json.")
         sys.exit(1)
-    check_auto_vs_forced(fresh)
     print("perf-smoke: engine round-throughput within budget")
-
-
-def check_auto_vs_forced(fresh):
-    """Auto must stay within 10% of the best forced frontier mode."""
-    families = {}
-    for b in fresh:
-        m = MODE_FIXTURE.match(b["name"])
-        if m and b.get("items_per_second"):
-            families.setdefault(m.group(1), {})[int(m.group(2))] = \
-                b["items_per_second"]
-    failures = []
-    for family, modes in sorted(families.items()):
-        auto = modes.get(1)
-        forced = {k: v for k, v in modes.items() if k != 1}
-        if not auto or not forced:
-            continue
-        best_mode, best = max(forced.items(), key=lambda kv: kv[1])
-        ratio = auto / best
-        verdict = ("ok" if ratio >= AUTO_VS_BEST_THRESHOLD
-                   else "AUTO REGRESSION")
-        print(f"  {family}: auto {auto / 1e6:.2f}M vs best forced "
-              f"({MODE_NAMES[best_mode]}) {best / 1e6:.2f}M "
-              f"({ratio:.2f}x) {verdict}")
-        if ratio < AUTO_VS_BEST_THRESHOLD:
-            failures.append(family)
-    if failures:
-        print("PERF-SMOKE FAILED: hybrid auto frontier mode fell >"
-              f"{(1 - AUTO_VS_BEST_THRESHOLD) * 100:.0f}% behind the "
-              f"best forced mode on: {', '.join(failures)}")
-        sys.exit(1)
 
 
 def main():

@@ -150,7 +150,7 @@ fi
 # digit buffers; the Kuhn-Wattenhofer and list-color sweeps index
 # reused `taken` arrays) and the round engine's suites (the per-thread
 # workspace is shared by every State type and reused across runs; the
-# dense scan, calendar and dormancy barrier index it raw). UBSan
+# bitset walk, calendar and dormancy barrier index it raw). UBSan
 # findings abort the test instead of scrolling by. Skipped gracefully
 # where libasan or libubsan is absent.
 if echo 'int main(){}' | c++ -fsanitize=address,undefined -x c++ - -o /tmp/valocal_asan_probe 2>/dev/null; then

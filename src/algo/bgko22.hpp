@@ -20,7 +20,7 @@
 //    max(r(u), r(v)), the *edge-averaged* complexity is O(1) on
 //    bounded-degree graphs as well.
 //
-// Both run through run_local, so they inherit the engine's frontier /
+// Both run through run_local, so they inherit the engine's parking /
 // thread determinism contract and fill the full measure
 // summary (sim/metrics.hpp) like every other catalog entry.
 #pragma once

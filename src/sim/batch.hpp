@@ -23,7 +23,7 @@
 // Determinism. run_trial(i) must derive everything (graph, seed) from
 // the trial index; under that contract the result vector is
 // byte-identical to `for (i...) results[i] = run_trial(i)` for every
-// thread count and mode, because trials share no mutable state and the
+// thread count and regime, because trials share no mutable state and the
 // engine itself is deterministic. Tracing: the caller's sink (a
 // thread-local slot) is bridged to per-trial RecordingSink tapes that
 // are replayed in trial order after the batch — the observed stream is
@@ -56,15 +56,9 @@ struct BatchOptions {
   /// Total concurrency. 0 = inherit the engine default
   /// (set_engine_threads / thread-local override), like run_local.
   std::size_t num_threads = 0;
-  /// Approximate vertices per trial; informs the auto mode choice
-  /// (0 = unknown, auto then always shards per-trial).
+  /// Approximate vertices per trial; informs the regime choice
+  /// (0 = unknown, then trials always shard per-trial).
   std::size_t trial_vertices = 0;
-  enum class Mode : std::uint8_t {
-    kAuto,        // per-trial unless trials are scarce AND huge
-    kPerTrial,    // force trial-level sharding
-    kIntraTrial,  // force serial trials with intra-round parallelism
-  };
-  Mode mode = Mode::kAuto;
 };
 
 namespace detail_batch {
@@ -77,8 +71,6 @@ inline std::size_t resolve_threads(std::size_t requested) {
 
 inline bool use_per_trial(std::size_t num_trials, std::size_t threads,
                           const BatchOptions& opt) {
-  if (opt.mode == BatchOptions::Mode::kPerTrial) return true;
-  if (opt.mode == BatchOptions::Mode::kIntraTrial) return false;
   if (threads <= 1) return true;  // serial either way; skip the pool
   // Per-trial sharding wins unless trials cannot fill the pool AND
   // each trial is big enough for intra-round parallelism to bite.

@@ -1,4 +1,6 @@
 // Mailbox engine: the explicit message-passing face of the LOCAL model.
+// A reference engine: serial and unoptimized, used only to cross-check
+// run_local.
 //
 // run_local (network.hpp) models LOCAL communication as "publish your
 // state to all neighbors" — the most general form under unbounded
@@ -90,12 +92,6 @@ struct MailboxRunResult {
   std::vector<typename A::Output> outputs;
   Metrics metrics;
   std::uint64_t messages_sent = 0;
-  /// Inbox slots the engine actually cleared, summed over rounds. The
-  /// engine only touches inboxes that received messages (work per round
-  /// is O(active + deliveries), NOT O(n)); this counter is the
-  /// regression witness — tests assert it tracks the delivery count,
-  /// not rounds * n.
-  std::uint64_t inboxes_cleared = 0;
 };
 
 /// Runs `algo` on `g` to completion. Like run_local, the engine
@@ -116,27 +112,14 @@ MailboxRunResult<A> run_mailbox(const Graph& g, const A& algo,
   result.metrics.rounds.assign(n, 0);
 
   std::vector<State> state(n);
-  // inboxes[v] = messages awaiting delivery to v next round. In sparse
-  // rounds only the TOUCHED inboxes (those that received a message) are
-  // tracked and cleared, so a handful of active vertices late in a run
-  // cost O(active + deliveries), not an O(n) sweep. In dense rounds —
-  // most vertices sending — the per-message empty-check + touched-list
-  // append is pure overhead and the tracking is hoisted out entirely:
-  // routing appends blind and the clear does one flat sweep, counting
-  // the non-empty inboxes it recycles so `inboxes_cleared` stays exact
-  // under either strategy. The threshold (active >= n/2) picks the
-  // strategy per round; `inbox_tracked` remembers which one produced
-  // the inbox side across the pending/inbox swap.
+  // inbox[v] = messages delivered to v this round; pending[v] = messages
+  // sent to v this round, delivered next round.
   std::vector<std::vector<std::pair<std::uint32_t, Message>>> inbox(n),
       pending(n);
-  std::vector<Vertex> inbox_touched, pending_touched;
-  bool inbox_tracked = true, pending_tracked = true;
 
   auto route = [&](Vertex v, const Outbox<Message>& out) {
     for (const auto& [port, msg] : out.staged()) {
       const Vertex u = g.neighbors(v)[port];
-      if (pending_tracked && pending[u].empty())
-        pending_touched.push_back(u);
       pending[u].emplace_back(
           static_cast<std::uint32_t>(g.neighbor_port(v, port)), msg);
       ++result.messages_sent;
@@ -149,15 +132,12 @@ MailboxRunResult<A> run_mailbox(const Graph& g, const A& algo,
 
   std::vector<Vertex> active(n);
   for (Vertex v = 0; v < n; ++v) active[v] = v;
-  pending_tracked = false;  // every vertex inits: the dense regime
   for (Vertex v = 0; v < n; ++v) {
     Outbox<Message> out(g.degree(v));
     algo.init(v, g, state[v], out);
     route(v, out);
   }
   inbox.swap(pending);
-  inbox_touched.swap(pending_touched);
-  inbox_tracked = false;
 
   const std::size_t cap = max_rounds != 0 ? max_rounds : 64 * n + 100000;
 
@@ -194,9 +174,6 @@ MailboxRunResult<A> run_mailbox(const Graph& g, const A& algo,
                                __LINE__, msg);
     }
     result.metrics.active_per_round.push_back(active.size());
-    // Messages routed below land in `pending`; choose its tracking
-    // strategy from this round's sender count (see the inbox comment).
-    pending_tracked = active.size() * 2 < n;
     // Wall-clock parity with run_local: one entry per round, so
     // total_wall_ns() / write_round_timings_csv see real numbers for
     // mailbox runs too.
@@ -224,26 +201,9 @@ MailboxRunResult<A> run_mailbox(const Graph& g, const A& algo,
         still_active.push_back(v);
       }
     }
-    // Recycle the inboxes that held messages this round; their vectors
-    // keep their capacity for the next time the same vertex receives
-    // (the buffers rotate through the inbox/pending swap). Tracked
-    // rounds clear exactly the touched list; untracked (dense) rounds
-    // sweep flat, counting the non-empty inboxes so the counter is the
-    // same either way.
-    if (inbox_tracked) {
-      result.inboxes_cleared += inbox_touched.size();
-      for (Vertex v : inbox_touched) inbox[v].clear();
-      inbox_touched.clear();
-    } else {
-      for (Vertex v = 0; v < n; ++v) {
-        if (inbox[v].empty()) continue;
-        ++result.inboxes_cleared;
-        inbox[v].clear();
-      }
-    }
+    // This round's deliveries are consumed; next round's are pending.
+    for (auto& box : inbox) box.clear();
     inbox.swap(pending);
-    inbox_touched.swap(pending_touched);
-    inbox_tracked = pending_tracked;
     const std::size_t stepped = active.size();
     active.swap(still_active);
 

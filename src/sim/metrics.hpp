@@ -67,17 +67,15 @@ struct Metrics {
   std::vector<std::uint64_t> round_wall_ns;
   // Vertex-rounds the wake-scheduled engine skipped (vertices parked
   // in the calendar queue while counted in active_per_round). 0 only
-  // under forced FrontierMode::kSparse (the no-calendar reference) and
-  // for algorithms without a next_wake hint. Simulator-cost accounting
-  // only: the skipped
-  // steps are provably no-ops, so no semantic field depends on this.
+  // under ScopedNoParking (the no-calendar reference) and for
+  // algorithms without a next_wake hint. Simulator-cost accounting
+  // only: the skipped steps are provably no-ops, so no semantic field
+  // depends on this.
   std::uint64_t skipped_steps = 0;
-  // Times run_local's per-round dispatch changed frontier
-  // representation (dense flat scan <-> sparse list / calendar). Like
-  // skipped_steps this is simulator-cost accounting: the representation
-  // schedule never affects outputs, r(v), or active_per_round. Always 0
-  // under a forced RunOptions::frontier_mode and for the mailbox
-  // engine.
+  // Always 0: the engine has one frontier representation, so there is
+  // nothing to switch. Exists only because the repository benchmark's
+  // run record (perfbench/valocal_bench.cpp) sums it; that record is
+  // its only reader.
   std::uint64_t frontier_switches = 0;
   // Vertices parked in the calendar queue in round i+1 (so
   // awake_i = active_per_round[i] - parked_per_round[i]). Filled only

@@ -29,34 +29,12 @@
 // serially, so no reader can observe an in-progress copy. See
 // docs/MODEL.md ("Engine memory layout & batching").
 //
-// Frontier representations (RunOptions::frontier_mode). The per-round
-// dispatch switches between three ways of enumerating the awake set on
-// a measured threshold — the dense-then-sparse active profile of the
-// paper's algorithms is exactly the shape where one representation
-// loses:
-//
-//   dense    — index-order walk of the awake bitset (one bit per
-//              vertex, kept in lockstep with the authoritative
-//              `inactive` byte array; `committed` stays a contiguous
-//              byte array for sequential scans). Zero active-list
-//              maintenance, a fully dormant 64-vertex block costs one
-//              load; chosen when awake/n >= 1/4.
-//   sparse   — the sorted active list: per-chunk survivor lists merged
-//              in ascending-vertex chunk order, exactly the serial
-//              iteration.
-//   calendar — the sparse list plus the wake calendar
-//              (sim/wake_calendar.hpp) parking vertices whose
-//              next_wake() hint names a future round; per-round cost
-//              O(awake + newly-woken).
-//
-// `auto` picks dense above the threshold and otherwise
-// calendar-or-sparse (calendar iff the algorithm is WakeHinted); a
-// switch is a cheap comparison on the maintained awake count, not a
-// rebuild — only a dense->list transition pays one O(n) scan to
-// rebuild the list. The representation schedule is a pure function of
-// the awake counts, which are schedule-independent, so forcing any
-// mode (tests, benches) or letting auto switch yields byte-identical
-// outputs, r(v), active_per_round, and RNG streams.
+// Frontier. The awake set is one bitset, a bit per vertex. Every
+// round walks it word by word in index order, so a fully dormant
+// 64-vertex block costs one load and the iteration is exactly the
+// serial ascending-vertex order. Bits are only flipped serially: set
+// when the wake calendar returns a vertex, cleared at the round
+// barrier when a vertex terminates or parks.
 //
 // Wake scheduling (always on for WakeHinted algorithms). Algorithms
 // whose vertices idle until a precomputed round — block schedules,
@@ -64,10 +42,9 @@
 // the engine parks such vertices in a calendar queue
 // (sim/wake_calendar.hpp) and skips their no-op steps. A parked vertex
 // is exactly the terminated-vertex path generalized to "until round
-// T": its published state freezes into both buffers, then it rejoins
-// the frontier. Parking works in dense mode too (sleepers' awake bits
-// are cleared, so the word scan skips them for free). Forcing
-// FrontierMode::kSparse turns parking off: that mode is the
+// T": its published state freezes into both buffers and its awake bit
+// clears, then the calendar sets the bit again in round T. A
+// ScopedNoParking scope turns parking off: that engine is the
 // no-calendar reference the wake-scheduled runs are byte-compared
 // against. Metrics::skipped_steps and the trace `asleep` field record
 // the simulator work saved.
@@ -95,11 +72,11 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <concepts>
 #include <cstdint>
 #include <cstdio>
-#include <iterator>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -217,8 +194,8 @@ concept LocalAlgorithm = requires(const A a, Vertex v, const Graph& g,
 /// state unchanged, returned kContinue, and drawn nothing from the RNG
 /// — then the frozen published state is value-identical to what
 /// republication would have produced, and outputs, r(v), and RNG
-/// streams are byte-identical to the no-calendar engine (forced
-/// FrontierMode::kSparse). Hints may be
+/// streams are byte-identical to the no-calendar engine (run under
+/// ScopedNoParking). Hints may be
 /// conservative (round + 1 is always sound) but never optimistic.
 template <class A>
 concept WakeHinted =
@@ -293,56 +270,39 @@ class ScopedEngineThreadOverride {
 /// reader.
 inline bool engine_sleep_hints() { return true; }
 
-/// Per-round frontier representation policy (see the file comment and
-/// RunOptions::frontier_mode). kAuto switches on the measured
-/// awake-fraction threshold; the forced modes pin one representation
-/// for every round so tests and benches can diff them. Forcing kSparse
-/// also disarms wake-calendar parking (that is what distinguishes it
-/// from kCalendar, and what makes it the no-calendar reference);
-/// forcing kDense keeps parking armed — sleepers' awake bits are
-/// cleared, so the word scan skips them. All settings are
-/// byte-identical in outputs, r(v), active_per_round, and RNG streams.
-enum class FrontierMode : std::uint8_t {
-  kInherit = 0,  // RunOptions only: follow the process-wide default
-  kAuto = 1,
-  kDense = 2,
-  kSparse = 3,
-  kCalendar = 4,
+/// Test/bench hook: while a ScopedNoParking is alive, run_local steps
+/// every vertex of a WakeHinted algorithm each round instead of
+/// parking it. That engine is the no-calendar reference the default
+/// engine is byte-compared against. Process-wide, so it covers whole
+/// registry pipelines and batch workers; scopes nest. Not a user-facing
+/// option: no RunOptions field, flag or env var reaches it.
+inline bool& detail_engine_no_parking() {
+  static bool no_parking = false;
+  return no_parking;
+}
+
+class ScopedNoParking {
+ public:
+  ScopedNoParking() : previous_(detail_engine_no_parking()) {
+    detail_engine_no_parking() = true;
+  }
+  ~ScopedNoParking() { detail_engine_no_parking() = previous_; }
+  ScopedNoParking(const ScopedNoParking&) = delete;
+  ScopedNoParking& operator=(const ScopedNoParking&) = delete;
+
+ private:
+  bool previous_;
 };
 
-inline const char* frontier_mode_name(FrontierMode mode) {
-  switch (mode) {
-    case FrontierMode::kAuto:
-      return "auto";
-    case FrontierMode::kDense:
-      return "dense";
-    case FrontierMode::kSparse:
-      return "sparse";
-    case FrontierMode::kCalendar:
-      return "calendar";
-    case FrontierMode::kInherit:
-      break;
-  }
-  return "inherit";
-}
+/// The engine has one frontier, the awake bitset (see the file
+/// comment). This fixed one-value report exists only because the
+/// repository benchmark's run record (perfbench/valocal_bench.cpp)
+/// prints it; that record is its only reader.
+enum class FrontierMode : std::uint8_t { kDense };
 
-/// Process-wide default frontier mode, consulted by runs whose
-/// RunOptions::frontier_mode is kInherit. kAuto by default; a test or
-/// bench hook (it sweeps whole registry pipelines across modes), not a
-/// user-facing option.
-inline FrontierMode& detail_engine_frontier_mode() {
-  static FrontierMode mode = FrontierMode::kAuto;
-  return mode;
-}
+inline const char* frontier_mode_name(FrontierMode) { return "dense"; }
 
-inline void set_engine_frontier_mode(FrontierMode mode) {
-  detail_engine_frontier_mode() =
-      mode == FrontierMode::kInherit ? FrontierMode::kAuto : mode;
-}
-
-inline FrontierMode engine_frontier_mode() {
-  return detail_engine_frontier_mode();
-}
+inline FrontierMode engine_frontier_mode() { return FrontierMode::kDense; }
 
 /// The engine stores states in one layout, the AoS double buffer. This
 /// fixed one-value report exists only because the repository
@@ -373,12 +333,6 @@ struct RunOptions {
   /// Vertices per parallel work chunk; 0 = automatic. Purely a
   /// scheduling knob: any value yields identical results.
   std::size_t grain = 0;
-  /// Frontier representation policy: kInherit follows the process-wide
-  /// default (set_engine_frontier_mode(), initially kAuto). Purely a
-  /// simulator-cost knob — every setting is byte-identical (see
-  /// FrontierMode); forced kSparse is the one setting under which
-  /// WakeHinted algorithms' idle vertices are stepped, not parked.
-  FrontierMode frontier_mode = FrontierMode::kInherit;
   /// Materialize RunResult::final_states (every vertex's post-run
   /// State). Off by default: outputs + metrics are the production
   /// surface, and only tests read the final states. Purely a
@@ -397,13 +351,6 @@ struct RunResult {
 
 namespace detail_engine {
 
-/// Awake-fraction threshold for kAuto: dense when awake/n >= 1/4.
-/// Below it the flat scan reads >= 4 dormancy bytes per useful step,
-/// and the sparse list wins (measured on the ring and dense-phase
-/// fixtures; the exact constant is not load-bearing for correctness —
-/// the representation schedule is deterministic for any value).
-inline constexpr std::size_t kDenseFractionDenominator = 4;
-
 /// Reusable engine workspace, one per thread whatever the State type:
 /// everything run_local allocates that neither escapes into the
 /// RunResult nor depends on State. Repeated runs on a thread — a batch
@@ -411,23 +358,15 @@ inline constexpr std::size_t kDenseFractionDenominator = 4;
 /// capacity instead of paying the allocator, or keeping a copy per
 /// State type alive.
 struct EngineWorkspace {
-  /// Structure-of-arrays dormancy bytes: 0 awake, 1 parked, 2
-  /// terminated. Authoritative; the sparse rebuild and wake logic
-  /// read it.
-  std::vector<std::uint8_t> inactive;
-  /// Bitset mirror of `inactive`: one awake bit per vertex, so the
-  /// dense scan tests 64 vertices per load and a fully dormant block
-  /// costs nothing. Maintained serially (wake phase and
-  /// round barrier only). `committed` deliberately stays a byte array
-  /// — distinct vertices stamp it concurrently from worker threads,
-  /// which a shared-word bitset cannot support without atomics.
+  /// The frontier: one awake bit per vertex, so the round scan tests 64
+  /// vertices per load and a fully dormant block costs nothing.
+  /// Maintained serially (wake phase and round barrier only).
+  /// `committed` deliberately stays a byte array — distinct vertices
+  /// stamp it concurrently from worker threads, which a shared-word
+  /// bitset cannot support without atomics.
   std::vector<std::uint64_t> awake_words;
   std::vector<std::uint8_t> committed;
   std::vector<Xoshiro256> rng;
-  std::vector<Vertex> active;
-  std::vector<Vertex> still_active;
-  std::vector<Vertex> merged;
-  std::vector<std::vector<Vertex>> chunk_active;
   /// Per-chunk dormancy deltas: (v, wake_round), wake_round == 0
   /// meaning terminated (real wake rounds are always > the current
   /// round, hence nonzero). Applied at the barrier in chunk order.
@@ -480,15 +419,14 @@ class ScratchLease {
   Scratch fallback_;
 };
 
-/// Steps one vertex and stages its side effects; returns true iff the
-/// vertex stays on the frontier (termination and parking are recorded
-/// as chunk-local dormancy deltas and applied at the round barrier).
-/// Deliberately a free function with explicit parameters, not a
-/// capturing lambda shared by the dense and sparse loops: the capture
-/// struct defeats scalar replacement and costs ~20% on step-light
-/// workloads, while explicit arguments inline cleanly into both loops.
+/// Steps one vertex and stages its side effects: termination and
+/// parking are recorded as chunk-local dormancy deltas and applied at
+/// the round barrier. Deliberately a free function with explicit
+/// parameters, not a capturing lambda: the capture struct defeats
+/// scalar replacement and costs ~20% on step-light workloads, while
+/// explicit arguments inline cleanly into the bitset walk.
 template <LocalAlgorithm A>
-[[gnu::always_inline]] inline bool step_one(
+[[gnu::always_inline]] inline void step_one(
     const A& algo, const Graph& g, std::size_t round, Vertex v,
     RoundView<typename A::State>& view, const typename A::State* read,
     typename A::State* write, std::uint8_t* committed,
@@ -536,7 +474,7 @@ template <LocalAlgorithm A>
   if (verdict == StepResult::kTerminate) {
     if (counters != nullptr) ++counters->terminated;
     dormant.emplace_back(v, 0);
-    return false;
+    return;
   }
   if constexpr (WakeHinted<A>) {
     // Park a continuing vertex whose hint names a future round. Hints
@@ -544,13 +482,9 @@ template <LocalAlgorithm A>
     // mutate state every round.
     if (parking && verdict == StepResult::kContinue) {
       const std::size_t wake = algo.next_wake(v, round, next);
-      if (wake > round + 1) {
-        dormant.emplace_back(v, wake);
-        return false;
-      }
+      if (wake > round + 1) dormant.emplace_back(v, wake);
     }
   }
-  return true;
 }
 
 }  // namespace detail_engine
@@ -559,15 +493,12 @@ template <LocalAlgorithm A>
 ///
 /// Determinism contract. For fixed (graph, algorithm, seed), outputs,
 /// final_states, Metrics::rounds, and Metrics::active_per_round are
-/// byte-identical for every num_threads/grain/frontier_mode
-/// combination: each awake vertex is stepped exactly once per round
-/// against the previous round's buffer with its own RNG stream, every
-/// per-vertex write (next state, r(v), committed output, dormancy
-/// freeze) lands in a slot only that vertex touches, dormancy deltas
-/// are applied at the barrier in ascending-vertex chunk order, and the
-/// representation schedule is a pure function of the (deterministic)
-/// awake counts — so dense scans, sparse lists, and the calendar all
-/// reproduce exactly the serial ascending-vertex iteration.
+/// byte-identical for every num_threads/grain combination, with or
+/// without parking: each awake vertex is stepped exactly once per
+/// round against the previous round's buffer with its own RNG stream,
+/// every per-vertex write (next state, r(v), committed output,
+/// dormancy freeze) lands in a slot only that vertex touches, and the
+/// awake bitset only changes at the serial wake phase and barrier.
 ///
 /// Output freezing. The first round in which a vertex returns kCommit
 /// or kTerminate fixes BOTH r(v) and its output: the engine snapshots
@@ -578,15 +509,13 @@ template <LocalAlgorithm A>
 /// Observability. When a trace sink is installed (trace::set_sink —
 /// the slot is thread-local; the engine consults the calling thread's),
 /// the engine reports one RoundEvent per round — active / charged /
-/// committed / terminated counts, the round's frontier representation,
-/// published-state volume (sizeof(State) * degree summed over stepped
-/// vertices) and, for algorithms satisfying trace::PhaseTraced,
-/// per-phase charged counts — plus run begin/end events carrying the
-/// representation-switch total and the pool's worker-load counters.
-/// All trace fields except wall_ns (and the schedule-dependent
-/// frontier_mode label under kAuto vs forced modes) are sums over the
-/// round's vertex set and therefore covered by the determinism
-/// contract above. With no sink installed (the default) the tracing
+/// committed / terminated counts, published-state volume
+/// (sizeof(State) * degree summed over stepped vertices) and, for
+/// algorithms satisfying trace::PhaseTraced, per-phase charged counts
+/// — plus run begin/end events carrying the skipped-step total and the
+/// pool's worker-load counters. All trace fields except wall_ns and
+/// worker_load are sums over the round's vertex set and therefore
+/// covered by the determinism contract above. With no sink installed (the default) the tracing
 /// path reduces to one null-pointer test per vertex and the engine
 /// behaves exactly as before.
 template <LocalAlgorithm A>
@@ -629,25 +558,16 @@ RunResult<A> run_local(const Graph& g, const A& algo,
     for (Vertex v = 0; v < n; ++v) rng.push_back(vertex_rng(opt.seed, v));
   }
 
-  // Frontier state (see file comment). The byte array is authoritative;
-  // the sparse list mirrors it only while list rounds run — a dense
-  // round invalidates it, and the first list round after a dense run
-  // rebuilds it with one O(n) scan. The awake bitset stays in lockstep
-  // (one bit per vertex, maintained at the same serial points as the
-  // byte array): the dense scan walks it word by word, so a
-  // fully dormant 64-vertex block costs one load — the byte-at-a-time
-  // skip loop it replaces paid a taken branch per dormant vertex, and
-  // GCC's block layout made that two taken branches in the big
-  // composed-algorithm instantiations (~2x on park-heavy dense runs).
-  auto& inactive = ws.inactive;
-  inactive.assign(n, 0);
+  // The frontier (see file comment): one awake bit per vertex. The
+  // round scan walks it word by word, so a fully dormant 64-vertex
+  // block costs one load — the byte-at-a-time skip loop it replaced
+  // paid a taken branch per dormant vertex, and GCC's block layout
+  // made that two taken branches in the big composed-algorithm
+  // instantiations (~2x on park-heavy runs).
   auto& awake_words = ws.awake_words;
   awake_words.assign((n + 63) / 64, ~0ULL);
   if ((n & 63) != 0) awake_words.back() = ~0ULL >> (64 - (n & 63));
   std::size_t awake_count = n;
-  auto& active = ws.active;
-  active.clear();
-  bool list_valid = false;
 
   const std::size_t cap =
       opt.max_rounds != 0 ? opt.max_rounds : 64 * n + 100000;
@@ -657,21 +577,12 @@ RunResult<A> run_local(const Graph& g, const A& algo,
           ? opt.num_threads
           : (thread_override != 0 ? thread_override : engine_threads());
 
-  FrontierMode forced = opt.frontier_mode != FrontierMode::kInherit
-                            ? opt.frontier_mode
-                            : engine_frontier_mode();
-  if (forced == FrontierMode::kInherit) forced = FrontierMode::kAuto;
-  // Wake scheduling: every WakeHinted algorithm parks, in dense rounds
-  // too (the word scan skips sleepers); only forcing kSparse disarms
-  // it — that forced mode IS the no-calendar engine. Unhinted
-  // algorithms never touch the calendar.
-  const bool parking = WakeHinted<A> && forced != FrontierMode::kSparse;
+  // Wake scheduling: every WakeHinted algorithm parks unless a
+  // ScopedNoParking scope is alive — that scope IS the no-calendar
+  // engine. Unhinted algorithms never touch the calendar.
+  const bool parking = WakeHinted<A> && !detail_engine_no_parking();
   WakeCalendar& calendar = ws.calendar;
   calendar.reset(1);
-  // kAuto picks dense while awake_count >= n / kDenseFractionDenominator
-  // (evaluated multiplication-side to avoid rounding): deterministic,
-  // since awake counts are schedule-independent.
-  const std::size_t dense_num = detail_engine::kDenseFractionDenominator;
 
   // Outputs snapshotted at commit/terminate time (see contract above):
   // dense array + committed bitmap, so the hot path never touches an
@@ -699,18 +610,25 @@ RunResult<A> run_local(const Graph& g, const A& algo,
         phase_names);
 
   ThreadPool pool(num_threads);
-  // Per-chunk survivor lists give the sparse path its deterministic
-  // merge order (chunk c covers active[c*grain, (c+1)*grain), so chunk
-  // order IS ascending-vertex order); the dense path needs none —
-  // index order is vertex order by construction. Dormancy deltas and
-  // trace counters follow the same scheme: chunk-private accumulation,
-  // applied/merged at the barrier in chunk order (deltas) or by
+  // Chunk size only shapes the schedule, never the result; the
+  // automatic choice aims for a few chunks per worker so dynamic
+  // claiming absorbs per-chunk load imbalance. Chunk c covers vertex
+  // indices [c*grain, (c+1)*grain), so chunk order IS ascending-vertex
+  // order. Dormancy deltas and trace counters are accumulated per
+  // chunk and applied at the barrier in chunk order (deltas) or by
   // summation (counters; order-independent, hence byte-deterministic).
-  auto& chunk_active = ws.chunk_active;
+  const std::size_t grain =
+      opt.grain != 0
+          ? opt.grain
+          : std::max<std::size_t>(
+                64, (n + 4 * num_threads - 1) / (4 * num_threads));
+  const std::size_t num_chunks = (n + grain - 1) / grain;
   auto& chunk_dormant = ws.chunk_dormant;
   auto& chunk_counters = ws.chunk_counters;
   auto& round_phase_charged = ws.round_phase_charged;
-  auto& still_active = ws.still_active;
+  if (chunk_dormant.size() < num_chunks) chunk_dormant.resize(num_chunks);
+  if (sink != nullptr && chunk_counters.size() < num_chunks)
+    chunk_counters.resize(num_chunks);
   // Counters for parked vertices: sleepers are active in the LOCAL
   // model, so when a sink is installed they must be charged each round
   // exactly as the no-calendar engine would — the engine walks the
@@ -718,25 +636,16 @@ RunResult<A> run_local(const Graph& g, const A& algo,
   trace::ChunkCounters sleep_counters;
 
   std::size_t round = 0;
-  std::size_t switches = 0;
-  FrontierMode last_repr = FrontierMode::kInherit;  // none yet
   while (awake_count > 0 || calendar.sleeping() > 0) {
     ++round;
-    // Wake phase: pop this round's bucket (sorted ascending). The woken
-    // vertices' frozen states already sit in BOTH buffers, so flipping
-    // their dormancy byte (and awake bit) is the whole transition; the
-    // sparse path additionally merges them into the (ascending) active
-    // list below.
-    std::vector<Vertex>* woken = nullptr;
+    // Wake phase: the woken vertices' frozen states already sit in
+    // BOTH buffers, so setting their awake bits is the whole
+    // transition.
     if (parking) {
-      woken = &calendar.take(round);
-      if (!woken->empty()) {
-        for (const Vertex v : *woken) {
-          inactive[v] = 0;
-          awake_words[v >> 6] |= std::uint64_t{1} << (v & 63);
-        }
-        awake_count += woken->size();
-      }
+      const std::vector<Vertex>& woken = calendar.take(round);
+      for (const Vertex v : woken)
+        awake_words[v >> 6] |= std::uint64_t{1} << (v & 63);
+      awake_count += woken.size();
     }
     const std::size_t asleep = calendar.sleeping();
     if (round > cap) {
@@ -753,69 +662,7 @@ RunResult<A> run_local(const Graph& g, const A& algo,
     result.metrics.active_per_round.push_back(awake_count + asleep);
     result.metrics.skipped_steps += asleep;
     if (parking) result.metrics.parked_per_round.push_back(asleep);
-
-    // Representation decision: forced modes pin it; kAuto compares the
-    // maintained awake count against the dense threshold. Counted as a
-    // switch whenever the label changes between consecutive rounds.
-    FrontierMode repr;
-    switch (forced) {
-      case FrontierMode::kDense:
-        repr = FrontierMode::kDense;
-        break;
-      case FrontierMode::kSparse:
-        repr = FrontierMode::kSparse;
-        break;
-      case FrontierMode::kCalendar:
-        repr = FrontierMode::kCalendar;
-        break;
-      default:
-        repr = awake_count * dense_num >= n
-                   ? FrontierMode::kDense
-                   : (parking ? FrontierMode::kCalendar
-                              : FrontierMode::kSparse);
-        break;
-    }
-    if (last_repr != FrontierMode::kInherit && repr != last_repr)
-      ++switches;
-    last_repr = repr;
-    const bool dense = repr == FrontierMode::kDense;
-    if (dense) {
-      // Dormancy transitions during a dense round bypass the list;
-      // the next list round rebuilds it from the byte array.
-      list_valid = false;
-    } else if (!list_valid) {
-      active.clear();
-      for (Vertex v = 0; v < n; ++v)
-        if (inactive[v] == 0) active.push_back(v);
-      list_valid = true;
-    } else if (woken != nullptr && !woken->empty()) {
-      auto& merged = ws.merged;
-      merged.clear();
-      merged.reserve(active.size() + woken->size());
-      std::merge(active.begin(), active.end(), woken->begin(),
-                 woken->end(), std::back_inserter(merged));
-      active.swap(merged);
-    }
-    VALOCAL_DCHECK(dense || active.size() == awake_count,
-                   "sparse active list out of sync with awake count");
     const auto round_start = Clock::now();
-
-    // Chunk size only shapes the schedule, never the result; the
-    // automatic choice aims for a few chunks per worker so dynamic
-    // claiming absorbs per-chunk load imbalance. Dense rounds chunk
-    // the full index range, sparse rounds the active list.
-    const std::size_t domain = dense ? n : active.size();
-    const std::size_t grain =
-        opt.grain != 0
-            ? opt.grain
-            : std::max<std::size_t>(
-                  64, (domain + 4 * num_threads - 1) / (4 * num_threads));
-    const std::size_t num_chunks = (domain + grain - 1) / grain;
-    if (!dense && chunk_active.size() < num_chunks)
-      chunk_active.resize(num_chunks);
-    if (chunk_dormant.size() < num_chunks) chunk_dormant.resize(num_chunks);
-    if (sink != nullptr && chunk_counters.size() < num_chunks)
-      chunk_counters.resize(num_chunks);
 
     // This round's write side; the other one is the frozen read side.
     // Every awake vertex writes only its own slots; dormant vertices'
@@ -824,7 +671,7 @@ RunResult<A> run_local(const Graph& g, const A& algo,
     const State* const read_buf = bufs[1 - (round & 1)];
 
     pool.parallel_for_chunks(
-        domain, grain,
+        n, grain,
         [&](std::size_t chunk, std::size_t begin, std::size_t end) {
           auto& dormant = chunk_dormant[chunk];
           dormant.clear();
@@ -845,55 +692,25 @@ RunResult<A> run_local(const Graph& g, const A& algo,
           }();
           std::uint32_t* const rounds_out = result.metrics.rounds.data();
           std::uint8_t* const committed_out = committed.data();
-          if (dense) {
-            // Word-granular scan over the awake bitset: a fully
-            // dormant 64-vertex block costs one load, and the set-bit
-            // walk takes no per-vertex branch on the dormancy byte (the
-            // flat byte-tested scan this replaces cost two taken
-            // branches per dormant vertex once GCC split the skip loop
-            // across the big composed instantiations).
-            const std::uint64_t* const words = awake_words.data();
-            for (std::size_t w = begin >> 6; (w << 6) < end; ++w) {
-              const std::size_t base = w << 6;
-              std::uint64_t bits = words[w];
-              if (base < begin) bits &= ~std::uint64_t{0} << (begin - base);
-              if (end - base < 64)
-                bits &= (std::uint64_t{1} << (end - base)) - 1;
-              if (bits == 0) continue;
-              while (bits != 0) {
-                const auto b =
-                    static_cast<unsigned>(std::countr_zero(bits));
-                bits &= bits - 1;
-                (void)detail_engine::step_one(
-                    algo, g, round, static_cast<Vertex>(base + b), view,
-                    read_buf, next_buf, committed_out, outputs, rounds_out,
-                    rng_streams, null_rng, parking, counters, dormant);
-              }
-            }
-          } else {
-            auto& still = chunk_active[chunk];
-            still.clear();
-            for (std::size_t i = begin; i < end; ++i) {
-              const Vertex v = active[i];
-              if (detail_engine::step_one(
-                      algo, g, round, v, view, read_buf, next_buf,
-                      committed_out, outputs, rounds_out, rng_streams,
-                      null_rng, parking, counters, dormant))
-                still.push_back(v);
+          // Set-bit walk over the chunk's slice of the awake bitset.
+          const std::uint64_t* const words = awake_words.data();
+          for (std::size_t w = begin >> 6; (w << 6) < end; ++w) {
+            const std::size_t base = w << 6;
+            std::uint64_t bits = words[w];
+            if (base < begin) bits &= ~std::uint64_t{0} << (begin - base);
+            if (end - base < 64)
+              bits &= (std::uint64_t{1} << (end - base)) - 1;
+            while (bits != 0) {
+              const auto b = static_cast<unsigned>(std::countr_zero(bits));
+              bits &= bits - 1;
+              detail_engine::step_one(
+                  algo, g, round, static_cast<Vertex>(base + b), view,
+                  read_buf, next_buf, committed_out, outputs, rounds_out,
+                  rng_streams, null_rng, parking, counters, dormant);
             }
           }
         });
-
-    // Round barrier, part 1 (sparse only): merge the survivor lists in
-    // chunk order — exactly the serial ascending-vertex iteration.
     const std::size_t stepped = awake_count;
-    if (!dense) {
-      still_active.clear();
-      for (std::size_t c = 0; c < num_chunks; ++c)
-        still_active.insert(still_active.end(), chunk_active[c].begin(),
-                            chunk_active[c].end());
-      active.swap(still_active);
-    }
 
     // Sleeper accounting, BEFORE parking this round's new sleepers
     // (those were stepped above and already counted by their chunks).
@@ -913,24 +730,18 @@ RunResult<A> run_local(const Graph& g, const A& algo,
       });
     }
 
-    // Round barrier, part 2: apply the dormancy deltas. Each dormant
-    // vertex's last write is frozen into the other buffer (so future
-    // rounds' single-buffer reads see it without republication), its
-    // byte (and awake bit) is stamped, and parked vertices enter the
-    // calendar — serially, in chunk order, touching per-vertex slots
-    // only.
+    // Round barrier: apply the dormancy deltas. Each dormant vertex's
+    // last write is frozen into the other buffer (so future rounds'
+    // single-buffer reads see it without republication), its awake bit
+    // is cleared, and parked vertices enter the calendar — serially,
+    // touching per-vertex slots only.
     std::size_t dormant_total = 0;
     State* const other_buf = bufs[1 - (round & 1)];
     for (std::size_t c = 0; c < num_chunks; ++c) {
       for (const auto& [v, wake] : chunk_dormant[c]) {
         other_buf[v] = next_buf[v];
         awake_words[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
-        if (wake == 0) {
-          inactive[v] = 2;
-        } else {
-          inactive[v] = 1;
-          calendar.schedule(v, wake);
-        }
+        if (wake != 0) calendar.schedule(v, wake);
       }
       dormant_total += chunk_dormant[c].size();
     }
@@ -946,7 +757,6 @@ RunResult<A> run_local(const Graph& g, const A& algo,
       event.round = round;
       event.active = stepped + asleep;
       event.asleep = asleep;
-      event.frontier_mode = static_cast<std::uint8_t>(repr);
       round_phase_charged.assign(num_phases, 0);
       for (std::size_t c = 0; c < num_chunks; ++c) {
         const auto& counters = chunk_counters[c];
@@ -968,7 +778,6 @@ RunResult<A> run_local(const Graph& g, const A& algo,
       sink->on_round(event);
     }
   }
-  result.metrics.frontier_switches = switches;
   // One-pass measure rollup (vertex-avg / edge-avg / worst-case /
   // awake): makes the Metrics accessors O(1) and fills the edge-decay
   // sequence. Purely derived from `rounds` + the graph, so it shares
@@ -984,7 +793,6 @@ RunResult<A> run_local(const Graph& g, const A& algo,
     end.num_edges = g.num_edges();
     end.wall_ns = result.metrics.total_wall_ns();
     end.skipped_steps = result.metrics.skipped_steps;
-    end.frontier_switches = switches;
     end.worker_load = pool.worker_load();
     sink->on_run_end(end);
   }

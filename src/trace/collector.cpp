@@ -42,17 +42,6 @@ std::string json_num(double v) {
   return buf;
 }
 
-/// Textual label of a RoundSample::frontier_mode byte (numeric
-/// FrontierMode from sim/network.hpp, which this layer cannot include).
-const char* frontier_mode_label(std::uint8_t mode) {
-  switch (mode) {
-    case 2: return "dense";
-    case 3: return "sparse";
-    case 4: return "calendar";
-    default: return "";
-  }
-}
-
 }  // namespace
 
 TraceCollector::TraceCollector() {
@@ -117,7 +106,6 @@ void TraceCollector::on_round(const RoundEvent& event) {
   sample.volume_bytes = event.volume_bytes;
   sample.messages = event.messages;
   sample.wall_ns = event.wall_ns;
-  sample.frontier_mode = event.frontier_mode;
   sample.phase_charged.assign(event.phase_charged.begin(),
                               event.phase_charged.end());
   runs_.back().rounds.push_back(std::move(sample));
@@ -132,7 +120,6 @@ void TraceCollector::on_run_end(const RunEndEvent& event) {
   run.wall_ns = event.wall_ns;
   run.messages = event.messages;
   run.skipped_steps = event.skipped_steps;
-  run.frontier_switches = event.frontier_switches;
   run.worker_chunks.clear();
   run.worker_indices.clear();
   for (const auto& load : event.worker_load) {
@@ -232,9 +219,6 @@ void TraceCollector::print_phase_table(std::ostream& os) const {
     if (run.skipped_steps > 0)
       os << "; wake scheduling skipped " << run.skipped_steps
          << " sleeping vertex-rounds";
-    if (run.frontier_switches > 0)
-      os << "; " << run.frontier_switches
-         << " frontier representation switches";
     os << "\n\n";
   }
 }
@@ -297,13 +281,9 @@ void TraceCollector::write_run_records_jsonl(std::ostream& os,
                                static_cast<double>(run.num_edges)
                          : 0.0);
     // Emitted only when wake scheduling actually skipped work, so
-    // unhinted and forced-sparse records keep their byte layout; same
-    // conditional idiom for frontier switches (0 under forced modes
-    // and for the mailbox engine).
+    // unhinted and no-parking records keep their byte layout.
     if (run.skipped_steps > 0)
       os << ",\"skipped_steps\":" << run.skipped_steps;
-    if (run.frontier_switches > 0)
-      os << ",\"frontier_switches\":" << run.frontier_switches;
     if (include_timing) os << ",\"wall_ns\":" << run.wall_ns;
     os << "},\"rounds\":[";
     bool first_round = true;
@@ -312,11 +292,6 @@ void TraceCollector::write_run_records_jsonl(std::ostream& os,
       first_round = false;
       os << "{\"round\":" << r.round << ",\"active\":" << r.active;
       if (r.asleep > 0) os << ",\"asleep\":" << r.asleep;
-      // Mailbox rounds carry no representation; omitting the key keeps
-      // their historical byte layout.
-      if (r.frontier_mode != 0)
-        os << ",\"frontier_mode\":\""
-           << frontier_mode_label(r.frontier_mode) << '"';
       os << ",\"charged\":" << r.charged
          << ",\"committed\":" << r.committed
          << ",\"terminated\":" << r.terminated

@@ -33,14 +33,13 @@ namespace valocal::trace {
 struct RoundSample {
   std::size_t round = 0;
   std::size_t active = 0;
-  std::size_t asleep = 0;  // parked by wake scheduling (0 forced-sparse)
+  std::size_t asleep = 0;  // parked by wake scheduling (0 no-parking)
   std::size_t charged = 0;
   std::size_t committed = 0;
   std::size_t terminated = 0;
   std::uint64_t volume_bytes = 0;
   std::uint64_t messages = 0;
   std::uint64_t wall_ns = 0;
-  std::uint8_t frontier_mode = 0;  // FrontierMode value; 0 for mailbox
   std::vector<std::size_t> phase_charged;
 };
 
@@ -62,7 +61,6 @@ struct RunRecord {
   std::uint64_t wall_ns = 0;
   std::uint64_t messages = 0;
   std::uint64_t skipped_steps = 0;  // wake-scheduling savings
-  std::uint64_t frontier_switches = 0;  // representation changes (0 forced)
   std::vector<std::uint64_t> worker_chunks;   // schedule-dependent
   std::vector<std::uint64_t> worker_indices;  // schedule-dependent
   double begin_us = 0.0;  // relative to the collector's epoch

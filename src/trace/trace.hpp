@@ -69,14 +69,14 @@ struct RunInfo {
 struct RoundEvent {
   std::size_t round = 0;       // 1-based engine round
   /// Vertices running this round in the LOCAL-model sense: stepped
-  /// plus asleep. Identical under every frontier mode.
+  /// plus asleep. Identical with and without parking.
   std::size_t active = 0;
   /// Of `active`, the vertices the wake-scheduled engine parked (their
-  /// no-op steps were skipped). 0 only under forced sparse (the
+  /// no-op steps were skipped). 0 only under ScopedNoParking (the
   /// no-calendar reference), for algorithms without a next_wake hint,
-  /// and for the mailbox engine. Semantic under a FIXED frontier mode,
-  /// but intentionally different between forced sparse and the
-  /// wake-scheduled modes — it measures the simulator work saved.
+  /// and for the mailbox engine. Semantic for a fixed parking setting,
+  /// but intentionally different between the two — it measures the
+  /// simulator work saved.
   std::size_t asleep = 0;
   std::size_t charged = 0;     // round-sum contribution (r(v) still open)
   std::size_t committed = 0;   // outputs frozen this round (r(v) stamped)
@@ -90,13 +90,6 @@ struct RoundEvent {
   /// run_local, whose communication is the published-state volume).
   std::uint64_t messages = 0;
   std::uint64_t wall_ns = 0;   // NOT semantic: engine-measured time
-  /// Frontier representation run_local executed this round with
-  /// (numeric FrontierMode value: 2 dense, 3 sparse, 4 calendar; 0 for
-  /// the mailbox engine, which has no representation choice). Semantic
-  /// under a FIXED frontier mode setting — it is a pure function of
-  /// the deterministic awake counts — but intentionally different
-  /// between forced modes, like `asleep`.
-  std::uint8_t frontier_mode = 0;
   /// Charged count per algorithm phase, parallel to the names passed
   /// to on_run_begin; empty when the algorithm declares no phases.
   /// The entries sum to `charged`. Valid only during the callback.
@@ -117,12 +110,9 @@ struct RunEndEvent {
   /// Total messages including init-round pre-sends (mailbox engine).
   std::uint64_t messages = 0;
   /// Total vertex-rounds skipped by wake scheduling (sum of the
-  /// per-round `asleep` counts); 0 only under forced sparse, for
+  /// per-round `asleep` counts); 0 only under ScopedNoParking, for
   /// unhinted algorithms, and for the mailbox engine.
   std::uint64_t skipped_steps = 0;
-  /// Frontier-representation changes between consecutive rounds; 0
-  /// under a forced mode and for the mailbox engine.
-  std::uint64_t frontier_switches = 0;
   /// Per-thread chunk/index counters from the engine's pool (slot 0 =
   /// the dispatching thread). Schedule-dependent — load-imbalance
   /// evidence, not semantic. Empty for the mailbox engine.

@@ -1,5 +1,5 @@
 // run_batch contract tests: the trial batcher must return, for every
-// (threads, trial-count, mode) combination, results byte-identical to
+// (threads, trial-count, regime) combination, results byte-identical to
 // the plain serial loop `for (i) results[i] = run_trial(i)` — and when
 // a TraceSink is installed on the caller, the observed event stream
 // must equal the serial loop's stream (semantic fields), with each
@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -62,7 +63,7 @@ void expect_identical(const GossipResult& a, const GossipResult& b,
       << what;
 }
 
-TEST(Batch, MatchesSerialLoopForEveryThreadAndModeCombination) {
+TEST(Batch, MatchesSerialLoopForEveryThreadAndRegimeCombination) {
   const std::size_t num_trials = 7;
   const Graph g = gen::forest_union(300, 2, 99);
   const GossipAlgo algo;
@@ -75,20 +76,22 @@ TEST(Batch, MatchesSerialLoopForEveryThreadAndModeCombination) {
   for (std::size_t i = 0; i < num_trials; ++i) reference[i] = trial(i);
 
   for (std::size_t threads : {1u, 2u, 3u, 8u}) {
-    for (const auto mode : {BatchOptions::Mode::kAuto,
-                            BatchOptions::Mode::kPerTrial,
-                            BatchOptions::Mode::kIntraTrial}) {
-      const auto results = run_batch(
-          num_trials, trial,
-          {.num_threads = threads,
-           .trial_vertices = g.num_vertices(),
-           .mode = mode});
-      ASSERT_EQ(results.size(), num_trials);
-      for (std::size_t i = 0; i < num_trials; ++i)
+    // Unknown trial size shards per trial; huge trials that cannot fill
+    // the pool run one after another with parallel rounds inside.
+    for (const bool intra : {false, true}) {
+      const BatchOptions opt{
+          .num_threads = threads,
+          .trial_vertices = intra ? std::size_t{1} << 16 : 0};
+      const std::size_t trials =
+          intra ? std::max<std::size_t>(1, threads - 1) : num_trials;
+      EXPECT_EQ(detail_batch::use_per_trial(trials, threads, opt),
+                !intra || threads == 1);
+      const auto results = run_batch(trials, trial, opt);
+      ASSERT_EQ(results.size(), trials);
+      for (std::size_t i = 0; i < trials; ++i)
         expect_identical(results[i], reference[i],
                          "threads=" + std::to_string(threads) +
-                             " mode=" +
-                             std::to_string(static_cast<int>(mode)) +
+                             " intra=" + std::to_string(intra) +
                              " trial=" + std::to_string(i));
     }
   }
@@ -170,9 +173,7 @@ TEST(Batch, TracedRunRecordsDoNotInterleave) {
     std::vector<GossipResult> results;
     {
       trace::ScopedSink scoped(&batch_log);
-      results = run_batch(num_trials, trial,
-                          {.num_threads = threads,
-                           .mode = BatchOptions::Mode::kPerTrial});
+      results = run_batch(num_trials, trial, {.num_threads = threads});
     }
     EXPECT_EQ(batch_log.log.str(), serial_log.log.str())
         << "threads=" << threads;
@@ -213,8 +214,7 @@ TEST(Batch, WorkspaceReuseAcrossGraphSizesIsByteIdentical) {
 
   // Sharded batch: each pool worker's workspace sees several sizes.
   const auto results =
-      run_batch(graphs.size(), trial,
-                {.num_threads = 2, .mode = BatchOptions::Mode::kPerTrial});
+      run_batch(graphs.size(), trial, {.num_threads = 2});
   for (std::size_t i = 0; i < graphs.size(); ++i)
     expect_identical(results[i], reference[i],
                      "sharded trial=" + std::to_string(i));

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "algo/deg_plus_one_plan.hpp"
 #include "algo/delta_plus1.hpp"
 #include "algo/edge_coloring.hpp"
 #include "algo/extension.hpp"
@@ -110,6 +111,34 @@ TEST(Matching, MaximalOnManyFamilies) {
   for (auto& c : cases) {
     const auto result = compute_matching(c.g, {.arboricity = c.a});
     EXPECT_TRUE(is_maximal_matching(c.g, result.in_matching));
+  }
+}
+
+TEST(Matching, TorusRunsTheFullScheduleAtEveryVertex) {
+  // On the torus every vertex has degree 4 <= threshold(), so all of V
+  // joins H_1 in round 1 and then runs the whole uniform stage
+  // geometry: the partition round, the flag round, the line plan, the
+  // 2A-1 intra-sweep slots and the 2A cross sub-rounds. The cross-paper
+  // rows' VA = EA = WC on the torus is this schedule, not a charging
+  // bug.
+  const PartitionParams params{.arboricity = 3, .epsilon = 1.0};
+  const std::size_t A = params.threshold();
+  for (const std::size_t side : {8u, 16u, 64u}) {
+    SCOPED_TRACE(side);
+    const Graph g = gen::torus(side, side);
+    const MatchingAlgo algo(g.num_vertices(), g.num_edges(), params);
+    const auto run = run_local(g, algo, {.want_final_states = true});
+    const DegPlusOnePlan line_plan(g.num_edges(), 2 * A - 2);
+    const std::size_t fixed_stages = 2 + (2 * A - 1) + 2 * A;
+    const std::size_t expected = line_plan.num_rounds() + fixed_stages;
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      EXPECT_EQ(run.final_states[v].hset, 1) << v;
+      EXPECT_EQ(run.metrics.rounds[v], expected) << v;
+    }
+    EXPECT_EQ(run.metrics.worst_case(), expected);
+    EXPECT_EQ(run.metrics.vertex_averaged(),
+              static_cast<double>(expected));
+    EXPECT_EQ(run.metrics.edge_averaged(), static_cast<double>(expected));
   }
 }
 

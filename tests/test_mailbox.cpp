@@ -144,140 +144,6 @@ TEST(Mailbox, PortsAreReciprocal) {
   EXPECT_EQ(result.outputs[2], 9999u);
 }
 
-// A single token circling a ring: exactly one message in flight per
-// round while every other vertex idles at full degree. The engine's
-// per-round inbox recycling must track the DELIVERIES, not sweep all n
-// inboxes — this is the regression witness for the O(n)-per-round
-// clear the engine used to do.
-struct TokenRing {
-  std::size_t horizon;
-
-  struct State {
-    bool done = false;
-  };
-  struct Message {};
-  using Output = bool;
-
-  void init(Vertex v, const Graph&, State&, Outbox<Message>& out) const {
-    if (v == 0) out.send(0, {});
-  }
-  bool step(Vertex, std::size_t round, const Inbox<Message>& in,
-            State& s, Outbox<Message>& out, Xoshiro256&) const {
-    if (in.size() > 0) {
-      out.send(in.port(0) == 0 ? 1 : 0, {});  // pass it along the ring
-      s.done = true;
-      return true;
-    }
-    return round >= horizon;
-  }
-  Output output(Vertex, const State& s) const { return s.done; }
-};
-
-/// Records per-round message counts so the sparse-clear accounting can
-/// be cross-checked against the traced delivery stream.
-struct MessageTally final : trace::TraceSink {
-  std::vector<std::uint64_t> per_round;
-  void on_round(const trace::RoundEvent& e) override {
-    per_round.push_back(e.messages);
-  }
-};
-
-TEST(Mailbox, InboxRecyclingTracksDeliveriesNotN) {
-  const std::size_t n = 256;
-  const Graph g = gen::ring(n);
-  MessageTally tally;
-  trace::ScopedSink scoped(&tally);
-  const auto result = run_mailbox(g, TokenRing{n + 2});
-
-  for (Vertex v = 0; v < n; ++v) EXPECT_TRUE(result.outputs[v]);
-  // One delivery per round (the token), so exactly one inbox is
-  // recycled per round: n over the whole run — against n * rounds
-  // (65536 here) for a full per-round sweep.
-  const std::size_t rounds = result.metrics.active_per_round.size();
-  EXPECT_EQ(rounds, n);
-  EXPECT_EQ(result.inboxes_cleared, n);
-  EXPECT_LE(result.inboxes_cleared, result.messages_sent);
-  EXPECT_LT(result.inboxes_cleared, n * rounds / 64);
-  // Trace cross-check: a touched inbox implies at least one message
-  // delivered into it, so cleared slots never exceed the traced
-  // deliveries (init pre-send + per-round sends).
-  std::uint64_t traced = 1;  // vertex 0's init-round pre-send
-  for (std::uint64_t m : tally.per_round) traced += m;
-  EXPECT_EQ(traced, result.messages_sent);
-  EXPECT_LE(result.inboxes_cleared, traced);
-}
-
-// Dense broadcast phase, then a lone token circling the ring: the run
-// crosses the engine's dense/sparse clear-strategy threshold mid-token
-// phase (untracked flat sweep while active*2 >= n, touched-list
-// tracking after). The inbox-recycle count has a closed form either
-// way, so asserting exact equality witnesses that BOTH strategies
-// count precisely the non-empty inboxes — the flat sweep must not
-// count all n, and the tracked path must not miss any.
-struct PulseThenToken {
-  std::size_t dense_rounds;  // D: rounds of all-to-neighbors pulses
-  std::size_t horizon;       // failsafe only; never reached when correct
-
-  struct State {
-    bool done = false;
-  };
-  struct Message {
-    bool token = false;
-  };
-  using Output = bool;
-
-  void init(Vertex, const Graph&, State&, Outbox<Message>& out) const {
-    out.broadcast({});
-  }
-  bool step(Vertex v, std::size_t round, const Inbox<Message>& in,
-            State& s, Outbox<Message>& out, Xoshiro256&) const {
-    if (round <= dense_rounds) {
-      out.broadcast({});
-      if (round == dense_rounds && v == 0) out.send(1, {.token = true});
-      return false;
-    }
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      if (!in.message(i).token) continue;
-      out.send(in.port(i) == 0 ? 1 : 0, {.token = true});
-      s.done = true;
-      return true;
-    }
-    return round >= horizon;
-  }
-  Output output(Vertex, const State& s) const { return s.done; }
-};
-
-TEST(Mailbox, DenseAndSparseClearCountsAreExact) {
-  const std::size_t n = 64, d = 4;
-  const Graph g = gen::ring(n);
-  const auto result =
-      run_mailbox(g, PulseThenToken{.dense_rounds = d, .horizon = d + n + 2});
-
-  for (Vertex v = 0; v < n; ++v) EXPECT_TRUE(result.outputs[v]);
-  // Rounds 1..D+1 deliver the previous round's pulses into all n
-  // inboxes; rounds D+2..D+n deliver exactly the token. The total is a
-  // closed form — any over-count (flat sweep charging empty inboxes)
-  // or under-count (tracked path missing a delivery) breaks equality.
-  const std::size_t rounds = result.metrics.active_per_round.size();
-  EXPECT_EQ(rounds, d + n);
-  EXPECT_EQ(result.inboxes_cleared, (d + 1) * n + (n - 1));
-  // The run crosses the strategy threshold: the token phase starts all
-  // active (dense, untracked) and drains one vertex per round into the
-  // tracked regime.
-  EXPECT_EQ(result.metrics.active_per_round.front(), n);
-  EXPECT_EQ(result.metrics.active_per_round.back(), 1u);
-}
-
-TEST(Mailbox, PartitionInboxRecyclingBoundedByMessages) {
-  const Graph g = gen::forest_union(400, 3, 131);
-  const auto result =
-      run_mailbox(g, MailboxPartition{{.arboricity = 3}});
-  // Every cleared inbox held >= 1 of the 2m announcements; a per-round
-  // full sweep would scale with rounds * n instead.
-  EXPECT_LE(result.inboxes_cleared, result.messages_sent);
-  EXPECT_GT(result.inboxes_cleared, 0u);
-}
-
 TEST(Mailbox, FinalOutboxIsDelivered) {
   // Vertex 0 terminates in round 1 while sending; vertex 1 must still
   // receive the message in round 2 (the paper's "final output sent

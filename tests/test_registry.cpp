@@ -140,43 +140,10 @@ TEST(Registry, DeterministicSpecsAreByteStableAcrossRunsAndThreads) {
   }
 }
 
-TEST(Registry, EverySpecIsByteStableAcrossFrontierModes) {
-  // The engine's frontier representation (dense scan / sparse list /
-  // calendar) is a throughput knob: every algorithm in the catalog —
-  // deterministic or randomized at a fixed seed — must produce the
-  // same labels, r(v), and decay series under every forced mode and
-  // every thread count as under the default auto switch.
-  for (const AlgoSpec& spec : Registry::instance().all()) {
-    SCOPED_TRACE(spec.name);
-    const Graph g = compatible_graph(spec);
-    AlgoParams p = default_params();
-    p.seed = 41;
-    const SolveOutcome ref = spec.run(g, p);
-    for (const FrontierMode mode :
-         {FrontierMode::kDense, FrontierMode::kSparse,
-          FrontierMode::kCalendar, FrontierMode::kAuto}) {
-      for (const std::size_t threads : {1u, 4u}) {
-        SCOPED_TRACE(std::string(frontier_mode_name(mode)) +
-                     " threads=" + std::to_string(threads));
-        set_engine_frontier_mode(mode);
-        set_engine_threads(threads);
-        const SolveOutcome o = spec.run(g, p);
-        EXPECT_EQ(o.labels, ref.labels);
-        EXPECT_EQ(o.metrics.rounds, ref.metrics.rounds);
-        EXPECT_EQ(o.metrics.active_per_round,
-                  ref.metrics.active_per_round);
-        EXPECT_EQ(o.summary, ref.summary);
-      }
-    }
-    set_engine_frontier_mode(FrontierMode::kAuto);
-    set_engine_threads(1);
-  }
-}
-
 TEST(Registry, EverySpecIsByteStableUnderWakeScheduling) {
   // Wake scheduling parks vertices whose next_wake hint names a future
-  // round and skips their no-op steps; it is always on except under
-  // forced sparse, the no-calendar reference. Every spec must produce
+  // round and skips their no-op steps; it is always on except inside
+  // ScopedNoParking, the no-calendar reference. Every spec must produce
   // the same labels, r(v), decay series and summary by default, at
   // every thread count, as that reference. The catalog-wide
   // skipped-step total proves the sweep actually parked vertices
@@ -187,9 +154,10 @@ TEST(Registry, EverySpecIsByteStableUnderWakeScheduling) {
     const Graph g = compatible_graph(spec);
     AlgoParams p = default_params();
     p.seed = 41;
-    set_engine_frontier_mode(FrontierMode::kSparse);
-    const SolveOutcome ref = spec.run(g, p);
-    set_engine_frontier_mode(FrontierMode::kAuto);
+    const SolveOutcome ref = [&] {
+      ScopedNoParking no_parking;
+      return spec.run(g, p);
+    }();
     EXPECT_EQ(ref.metrics.skipped_steps, 0u);
     for (const std::size_t threads : {1u, 4u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -211,7 +179,7 @@ TEST(Registry, Bgko22EntriesHoldEdgeMeasuresByteStableAcrossEngines) {
   // whole point of their rows is the EA column, so the edge-cost
   // rollup (edge_round_sum, the m_i decay series, and the derived
   // average) must be byte-stable across every engine configuration —
-  // threads 1/4 and all four frontier modes — on a
+  // threads 1/4, with and without parking — on a
   // bounded-degree graph large enough that the randomized schedules
   // have nontrivial tails.
   const Graph g = gen::torus(24, 24);
@@ -226,15 +194,16 @@ TEST(Registry, Bgko22EntriesHoldEdgeMeasuresByteStableAcrossEngines) {
     EXPECT_GT(ref.metrics.edge_round_sum(), 0u);
     EXPECT_GT(ref.metrics.edge_averaged(), 0.0);
     EXPECT_FALSE(ref.metrics.edge_active_per_round.empty());
-    for (const FrontierMode mode :
-         {FrontierMode::kAuto, FrontierMode::kDense, FrontierMode::kSparse,
-          FrontierMode::kCalendar}) {
+    for (const bool parking : {true, false}) {
       for (const std::size_t threads : {1u, 4u}) {
-        SCOPED_TRACE(std::string(frontier_mode_name(mode)) +
+        SCOPED_TRACE("parking=" + std::to_string(parking) +
                      " threads=" + std::to_string(threads));
-        set_engine_frontier_mode(mode);
         set_engine_threads(threads);
-        const SolveOutcome o = spec->run(g, p);
+        const SolveOutcome o = [&] {
+          if (parking) return spec->run(g, p);
+          ScopedNoParking no_parking;
+          return spec->run(g, p);
+        }();
         EXPECT_EQ(o.labels, ref.labels);
         EXPECT_EQ(o.metrics.rounds, ref.metrics.rounds);
         EXPECT_EQ(o.metrics.edge_active_per_round,
@@ -245,7 +214,6 @@ TEST(Registry, Bgko22EntriesHoldEdgeMeasuresByteStableAcrossEngines) {
         EXPECT_EQ(o.metrics.awake_sum(), ref.metrics.awake_sum());
       }
     }
-    set_engine_frontier_mode(FrontierMode::kAuto);
     set_engine_threads(1);
   }
 }

@@ -1,12 +1,15 @@
 // Wake-scheduled engine contract tests: for every hinted algorithm,
 // the default (wake-scheduled) run must be byte-identical to the
-// forced-sparse no-calendar reference — outputs, r(v),
+// no-calendar reference (ScopedNoParking) — outputs, r(v),
 // active_per_round, and the semantic trace event stream — for every
 // threads x grain combination, while Metrics::skipped_steps records
-// the simulator work actually saved. Also pins the engine's shared
-// per-thread workspace against nested runs.
+// the simulator work actually saved. (test_frontier_engine runs the
+// same reference comparison over unhinted and RNG-drawing algorithms.)
+// Also pins the ScopedNoParking hook, the wake calendar, and the
+// engine's shared per-thread workspace against nested runs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <sstream>
@@ -22,6 +25,7 @@
 #include "algo/mis.hpp"
 #include "algo/partition.hpp"
 #include "algo/rings.hpp"
+#include "baseline/luby_mis.hpp"
 #include "graph/generators.hpp"
 #include "sim/network.hpp"
 #include "sim/wake_calendar.hpp"
@@ -91,6 +95,7 @@ static_assert(WakeHinted<ColoringKa2Algo>);
 static_assert(WakeHinted<RingColoring3Algo>);
 static_assert(WakeHinted<PartitionAlgo>);
 static_assert(!WakeHinted<LeaderElectionAlgo>);
+static_assert(!WakeHinted<LubyMisAlgo>);
 static_assert(!algorithm_uses_rng<HSetComposition<MixSub>>);
 static_assert(algorithm_uses_rng<HSetComposition<CoinSub>>);
 static_assert(!algorithm_uses_rng<ColoringKaAlgo>);
@@ -130,24 +135,36 @@ std::string traced_log(const Graph& g, const A& algo, RunOptions opt) {
   return log.log.str();
 }
 
-/// The core equivalence sweep: forced-sparse reference vs default
-/// (wake-scheduled) runs for threads {1,2,4} x grain {1,5,64}. Returns
-/// the default runs' skipped_steps (identical across all combinations
-/// by construction).
+/// The no-calendar reference: `algo` run with parking disarmed.
+template <class A>
+RunResult<A> run_unparked(const Graph& g, const A& algo,
+                          RunOptions opt = {}) {
+  ScopedNoParking no_parking;
+  return run_local(g, algo, opt);
+}
+
+/// The core equivalence sweep: the serial no-calendar reference vs
+/// default (wake-scheduled) runs for threads {1,2,4} x grain
+/// {0 (automatic),1,5,7,64}. Returns the default runs' skipped_steps
+/// (identical across all combinations by construction).
 template <class A>
 std::uint64_t expect_hint_equivalence(const Graph& g, const A& algo,
                                       std::uint64_t seed) {
-  const RunOptions off{.seed = seed, .frontier_mode = FrontierMode::kSparse};
-  const auto ref = run_local(g, algo, off);
+  const RunOptions off{.seed = seed, .num_threads = 1};
+  const auto ref = run_unparked(g, algo, off);
   EXPECT_EQ(ref.metrics.skipped_steps, 0u)
-      << "forced sparse must never skip a step";
-  const std::string ref_log = traced_log(g, algo, off);
+      << "the no-parking reference must never skip a step";
+  std::string ref_log;
+  {
+    ScopedNoParking no_parking;
+    ref_log = traced_log(g, algo, off);
+  }
   EXPECT_FALSE(ref_log.empty());
 
   std::uint64_t skipped = 0;
   bool first = true;
   for (std::size_t threads : {1u, 2u, 4u}) {
-    for (std::size_t grain : {1u, 5u, 64u}) {
+    for (std::size_t grain : {0u, 1u, 5u, 7u, 64u}) {
       const RunOptions on{
           .seed = seed, .num_threads = threads, .grain = grain};
       const auto hinted = run_local(g, algo, on);
@@ -220,8 +237,8 @@ TEST(WakeEngine, RingColoring3IsByteIdentical) {
 }
 
 // The composed entries that park H-set members through the
-// (Delta+1)-plan's no-op rounds. Each must match forced sparse byte for
-// byte, skip steps itself, and park members during the plan: the
+// (Delta+1)-plan's no-op rounds. Each must match the no-parking
+// reference byte for byte, skip steps itself, and park members during the plan: the
 // registry sweep only checks the catalog-wide total, which one entry's
 // hint silently falling back to round + 1 would not move.
 const PartitionParams kPlanParams{.arboricity = 3, .epsilon = 1.0};
@@ -257,15 +274,14 @@ class CountsPlanParking : public A {
 
 template <class A>
 void expect_entry_parks(const Graph& g, const CountsPlanParking<A>& algo) {
-  const auto sparse =
-      run_local(g, algo, {.frontier_mode = FrontierMode::kSparse});
+  const auto unparked = run_unparked(g, algo);
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
     const auto run = run_local(g, algo, {.num_threads = threads});
-    EXPECT_EQ(run.outputs, sparse.outputs);
-    EXPECT_EQ(run.metrics.rounds, sparse.metrics.rounds);
+    EXPECT_EQ(run.outputs, unparked.outputs);
+    EXPECT_EQ(run.metrics.rounds, unparked.metrics.rounds);
     EXPECT_EQ(run.metrics.active_per_round,
-              sparse.metrics.active_per_round);
+              unparked.metrics.active_per_round);
     EXPECT_GT(run.metrics.skipped_steps, 0u);
   }
   EXPECT_GT(algo.plan_parks(), 0u);
@@ -301,29 +317,37 @@ TEST(WakeEngine, TrivialHintsNeverPark) {
   EXPECT_EQ(skipped, 0u);
 }
 
-TEST(WakeEngine, DefaultRunParksAndForcedSparseIsTheReference) {
-  // Wake scheduling has no switch: every mode but forced sparse parks
-  // a hinted algorithm's idle vertices, forced sparse never does, and
-  // all of them agree byte for byte.
+TEST(WakeEngine, NoParkingScopeDisarmsParkingUntilItEnds) {
+  // Wake scheduling has no switch but this test/bench hook: inside a
+  // ScopedNoParking nothing parks, and leaving the scope (nested or
+  // not) restores parking. The two engines agree byte for byte.
   const PartitionParams params{.arboricity = 1, .epsilon = 1.0};
   const Graph g = gen::dary_tree(600, 4);
   const HSetComposition<MixSub> algo(g.num_vertices(), params, MixSub{});
 
-  const auto sparse =
-      run_local(g, algo, {.frontier_mode = FrontierMode::kSparse});
-  EXPECT_EQ(sparse.metrics.skipped_steps, 0u);
-  EXPECT_TRUE(sparse.metrics.parked_per_round.empty());
-  const auto by_default = run_local(g, algo);
-  EXPECT_GT(by_default.metrics.skipped_steps, 0u);
-  for (const FrontierMode mode :
-       {FrontierMode::kAuto, FrontierMode::kDense, FrontierMode::kCalendar}) {
-    SCOPED_TRACE(frontier_mode_name(mode));
-    const auto run = run_local(g, algo, {.frontier_mode = mode});
-    EXPECT_EQ(run.metrics.skipped_steps, by_default.metrics.skipped_steps);
-    EXPECT_EQ(run.outputs, sparse.outputs);
-    EXPECT_EQ(run.metrics.rounds, sparse.metrics.rounds);
-    EXPECT_EQ(run.metrics.active_per_round, sparse.metrics.active_per_round);
+  const auto before = run_local(g, algo);
+  EXPECT_GT(before.metrics.skipped_steps, 0u);
+  EXPECT_FALSE(before.metrics.parked_per_round.empty());
+  {
+    ScopedNoParking no_parking;
+    const auto unparked = run_local(g, algo);
+    EXPECT_EQ(unparked.metrics.skipped_steps, 0u);
+    EXPECT_TRUE(unparked.metrics.parked_per_round.empty());
+    EXPECT_EQ(unparked.outputs, before.outputs);
+    EXPECT_EQ(unparked.metrics.rounds, before.metrics.rounds);
+    EXPECT_EQ(unparked.metrics.active_per_round,
+              before.metrics.active_per_round);
+    {
+      ScopedNoParking nested;
+      EXPECT_EQ(run_local(g, algo).metrics.skipped_steps, 0u);
+    }
+    EXPECT_EQ(run_local(g, algo).metrics.skipped_steps, 0u)
+        << "leaving a nested scope must keep the outer one in force";
   }
+  const auto after = run_local(g, algo);
+  EXPECT_EQ(after.metrics.skipped_steps, before.metrics.skipped_steps);
+  EXPECT_EQ(after.metrics.parked_per_round,
+            before.metrics.parked_per_round);
 }
 
 TEST(WakeEngine, UnhintedAlgorithmsNeverPark) {
@@ -331,13 +355,12 @@ TEST(WakeEngine, UnhintedAlgorithmsNeverPark) {
   // compile down to the no-calendar engine (nothing skipped).
   const Graph g = gen::ring(64);
   const LeaderElectionAlgo algo;
-  const auto sparse =
-      run_local(g, algo, {.frontier_mode = FrontierMode::kSparse});
+  const auto unparked = run_unparked(g, algo);
   const auto by_default = run_local(g, algo);
-  EXPECT_EQ(by_default.outputs, sparse.outputs);
-  EXPECT_EQ(by_default.metrics.rounds, sparse.metrics.rounds);
+  EXPECT_EQ(by_default.outputs, unparked.outputs);
+  EXPECT_EQ(by_default.metrics.rounds, unparked.metrics.rounds);
   EXPECT_EQ(by_default.metrics.active_per_round,
-            sparse.metrics.active_per_round);
+            unparked.metrics.active_per_round);
   EXPECT_EQ(by_default.metrics.skipped_steps, 0u);
 }
 
@@ -345,8 +368,8 @@ TEST(WakeEngine, UnhintedAlgorithmsNeverPark) {
 // run_local on a different State type (RingColoring3Algo, itself
 // hinted). Every State type shares the thread's one engine workspace,
 // so the inner run must lease the fallback workspace; if it reused the
-// outer's, the outer's dormancy arrays, active list and calendar would
-// be clobbered mid-round.
+// outer's, the outer's awake bitset and calendar would be clobbered
+// mid-round.
 struct NestedRunRecord {
   bool ran = false;
   bool inner_pooled = true;
@@ -427,7 +450,12 @@ TEST(WakeEngine, NestedRunOnAnotherStateTypeTakesTheFallbackWorkspace) {
   EXPECT_TRUE(after.pooled());
 }
 
-TEST(WakeCalendar, PopsSortedBucketsAndTracksSleepers) {
+std::vector<Vertex> sorted(std::vector<Vertex> vs) {
+  std::sort(vs.begin(), vs.end());
+  return vs;
+}
+
+TEST(WakeCalendar, PopsBucketsAndTracksSleepers) {
   WakeCalendar cal;
   cal.reset(1);
   EXPECT_EQ(cal.sleeping(), 0u);
@@ -445,7 +473,7 @@ TEST(WakeCalendar, PopsSortedBucketsAndTracksSleepers) {
   EXPECT_TRUE(cal.take(1).empty());
   EXPECT_EQ(cal.take(2), (std::vector<Vertex>{5}));
   EXPECT_EQ(cal.sleeping(), 3u);
-  EXPECT_EQ(cal.take(3), (std::vector<Vertex>{2, 7, 9}));
+  EXPECT_EQ(sorted(cal.take(3)), (std::vector<Vertex>{2, 7, 9}));
   EXPECT_EQ(cal.sleeping(), 0u);
   EXPECT_TRUE(cal.take(4).empty());
 }
@@ -466,11 +494,9 @@ TEST(WakeCalendar, CompactionKeepsLongRunsBounded) {
   EXPECT_EQ(cal.sleeping(), 2u);
 }
 
-TEST(WakeCalendar, InterleavedRunsPopSorted) {
-  // Several scheduling rounds target the same buckets, each appending
-  // an ascending subsequence (the engine's chunk-order barrier always
-  // appends ascending within one round). take() must fold the recorded
-  // runs back into one ascending sequence with the exact multiset.
+TEST(WakeCalendar, InterleavedSchedulesPopEachVertexOnce) {
+  // Several scheduling rounds target the same buckets. take() must
+  // return each bucket's exact multiset (in any order).
   WakeCalendar cal;
   cal.reset(1);
   const std::size_t waves = 5, span = 7, n = 200;
@@ -483,8 +509,6 @@ TEST(WakeCalendar, InterleavedRunsPopSorted) {
   std::vector<bool> seen(n, false);
   for (std::size_t round = 1; round <= 1 + span; ++round) {
     const auto& woken = cal.take(round);
-    EXPECT_TRUE(std::is_sorted(woken.begin(), woken.end()))
-        << "round " << round;
     for (const Vertex v : woken) {
       EXPECT_EQ(v % span, round - 2) << "vertex in wrong bucket";
       EXPECT_FALSE(seen[v]) << "vertex popped twice";
