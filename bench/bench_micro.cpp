@@ -9,6 +9,7 @@
 
 #include <map>
 
+#include "algo/bgko22.hpp"
 #include "algo/coloring_a2logn.hpp"
 #include "algo/hset_composition.hpp"
 #include "algo/mis.hpp"
@@ -17,6 +18,7 @@
 #include "algo/rings.hpp"
 #include "baseline/be08_arb_color.hpp"
 #include "baseline/luby_mis.hpp"
+#include "baseline/wc_delta_plus1.hpp"
 #include "bench_common.hpp"
 #include "coverfree/coverfree.hpp"
 #include "graph/generators.hpp"
@@ -42,6 +44,15 @@ const Graph& ring(std::size_t n) {
   static std::map<std::size_t, Graph> cache;
   auto it = cache.find(n);
   if (it == cache.end()) it = cache.emplace(n, gen::ring(n)).first;
+  return it->second;
+}
+
+// Erdos-Renyi with average degree 16: the rand-dense shape.
+const Graph& er16(std::size_t n) {
+  static std::map<std::size_t, Graph> cache;
+  auto it = cache.find(n);
+  if (it == cache.end())
+    it = cache.emplace(n, gen::erdos_renyi(n, 16.0, 1)).first;
   return it->second;
 }
 
@@ -87,6 +98,25 @@ void BM_EngineA2LogN(benchmark::State& state) {
   engine_fixture(state, g, ColoringA2LogNAlgo(g.num_vertices(), params));
 }
 BENCHMARK(BM_EngineA2LogN)->Arg(1 << 12)->Arg(1 << 16);
+
+// The rand-dense shape (ER, average degree 16): BGKO'22 mutual
+// proposals, whose step reads one neighbor's proposal per resolve
+// round, and the run-to-completion (Delta+1) baseline, which parks
+// through the Kuhn-Wattenhofer stage's no-op rounds (items count them
+// too: parked rounds are charged).
+void BM_EngineBgkoMatching(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  engine_fixture(state, er16(n), BgkoMatchingAlgo{});
+}
+BENCHMARK(BM_EngineBgkoMatching)->Arg(1 << 14);
+
+void BM_EngineWcDelta(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Graph& g = er16(n);
+  engine_fixture(state, g,
+                 WorstCaseDeltaPlusOneAlgo(g.num_vertices(), g.max_degree()));
+}
+BENCHMARK(BM_EngineWcDelta)->Arg(1 << 14);
 
 // Dense phase then a one-in-64 tail (bench::DensePhaseAlgo): the
 // active profile of the paper's algorithms, where the bitset walk

@@ -148,9 +148,12 @@ fi
 # cursor sweep index raw arrays, and the binary loader reads an mmap),
 # the color-reduction kernel's users (pick_escaping walks per-thread
 # digit buffers; the Kuhn-Wattenhofer and list-color sweeps index
-# reused `taken` arrays) and the round engine's suites (the per-thread
-# workspace is shared by every State type and reused across runs; the
-# bitset walk, calendar and dormancy barrier index it raw). UBSan
+# reused `taken` arrays), the randomized entries and the worst-case
+# baselines (their steps index per-thread scratch and, for
+# bgko_matching, a neighbor named by its published proposal) and the
+# round engine's suites (the per-thread workspace is shared by every
+# State type and reused across runs; the bitset walk, calendar and
+# dormancy barrier index it raw). UBSan
 # findings abort the test instead of scrolling by. Skipped gracefully
 # where libasan or libubsan is absent.
 if echo 'int main(){}' | c++ -fsanitize=address,undefined -x c++ - -o /tmp/valocal_asan_probe 2>/dev/null; then
@@ -160,10 +163,10 @@ if echo 'int main(){}' | c++ -fsanitize=address,undefined -x c++ - -o /tmp/valoc
     test_coverfree test_kw_reduce test_coloring_a2 test_coloring_a2logn \
     test_coloring_oa test_determinism test_engine test_engine_contracts \
     test_wake_engine test_frontier_engine test_parallel_engine \
-    test_registry test_step_alloc
+    test_registry test_step_alloc test_randomized test_wc_baselines
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan --output-on-failure \
-    -R 'test_graph|test_rmat|test_edgelist_bin|test_coverfree|test_kw_reduce|test_coloring_a2$|test_coloring_a2logn|test_coloring_oa|test_determinism|test_engine$|test_engine_contracts|test_wake_engine|test_frontier_engine|test_parallel_engine|test_registry|test_step_alloc' \
+    -R 'test_graph|test_rmat|test_edgelist_bin|test_coverfree|test_kw_reduce|test_coloring_a2$|test_coloring_a2logn|test_coloring_oa|test_determinism|test_engine$|test_engine_contracts|test_wake_engine|test_frontier_engine|test_parallel_engine|test_registry|test_step_alloc|test_randomized|test_wc_baselines' \
     2>&1 | tee asan_output.txt
 else
   echo "ASan/UBSan unavailable; skipping ASan+UBSan job" | tee asan_output.txt

@@ -1,8 +1,10 @@
 #include "algo/bgko22.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/assertx.hpp"
+#include "util/scratch.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
@@ -65,39 +67,27 @@ bool BgkoMatchingAlgo::step(Vertex v, std::size_t round,
     // Propose phase: pick a uniformly random still-available neighbor;
     // with none left, terminate unmatched (every neighbor is already
     // matched or retired, so no edge at v can ever be added).
-    std::uint64_t avail = 0;
+    std::vector<std::uint32_t>& avail =
+        thread_scratch<BgkoMatchingAlgo, std::uint32_t>();
     for (std::size_t i = 0; i < view.degree(); ++i)
-      if (view.neighbor_state(i).status == 0) ++avail;
-    if (avail == 0) {
+      if (view.neighbor_state(i).status == 0)
+        avail.push_back(view.neighbor(i));
+    if (avail.empty()) {
       next.status = -1;
       next.proposal = kNoProposal;
       return true;
     }
-    std::uint64_t pick = rng() % avail;
-    for (std::size_t i = 0; i < view.degree(); ++i) {
-      if (view.neighbor_state(i).status != 0) continue;
-      if (pick == 0) {
-        next.proposal = view.neighbor(i);
-        break;
-      }
-      --pick;
-    }
+    next.proposal = avail[rng() % avail.size()];
     return false;
   }
 
   // Resolve phase: a mutual proposal matches both endpoints (both see
   // the symmetry in the same round, so they terminate together and the
-  // matching stays consistent).
-  if (self.proposal != kNoProposal) {
-    for (std::size_t i = 0; i < view.degree(); ++i) {
-      if (view.neighbor(i) != self.proposal) continue;
-      if (view.neighbor_state(i).proposal == v) {
-        next.partner = static_cast<std::int64_t>(self.proposal);
-        next.status = 1;
-        next.proposal = kNoProposal;
-        return true;
-      }
-    }
+  // matching stays consistent). The proposal stays as the partner.
+  if (self.proposal != kNoProposal &&
+      view.state_of(self.proposal).proposal == v) {
+    next.status = 1;
+    return true;
   }
   next.proposal = kNoProposal;
   return false;

@@ -57,11 +57,16 @@ class BgkoMatchingAlgo {
  public:
   static constexpr std::uint32_t kNoProposal = 0xffffffffu;
 
+  /// `proposal` doubles as the partner: a vertex that matches keeps
+  /// the proposal that matched and terminates. No vertex can mistake it
+  /// for a live offer, because proposals go only to neighbors that were
+  /// undecided when the trial began, and matches happen only in resolve
+  /// rounds.
   struct State {
     std::uint32_t proposal = kNoProposal;  // target vertex id
-    std::int64_t partner = -1;             // matched partner id
     std::int8_t status = 0;  // 0 undecided, 1 matched, -1 unmatched
   };
+  static_assert(sizeof(State) == 8);
   using Output = std::int64_t;  // partner id, or -1 if unmatched
 
   void init(Vertex, const Graph&, State&) const {}
@@ -69,7 +74,9 @@ class BgkoMatchingAlgo {
   bool step(Vertex v, std::size_t round, const RoundView<State>& view,
             State& next, Xoshiro256& rng) const;
 
-  Output output(Vertex, const State& s) const { return s.partner; }
+  Output output(Vertex, const State& s) const {
+    return s.status == 1 ? static_cast<Output>(s.proposal) : -1;
+  }
 };
 
 struct BgkoMisResult {

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "util/assertx.hpp"
+#include "util/scratch.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
@@ -19,17 +20,23 @@ bool RandDeltaPlusOneAlgo::step(Vertex, std::size_t round,
     // minus the neighbors' final colors.
     next.proposal = -1;
     if (!rng.coin()) return false;
-    std::vector<char> taken(max_degree_ + 1, 0);
+    // Mark the colors the neighbors hold, counting the free ones; then
+    // walk to the below(num_free)-th free color.
+    std::vector<char>& taken = thread_scratch<RandDeltaPlusOneAlgo, char>();
+    taken.assign(max_degree_ + 1, 0);
+    std::size_t num_free = max_degree_ + 1;
     for (std::size_t i = 0; i < view.degree(); ++i) {
-      const auto& nbr = view.neighbor_state(i);
-      if (nbr.final_color >= 0) taken[nbr.final_color] = 1;
+      const std::int32_t c = view.neighbor_state(i).final_color;
+      if (c >= 0 && !taken[c]) {
+        taken[c] = 1;
+        --num_free;
+      }
     }
-    std::vector<std::int32_t> avail;
-    avail.reserve(max_degree_ + 1);
-    for (std::size_t c = 0; c <= max_degree_; ++c)
-      if (!taken[c]) avail.push_back(static_cast<std::int32_t>(c));
-    VALOCAL_ENSURE(!avail.empty(), "palette exhausted: degree bound broken");
-    next.proposal = avail[rng.below(avail.size())];
+    VALOCAL_ENSURE(num_free > 0, "palette exhausted: degree bound broken");
+    std::uint64_t skip = rng.below(num_free);
+    std::int32_t c = 0;
+    while (taken[c] || skip-- > 0) ++c;
+    next.proposal = c;
     return false;
   }
 

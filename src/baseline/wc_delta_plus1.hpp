@@ -3,9 +3,16 @@
 // global completion. No vertex terminates early, so the vertex-averaged
 // complexity EQUALS the worst case, O(Delta log Delta + log* n). This is
 // the comparator column of Table 1 row 7 and ablation AB3.
+//
+// The simulator parks a vertex through the KW stage's no-op rounds
+// (DegPlusOnePlan::next_active) and wakes it for the plan's last round,
+// in which every vertex terminates. Parked rounds are still charged, so
+// r(v) = num_rounds() for every vertex and VA = WC.
 #pragma once
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "algo/coloring_result.hpp"
 #include "algo/deg_plus_one_plan.hpp"
@@ -34,16 +41,30 @@ class WorstCaseDeltaPlusOneAlgo {
             State& next, Xoshiro256&) const {
     if (plan_->num_rounds() == 0) return true;  // n == 1 corner case
     const std::size_t t = round - 1;
-    std::vector<std::uint64_t>& nbrs =
-        thread_scratch<WorstCaseDeltaPlusOneAlgo, std::uint64_t>();
-    for (std::size_t i = 0; i < view.degree(); ++i)
-      nbrs.push_back(view.neighbor_state(i).color);
-    next.color = plan_->advance(t, view.self().color, nbrs);
+    const std::uint64_t own = view.self().color;
+    if (plan_->reads_neighbors(t, own)) {
+      std::vector<std::uint64_t>& nbrs =
+          thread_scratch<WorstCaseDeltaPlusOneAlgo, std::uint64_t>();
+      for (std::size_t i = 0; i < view.degree(); ++i)
+        nbrs.push_back(view.neighbor_state(i).color);
+      next.color = plan_->advance(t, own, nbrs);
+    } else {
+      next.color = plan_->advance_unread(t, own, view.degree());
+    }
     return round >= plan_->num_rounds();
   }
 
   Output output(Vertex, const State& s) const {
     return static_cast<Output>(s.color);
+  }
+
+  /// Wake hint (WakeHinted): plan round t runs in engine round t + 1,
+  /// so the vertex sleeps to the round of the next plan round that can
+  /// change its color, but never past the plan's last round, where it
+  /// terminates.
+  std::size_t next_wake(Vertex, std::size_t round, const State& s) const {
+    const std::size_t active = plan_->next_active(round - 1, s.color) + 1;
+    return std::max(round + 1, std::min(active, plan_->num_rounds()));
   }
 
   static constexpr bool uses_rng = false;

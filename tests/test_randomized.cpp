@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
+#include <vector>
 
+#include "algo/bgko22.hpp"
 #include "algo/rand_a_loglog.hpp"
 #include "algo/rand_delta_plus1.hpp"
 #include "baseline/luby_mis.hpp"
@@ -10,6 +13,61 @@
 
 namespace valocal {
 namespace {
+
+/// FNV-1a over the values of `outputs` then `rounds`, widened to 64
+/// bits so the pin does not depend on the Output type's width.
+template <class T>
+std::uint64_t fingerprint(const std::vector<T>& outputs,
+                          const std::vector<std::uint32_t>& rounds) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const T& o : outputs) mix(static_cast<std::uint64_t>(o));
+  for (const std::uint32_t r : rounds) mix(r);
+  return h;
+}
+
+const Graph& pin_graph() {
+  static const Graph g = gen::erdos_renyi(2000, 8.0, 17);
+  return g;
+}
+
+// Outputs and r(v) of the randomized entries whose step bodies were
+// rewritten for speed, pinned to the values the original bodies
+// produced: the draws, the picks and the schedule must not move.
+TEST(RandomizedPins, RandDeltaPlusOneOutputsAndRounds) {
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> pins = {
+      {1, 0x60fcfc4f929857dfULL}, {2, 0xef78ccf128d8bdfcULL}};
+  for (const auto& [seed, pinned] : pins) {
+    const auto result = compute_rand_delta_plus1(pin_graph(), seed);
+    EXPECT_TRUE(is_proper_coloring(pin_graph(), result.color)) << seed;
+    EXPECT_EQ(fingerprint(result.color, result.metrics.rounds), pinned)
+        << "seed " << seed;
+  }
+}
+
+TEST(RandomizedPins, BgkoMatchingOutputsAndRounds) {
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> pins = {
+      {1, 0xc9fb1719f0861fadULL}, {2, 0xa0ccf0bfae22ae9dULL}};
+  for (const auto& [seed, pinned] : pins) {
+    const auto run = run_local(pin_graph(), BgkoMatchingAlgo{}, {.seed = seed});
+    EXPECT_EQ(fingerprint(run.outputs, run.metrics.rounds), pinned)
+        << "seed " << seed;
+    // The partner map is an involution on the matched vertices.
+    for (Vertex v = 0; v < pin_graph().num_vertices(); ++v) {
+      const std::int64_t p = run.outputs[v];
+      if (p < 0) continue;
+      ASSERT_LT(static_cast<std::size_t>(p), run.outputs.size());
+      EXPECT_EQ(run.outputs[static_cast<std::size_t>(p)],
+                static_cast<std::int64_t>(v))
+          << "seed " << seed << " v " << v;
+    }
+  }
+}
 
 TEST(RandDeltaPlusOne, ProperWithDeltaPlusOne) {
   for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {

@@ -1,12 +1,12 @@
 // Steady-state step bodies of the deterministic color-reduction entries
-// allocate nothing. This binary replaces the global operator new with
-// a counter that is armed only while an algorithm's step runs (a
-// wrapper algorithm toggles it), so engine bookkeeping, result vectors
-// and graph generation never count. The first run of each entry warms
-// the per-thread scratch buffers; the second run must make zero
-// allocations inside step. The edge entries are held to that only in
-// their line-plan phase (their other stages still build per-port
-// vectors).
+// and of the randomized entries allocate nothing. This binary replaces
+// the global operator new with a counter that is armed only while an
+// algorithm's step runs (a wrapper algorithm toggles it), so engine
+// bookkeeping, result vectors and graph generation never count. The
+// first run of each entry warms the per-thread scratch buffers; the
+// second run (same seed, so the same draws) must make zero allocations
+// inside step. The edge entries are held to that only in their
+// line-plan phase (their other stages still build per-port vectors).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +14,7 @@
 #include <new>
 #include <string_view>
 
+#include "algo/bgko22.hpp"
 #include "algo/coloring_a2.hpp"
 #include "algo/coloring_a2logn.hpp"
 #include "algo/coloring_ka2.hpp"
@@ -22,6 +23,8 @@
 #include "algo/edge_coloring.hpp"
 #include "algo/matching.hpp"
 #include "algo/mis.hpp"
+#include "algo/rand_delta_plus1.hpp"
+#include "baseline/luby_mis.hpp"
 #include "baseline/wc_delta_plus1.hpp"
 #include "graph/generators.hpp"
 #include "sim/network.hpp"
@@ -74,8 +77,9 @@ namespace {
 
 /// Forwards every hook of A unchanged; step arms the counter for the
 /// duration of the wrapped call — only in the trace phase named `phase`
-/// when one is given. Wake hints are forwarded too, so the engine
-/// drives the same path as for A itself.
+/// when one is given. Wake hints and the RNG trait are forwarded too,
+/// so the engine drives the same path as for A itself (a randomized A
+/// draws from its own per-vertex streams).
 template <class A>
 class CountingStep {
  public:
@@ -103,7 +107,7 @@ class CountingStep {
     return algo_.next_wake(v, round, s);
   }
 
-  static constexpr bool uses_rng = false;
+  static constexpr bool uses_rng = algorithm_uses_rng<A>;
 
  private:
   bool armed(Vertex v, std::size_t round, const State& s) const {
@@ -187,10 +191,43 @@ TEST(StepAlloc, MatchingLinePlan) {
   EXPECT_EQ(second_run_step_allocations(forest(), algo, "line_plan"), 0u);
 }
 
+const Graph& er() {
+  static const Graph g = gen::erdos_renyi(1 << 10, 8.0, 3);
+  return g;
+}
+
 TEST(StepAlloc, WorstCaseDeltaPlusOne) {
-  const Graph g = gen::erdos_renyi(1 << 10, 8.0, 3);
-  const WorstCaseDeltaPlusOneAlgo algo(g.num_vertices(), g.max_degree());
-  EXPECT_EQ(second_run_step_allocations(g, algo), 0u);
+  const WorstCaseDeltaPlusOneAlgo algo(er().num_vertices(), er().max_degree());
+  EXPECT_EQ(second_run_step_allocations(er(), algo), 0u);
+}
+
+TEST(StepAlloc, RandDeltaPlusOne) {
+  const RandDeltaPlusOneAlgo algo(er().max_degree());
+  EXPECT_EQ(second_run_step_allocations(er(), algo), 0u);
+}
+
+TEST(StepAlloc, BgkoMatching) {
+  EXPECT_EQ(second_run_step_allocations(er(), BgkoMatchingAlgo{}), 0u);
+}
+
+TEST(StepAlloc, BgkoMis) {
+  EXPECT_EQ(second_run_step_allocations(er(), BgkoMisAlgo{}), 0u);
+}
+
+TEST(StepAlloc, Luby) {
+  EXPECT_EQ(second_run_step_allocations(er(), LubyMisAlgo{}), 0u);
+}
+
+TEST(StepAlloc, WrapperKeepsTheRngStreams) {
+  // A randomized entry wrapped in CountingStep must draw from its own
+  // per-vertex streams, not the engine's shared null stream: the
+  // wrapped run reproduces the bare run's outputs.
+  static_assert(algorithm_uses_rng<CountingStep<BgkoMatchingAlgo>>);
+  static_assert(!algorithm_uses_rng<CountingStep<WorstCaseDeltaPlusOneAlgo>>);
+  const BgkoMatchingAlgo algo;
+  const RunOptions opt{.seed = 7, .num_threads = 1};
+  EXPECT_EQ(run_local(er(), CountingStep<BgkoMatchingAlgo>(algo), opt).outputs,
+            run_local(er(), algo, opt).outputs);
 }
 
 TEST(StepAlloc, CounterSeesStepAllocations) {

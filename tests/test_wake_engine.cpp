@@ -26,6 +26,7 @@
 #include "algo/partition.hpp"
 #include "algo/rings.hpp"
 #include "baseline/luby_mis.hpp"
+#include "baseline/wc_delta_plus1.hpp"
 #include "graph/generators.hpp"
 #include "sim/network.hpp"
 #include "sim/wake_calendar.hpp"
@@ -96,6 +97,7 @@ static_assert(WakeHinted<RingColoring3Algo>);
 static_assert(WakeHinted<PartitionAlgo>);
 static_assert(!WakeHinted<LeaderElectionAlgo>);
 static_assert(!WakeHinted<LubyMisAlgo>);
+static_assert(WakeHinted<WorstCaseDeltaPlusOneAlgo>);
 static_assert(!algorithm_uses_rng<HSetComposition<MixSub>>);
 static_assert(algorithm_uses_rng<HSetComposition<CoinSub>>);
 static_assert(!algorithm_uses_rng<ColoringKaAlgo>);
@@ -304,6 +306,31 @@ TEST(WakeEngine, MisParksThroughThePlan) {
   for (const Graph& g : plan_graphs())
     expect_entry_parks(
         g, CountsPlanParking<MisAlgo>(g.num_vertices(), kPlanParams));
+}
+
+TEST(WakeEngine, WcDeltaParksThroughTheKwStageAndStillRunsToCompletion) {
+  // The run-to-completion baseline sleeps through the plan's no-op
+  // rounds but is woken for the last one: every vertex still
+  // terminates in the plan's final round, so r(v) = num_rounds().
+  for (const Graph& g : {gen::erdos_renyi(1 << 12, 16.0, 21),
+                         gen::forest_union(1 << 12, 3, 5)}) {
+    const WorstCaseDeltaPlusOneAlgo algo(g.num_vertices(), g.max_degree());
+    const std::size_t plan_rounds =
+        DegPlusOnePlan(g.num_vertices(), g.max_degree()).num_rounds();
+    const auto unparked = run_unparked(g, algo);
+    EXPECT_EQ(unparked.metrics.skipped_steps, 0u);
+    for (const std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(threads);
+      const auto run = run_local(g, algo, {.num_threads = threads});
+      EXPECT_EQ(run.outputs, unparked.outputs);
+      EXPECT_EQ(run.metrics.rounds, unparked.metrics.rounds);
+      EXPECT_EQ(run.metrics.active_per_round,
+                unparked.metrics.active_per_round);
+      EXPECT_GT(run.metrics.skipped_steps, 0u);
+      for (const std::uint32_t r : run.metrics.rounds)
+        ASSERT_EQ(r, plan_rounds);
+    }
+  }
 }
 
 TEST(WakeEngine, TrivialHintsNeverPark) {
