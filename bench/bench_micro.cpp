@@ -22,6 +22,7 @@
 #include "bench_common.hpp"
 #include "coverfree/coverfree.hpp"
 #include "graph/generators.hpp"
+#include "graph/rmat.hpp"
 #include "sim/network.hpp"
 #include "sim/wake_calendar.hpp"
 #include "util/rng.hpp"
@@ -190,6 +191,45 @@ void BM_PickEscaping(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PickEscaping);
+
+// Graph construction, one row per CSR build path. BM_GraphFromSource
+// streams an in-memory RMAT s16x16 pair list (SpanEdgeSource) through
+// the build that stops at the CSR; items = directed pairs per second.
+// BM_GraphBuilderEr generates ER 2^16 with average degree 16 through
+// GraphBuilder (de-duplication set, then the eager edge-index build);
+// items = edges per second.
+void BM_GraphFromSource(benchmark::State& state) {
+  const gen::RmatParams params{
+      .scale = static_cast<std::uint32_t>(state.range(0)),
+      .edge_factor = 16,
+      .seed = 1};
+  std::vector<Vertex> pairs;
+  pairs.reserve(2 * params.num_directed_edges());
+  gen::RmatSource(params).stream(1, [&](EdgeBlockSource::Block block) {
+    pairs.insert(pairs.end(), block.begin(), block.end());
+  });
+  const SpanEdgeSource source(pairs);
+  for (auto _ : state) {
+    const Graph g = Graph::from_source(params.num_vertices(), source);
+    benchmark::DoNotOptimize(g.num_edges());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(pairs.size() / 2));
+}
+BENCHMARK(BM_GraphFromSource)->Arg(16)->Unit(benchmark::kMillisecond);
+
+void BM_GraphBuilderEr(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::size_t edges = 0;
+  for (auto _ : state) {
+    const Graph g = gen::erdos_renyi(n, 16.0, 1);
+    benchmark::DoNotOptimize(g.num_edges());
+    edges = g.num_edges();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(edges));
+}
+BENCHMARK(BM_GraphBuilderEr)->Arg(1 << 16)->Unit(benchmark::kMillisecond);
 
 void BM_Partition(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

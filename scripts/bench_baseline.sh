@@ -32,7 +32,7 @@ cmake --build --preset "$PRESET" \
   --target bench_micro bench_engine_scaling bench_crosspaper
 
 "$BUILD_DIR"/bench/bench_micro \
-  --benchmark_filter='BM_Engine|BM_PickEscaping' \
+  --benchmark_filter='BM_Engine|BM_PickEscaping|BM_Graph' \
   --benchmark_min_time=0.2 \
   --benchmark_out="$MICRO_JSON" --benchmark_out_format=json
 

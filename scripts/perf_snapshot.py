@@ -18,8 +18,9 @@ Subcommands:
   check MICRO_JSON [THRESHOLD]
       Compare a fresh bench_micro dump's gated rows — the BM_Engine*
       round-throughput fixtures (items_per_second = stepped
-      vertex-rounds per second) and the BM_PickEscaping color-reduction
-      kernel (picks per second) — against the LATEST snapshot; exit 1
+      vertex-rounds per second), the BM_PickEscaping color-reduction
+      kernel (picks per second) and the BM_Graph* CSR builds (pairs or
+      edges per second) — against the LATEST snapshot; exit 1
       if any row drops below THRESHOLD * baseline (default 0.7, i.e. a
       30% regression budget).
 
@@ -33,7 +34,7 @@ import sys
 BENCH_FILE = "BENCH_engine.json"
 
 # bench_micro rows the snapshots record and the check gates.
-GATED_PREFIXES = ("BM_Engine", "BM_PickEscaping")
+GATED_PREFIXES = ("BM_Engine", "BM_PickEscaping", "BM_Graph")
 
 
 def trim_micro(raw):

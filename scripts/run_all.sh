@@ -150,10 +150,13 @@ fi
 # digit buffers; the Kuhn-Wattenhofer and list-color sweeps index
 # reused `taken` arrays), the randomized entries and the worst-case
 # baselines (their steps index per-thread scratch and, for
-# bgko_matching, a neighbor named by its published proposal) and the
+# bgko_matching, a neighbor named by its published proposal), the
 # round engine's suites (the per-thread workspace is shared by every
 # State type and reused across runs; the bitset walk, calendar and
-# dormancy barrier index it raw). UBSan
+# dormancy barrier index it raw) and the edge-id index's consumers
+# (the lazily built incident lists, ports and endpoint arrays are read
+# through raw pointers by the edge algorithms, orientations and
+# validators). UBSan
 # findings abort the test instead of scrolling by. Skipped gracefully
 # where libasan or libubsan is absent.
 if echo 'int main(){}' | c++ -fsanitize=address,undefined -x c++ - -o /tmp/valocal_asan_probe 2>/dev/null; then
@@ -163,10 +166,12 @@ if echo 'int main(){}' | c++ -fsanitize=address,undefined -x c++ - -o /tmp/valoc
     test_coverfree test_kw_reduce test_coloring_a2 test_coloring_a2logn \
     test_coloring_oa test_determinism test_engine test_engine_contracts \
     test_wake_engine test_frontier_engine test_parallel_engine \
-    test_registry test_step_alloc test_randomized test_wc_baselines
+    test_registry test_step_alloc test_randomized test_wc_baselines \
+    test_extension test_forest_decomposition test_hset_composition \
+    test_orientation test_validate test_local_checkers
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan --output-on-failure \
-    -R 'test_graph|test_rmat|test_edgelist_bin|test_coverfree|test_kw_reduce|test_coloring_a2$|test_coloring_a2logn|test_coloring_oa|test_determinism|test_engine$|test_engine_contracts|test_wake_engine|test_frontier_engine|test_parallel_engine|test_registry|test_step_alloc|test_randomized|test_wc_baselines' \
+    -R 'test_graph|test_rmat|test_edgelist_bin|test_coverfree|test_kw_reduce|test_coloring_a2$|test_coloring_a2logn|test_coloring_oa|test_determinism|test_engine$|test_engine_contracts|test_wake_engine|test_frontier_engine|test_parallel_engine|test_registry|test_step_alloc|test_randomized|test_wc_baselines|test_extension|test_forest_decomposition|test_hset_composition|test_orientation|test_validate|test_local_checkers' \
     2>&1 | tee asan_output.txt
 else
   echo "ASan/UBSan unavailable; skipping ASan+UBSan job" | tee asan_output.txt
@@ -194,15 +199,16 @@ export VALOCAL_RMAT_SCALE="${VALOCAL_RMAT_SCALE:-20}"
 # perf-smoke job: rebuild the engine micro fixtures under the "release"
 # preset (-O3 -DNDEBUG — the configuration BENCH_engine.json records)
 # and compare round-throughput against the latest committed snapshot.
-# A >30% drop on any BM_Engine* fixture or the BM_PickEscaping
-# color-reduction kernel fails the script loudly; an
+# A >30% drop on any BM_Engine* fixture, the BM_PickEscaping
+# color-reduction kernel or a BM_Graph* CSR build fails the script
+# loudly; an
 # intended regression requires refreshing the baseline via
 # scripts/bench_baseline.sh and committing BENCH_engine.json.
 if [ -f BENCH_engine.json ] && command -v python3 >/dev/null 2>&1; then
   cmake --preset release
   cmake --build --preset release --target bench_micro
   build-release/bench/bench_micro \
-    --benchmark_filter='BM_Engine|BM_PickEscaping' \
+    --benchmark_filter='BM_Engine|BM_PickEscaping|BM_Graph' \
     --benchmark_min_time=0.2 \
     --benchmark_out=perf_smoke_micro.json --benchmark_out_format=json \
     2>&1 | tee perf_smoke_output.txt

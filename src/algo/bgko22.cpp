@@ -116,9 +116,10 @@ BgkoMatchingResult compute_bgko_matching(const Graph& g,
 
   BgkoMatchingResult result;
   result.in_matching.assign(g.num_edges(), false);
+  const EdgeIndex ix = g.edge_index();
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const Vertex u = g.edge_u(e);
-    const Vertex w = g.edge_v(e);
+    const Vertex u = ix.edge_u(e);
+    const Vertex w = ix.edge_v(e);
     result.in_matching[e] =
         run.outputs[u] == static_cast<std::int64_t>(w) &&
         run.outputs[w] == static_cast<std::int64_t>(u);

@@ -29,10 +29,10 @@ ColoringResult extend_delta_plus1(const Graph& g, PartitionParams params,
   for (auto c : partial)
     VALOCAL_REQUIRE(c < static_cast<std::int32_t>(g.max_degree() + 1),
                     "partial colors must fit the Delta+1 palette");
-  for (EdgeId e = 0; e < g.num_edges(); ++e)
-    VALOCAL_REQUIRE(partial[g.edge_u(e)] < 0 ||
-                        partial[g.edge_u(e)] != partial[g.edge_v(e)],
+  g.for_each_edge([&](Vertex u, Vertex v) {
+    VALOCAL_REQUIRE(partial[u] < 0 || partial[u] != partial[v],
                     "partial solution must be proper");
+  });
   DeltaPlusOneAlgo algo(g.num_vertices(), g.max_degree(), params);
   algo.set_partial_solution(std::move(partial));
   auto run = run_local(g, algo);

@@ -202,9 +202,10 @@ EdgeColoringResult compute_edge_coloring(const Graph& g,
 
   EdgeColoringResult result;
   result.color.assign(g.num_edges(), -1);
+  const EdgeIndex ix = g.edge_index();
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     const auto& ports = run.outputs[v];
-    const auto edges = g.incident_edges(v);
+    const auto edges = ix.incident_edges(v);
     for (std::size_t i = 0; i < edges.size(); ++i) {
       if (ports[i] < 0) continue;
       if (result.color[edges[i]] >= 0)

@@ -26,8 +26,9 @@ ForestDecomposition assemble_forest_decomposition(
 
   ForestDecomposition fd{Orientation(g), std::vector<int>(g.num_edges(), -1),
                          0};
+  const EdgeIndex ix = g.edge_index();
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const Vertex u = g.edge_u(e), v = g.edge_v(e);
+    const Vertex u = ix.edge_u(e), v = ix.edge_v(e);
     VALOCAL_REQUIRE(hset[u] >= 1 && hset[v] >= 1,
                     "every vertex must belong to an H-set");
     const Vertex head =
@@ -38,7 +39,7 @@ ForestDecomposition assemble_forest_decomposition(
   // Each vertex labels its outgoing edges 1..out_degree (0-based here).
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     int next_label = 0;
-    for (EdgeId e : g.incident_edges(v)) {
+    for (EdgeId e : ix.incident_edges(v)) {
       if (fd.orientation.tail(e) != v) continue;
       fd.label[e] = next_label++;
     }

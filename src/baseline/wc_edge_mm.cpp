@@ -52,8 +52,9 @@ EdgeColoringResult assemble(const Graph& g,
                             std::size_t palette) {
   EdgeColoringResult result;
   result.color.assign(g.num_edges(), -1);
+  const EdgeIndex ix = g.edge_index();
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const auto edges = g.incident_edges(v);
+    const auto edges = ix.incident_edges(v);
     for (std::size_t i = 0; i < edges.size(); ++i) {
       const auto c = static_cast<int>(run.outputs[v][i]);
       if (result.color[edges[i]] >= 0)
@@ -87,12 +88,14 @@ MatchingResult compute_wc_matching(const Graph& g) {
   MatchingResult result;
   result.in_matching.assign(g.num_edges(), false);
   std::vector<char> matched(g.num_vertices(), 0);
+  const EdgeIndex ix = g.edge_index();
   for (std::size_t c = 0; c < ec.palette_bound; ++c) {
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       if (ec.color[e] != static_cast<int>(c)) continue;
-      if (matched[g.edge_u(e)] || matched[g.edge_v(e)]) continue;
+      const Vertex u = ix.edge_u(e), v = ix.edge_v(e);
+      if (matched[u] || matched[v]) continue;
       result.in_matching[e] = true;
-      matched[g.edge_u(e)] = matched[g.edge_v(e)] = 1;
+      matched[u] = matched[v] = 1;
     }
   }
   result.metrics = std::move(ec.metrics);

@@ -54,9 +54,10 @@ void save_edgelist_bin(const std::string& path, const Graph& g) {
   constexpr std::size_t kChunkPairs = std::size_t{1} << 16;
   std::vector<Vertex> buffer;
   buffer.reserve(2 * kChunkPairs);
+  const EdgeIndex ix = g.edge_index();
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    buffer.push_back(g.edge_u(e));
-    buffer.push_back(g.edge_v(e));
+    buffer.push_back(ix.edge_u(e));
+    buffer.push_back(ix.edge_v(e));
     if (buffer.size() == 2 * kChunkPairs) {
       os.write(reinterpret_cast<const char*>(buffer.data()),
                static_cast<std::streamsize>(buffer.size() * sizeof(Vertex)));

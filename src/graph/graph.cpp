@@ -113,6 +113,7 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
   Graph g;
   g.n_ = n;
   g.offsets_.assign(n + 1, 0);
+  g.edge_tables_ = std::make_shared<LazyEdgeTables>();
   if (src.num_pairs() == 0) return g;
 
   // Pass 1: degree counting (duplicates counted, removed after the
@@ -220,78 +221,95 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
                   "(see docs/GRAPHS.md)");
   g.adjacency_.resize(write);
   g.max_degree_ = max_degree;
+  g.m_ = m;
+  return g;
+}
+
+const Graph::EdgeTables& Graph::build_edge_tables() const {
+  static const EdgeTables kNoEdges;
+  if (!edge_tables_) return kNoEdges;  // default-constructed graph
+  LazyEdgeTables& lazy = *edge_tables_;
+  const std::lock_guard lock(lazy.build);
+  if (const EdgeTables* built = lazy.ready.load(std::memory_order_acquire))
+    return *built;
 
   // Canonical edge ids — lexicographic by (u, v) — plus incident lists
   // and reciprocal ports, in one cursor sweep. Indexed stores into
   // presized arrays: push_back here cost a third of the sweep.
-  g.edge_u_.resize(m);
-  g.edge_v_.resize(m);
-  g.incident_.resize(write);
-  g.mirror_.resize(write);
-  std::vector<std::size_t> sweep_cursor(n);
+  EdgeTables& t = lazy.tables;
+  t.edge_u.resize(m_);
+  t.edge_v.resize(m_);
+  t.incident.resize(2 * m_);
+  t.mirror.resize(2 * m_);
+  std::vector<std::size_t> cursor(n_);
   EdgeId next_edge = 0;
   sweep_edge_slots(
-      n, g.offsets_, g.adjacency_, sweep_cursor,
+      n_, offsets_, adjacency_, cursor,
       [&](Vertex u, Vertex w, std::size_t fwd_slot, std::size_t rev_slot) {
         const EdgeId e = next_edge++;
-        g.edge_u_[e] = u;
-        g.edge_v_[e] = w;
-        g.incident_[fwd_slot] = e;
-        g.incident_[rev_slot] = e;
-        g.mirror_[fwd_slot] =
-            static_cast<std::uint32_t>(rev_slot - g.offsets_[w]);
-        g.mirror_[rev_slot] =
-            static_cast<std::uint32_t>(fwd_slot - g.offsets_[u]);
+        t.edge_u[e] = u;
+        t.edge_v[e] = w;
+        t.incident[fwd_slot] = e;
+        t.incident[rev_slot] = e;
+        t.mirror[fwd_slot] =
+            static_cast<std::uint32_t>(rev_slot - offsets_[w]);
+        t.mirror[rev_slot] =
+            static_cast<std::uint32_t>(fwd_slot - offsets_[u]);
       });
-  VALOCAL_ENSURE(next_edge == m, "edge sweep missed slots");
-  return g;
+  VALOCAL_ENSURE(next_edge == m_, "edge sweep missed slots");
+  lazy.ready.store(&t, std::memory_order_release);
+  return t;
 }
 
 Graph::Graph(std::size_t n, std::vector<std::pair<Vertex, Vertex>> edges)
-    : n_(n) {
+    : n_(n), m_(edges.size()),
+      edge_tables_(std::make_shared<LazyEdgeTables>()) {
   VALOCAL_REQUIRE(n <= kMaxVertices,
                   "vertex count exceeds the 32-bit id limit "
                   "(see docs/GRAPHS.md)");
-  const std::size_t m = edges.size();
+  const std::size_t m = m_;
   VALOCAL_REQUIRE(m <= kMaxEdges,
                   "edge count exceeds the 32-bit edge-id limit "
                   "(see docs/GRAPHS.md)");
-  edge_u_.reserve(m);
-  edge_v_.reserve(m);
+  // Input-order ids cannot be re-derived from the CSR, so this path
+  // fills the edge tables now.
+  EdgeTables& t = edge_tables_->tables;
+  t.edge_u.reserve(m);
+  t.edge_v.reserve(m);
   for (auto& [u, v] : edges) {
     VALOCAL_REQUIRE(u < n_ && v < n_, "edge endpoint out of range");
     VALOCAL_REQUIRE(u != v, "self-loops are not allowed");
     if (u > v) std::swap(u, v);
-    edge_u_.push_back(u);
-    edge_v_.push_back(v);
+    t.edge_u.push_back(u);
+    t.edge_v.push_back(v);
   }
 
   offsets_.assign(n_ + 1, 0);
   for (std::size_t e = 0; e < m; ++e) {
-    ++offsets_[edge_u_[e] + 1];
-    ++offsets_[edge_v_[e] + 1];
+    ++offsets_[t.edge_u[e] + 1];
+    ++offsets_[t.edge_v[e] + 1];
   }
   std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
 
   adjacency_.resize(2 * m);
-  incident_.resize(2 * m);
+  t.incident.resize(2 * m);
   std::vector<std::size_t> cursor(offsets_.begin(), offsets_.end() - 1);
   for (std::size_t e = 0; e < m; ++e) {
-    const Vertex u = edge_u_[e], v = edge_v_[e];
+    const Vertex u = t.edge_u[e], v = t.edge_v[e];
     adjacency_[cursor[u]] = v;
-    incident_[cursor[u]++] = static_cast<EdgeId>(e);
+    t.incident[cursor[u]++] = static_cast<EdgeId>(e);
     adjacency_[cursor[v]] = u;
-    incident_[cursor[v]++] = static_cast<EdgeId>(e);
+    t.incident[cursor[v]++] = static_cast<EdgeId>(e);
   }
 
   // Sort each adjacency slice (with its parallel incident slice) so
   // neighbors() is ordered and has_edge() can binary-search.
+  std::vector<std::pair<Vertex, EdgeId>> slice;
   for (Vertex v = 0; v < n_; ++v) {
     const std::size_t lo = offsets_[v], hi = offsets_[v + 1];
-    std::vector<std::pair<Vertex, EdgeId>> slice;
-    slice.reserve(hi - lo);
+    slice.clear();
     for (std::size_t i = lo; i < hi; ++i)
-      slice.emplace_back(adjacency_[i], incident_[i]);
+      slice.emplace_back(adjacency_[i], t.incident[i]);
     std::sort(slice.begin(), slice.end());
     VALOCAL_REQUIRE(
         std::adjacent_find(slice.begin(), slice.end(),
@@ -301,7 +319,7 @@ Graph::Graph(std::size_t n, std::vector<std::pair<Vertex, Vertex>> edges)
         "duplicate edges are not allowed");
     for (std::size_t i = lo; i < hi; ++i) {
       adjacency_[i] = slice[i - lo].first;
-      incident_[i] = slice[i - lo].second;
+      t.incident[i] = slice[i - lo].second;
     }
     max_degree_ = std::max(max_degree_, hi - lo);
   }
@@ -310,29 +328,36 @@ Graph::Graph(std::size_t n, std::vector<std::pair<Vertex, Vertex>> edges)
   // same edge within the other endpoint's slice. The cursor sweep
   // (shared with the streaming build) derives both directions from
   // slice order alone — no per-edge slot tables, no extra passes.
-  mirror_.resize(2 * m);
-  std::vector<std::size_t> sweep_cursor(n_);
+  t.mirror.resize(2 * m);
   sweep_edge_slots(
-      n_, offsets_, adjacency_, sweep_cursor,
+      n_, offsets_, adjacency_, cursor,
       [&](Vertex u, Vertex w, std::size_t fwd_slot, std::size_t rev_slot) {
-        mirror_[fwd_slot] =
+        t.mirror[fwd_slot] =
             static_cast<std::uint32_t>(rev_slot - offsets_[w]);
-        mirror_[rev_slot] =
+        t.mirror[rev_slot] =
             static_cast<std::uint32_t>(fwd_slot - offsets_[u]);
       });
+  edge_tables_->ready.store(&t, std::memory_order_release);
+}
+
+std::size_t Graph::slot_of(Vertex v, Vertex w) const {
+  const auto nbrs = neighbors(v);
+  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), w);
+  if (it == nbrs.end() || *it != w) return kNoSlot;
+  return offsets_[v] + static_cast<std::size_t>(it - nbrs.begin());
 }
 
 bool Graph::has_edge(Vertex u, Vertex v) const {
-  return find_edge(u, v) != kInvalidEdge;
+  VALOCAL_REQUIRE(u < n_ && v < n_, "vertex out of range");
+  if (degree(u) > degree(v)) std::swap(u, v);
+  return slot_of(u, v) != kNoSlot;
 }
 
 EdgeId Graph::find_edge(Vertex u, Vertex v) const {
   VALOCAL_REQUIRE(u < n_ && v < n_, "vertex out of range");
   if (degree(u) > degree(v)) std::swap(u, v);
-  const auto nbrs = neighbors(u);
-  const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), v);
-  if (it == nbrs.end() || *it != v) return kInvalidEdge;
-  return incident_edges(u)[static_cast<std::size_t>(it - nbrs.begin())];
+  const std::size_t slot = slot_of(u, v);
+  return slot == kNoSlot ? kInvalidEdge : edge_index().incident_[slot];
 }
 
 std::uint64_t GraphBuilder::key(Vertex u, Vertex v) {
@@ -340,16 +365,42 @@ std::uint64_t GraphBuilder::key(Vertex u, Vertex v) {
   return (static_cast<std::uint64_t>(u) << 32) | v;
 }
 
+std::size_t GraphBuilder::probe(std::uint64_t k) const {
+  // splitmix64's finalizer: the keys are structured (u << 32 | v), so
+  // mix every bit into the low ones the mask keeps.
+  std::uint64_t h = k;
+  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+  h ^= h >> 31;
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(h) & mask;
+  while (slots_[i] != k && slots_[i] != kEmptyKey) i = (i + 1) & mask;
+  return i;
+}
+
+void GraphBuilder::grow() {
+  const std::vector<std::uint64_t> old = std::exchange(
+      slots_, std::vector<std::uint64_t>(
+                  std::max<std::size_t>(16, 2 * slots_.size()), kEmptyKey));
+  for (const std::uint64_t k : old)
+    if (k != kEmptyKey) slots_[probe(k)] = k;
+}
+
 bool GraphBuilder::add_edge(Vertex u, Vertex v) {
   VALOCAL_REQUIRE(u < n_ && v < n_, "edge endpoint out of range");
   if (u == v) return false;
-  if (!seen_.insert(key(u, v)).second) return false;
+  if (2 * (edges_.size() + 1) > slots_.size()) grow();
+  const std::uint64_t k = key(u, v);
+  std::uint64_t& slot = slots_[probe(k)];
+  if (slot == k) return false;
+  slot = k;
   edges_.emplace_back(u, v);
   return true;
 }
 
 bool GraphBuilder::has_edge(Vertex u, Vertex v) const {
-  return seen_.contains(key(u, v));
+  if (u == v || slots_.empty()) return false;
+  return slots_[probe(key(u, v))] != kEmptyKey;
 }
 
 Graph GraphBuilder::build() && {

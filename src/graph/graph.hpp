@@ -4,13 +4,18 @@
 // (tests additionally exercise adversarial ID permutations at the
 // algorithm layer). Edges carry stable indices 0..m-1 so edge-labelling
 // algorithms (edge coloring, matching, forest decomposition) can address
-// them; the two endpoints of edge e are edge_u(e) < edge_v(e).
+// them; the two endpoints of edge e are edge_u(e) < edge_v(e). The
+// edge-id tables are derived data: a streamed graph builds them on the
+// first edge-id query (see Graph::edge_index).
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <span>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -91,52 +96,22 @@ class SpanEdgeSource final : public EdgeBlockSource {
   std::span<const Vertex> pairs_;
 };
 
-class Graph {
+/// The edge-id tables of one graph (Graph::edge_index): edge endpoints,
+/// incident lists aligned with neighbors(), and reciprocal ports. A
+/// bundle of pointers into the graph's arrays, so a loop over edges
+/// fetches it once and pays no first-use check per edge. Valid while
+/// the graph it came from is alive.
+class EdgeIndex {
  public:
-  Graph() = default;
+  EdgeIndex() = default;
 
-  /// Builds from an edge list over vertices [0, n). Self-loops are
-  /// rejected; duplicate edges are rejected (simple graph). Edge ids
-  /// follow the input order. Requires n <= kMaxVertices.
-  Graph(std::size_t n, std::vector<std::pair<Vertex, Vertex>> edges);
-
-  /// Memory-lean streaming build: two serial passes over `src`
-  /// (degree count, then scatter straight into CSR), per-vertex sort +
-  /// dedup in place, then one cursor sweep for edge ids, incident
-  /// lists, and reciprocal ports. No edge-pair staging vector, no
-  /// hash-set dedup and no atomics: peak transient memory is
-  /// ~2·pairs·sizeof(Vertex) for the adjacency scatter plus the n+1
-  /// offsets and one max-degree radix scratch per sort chunk.
-  /// `num_threads` parallelizes the source's block production and the
-  /// per-slice sort over disjoint vertex ranges. Unlike the vector
-  /// constructor, self-loops and duplicate pairs are silently dropped
-  /// (generator-exchange semantics: RMAT and Graph500-style inputs
-  /// produce both), and edge ids are canonical — lexicographic by
-  /// (u, v) — so any two sources yielding the same edge multiset build
-  /// byte-identical graphs regardless of pair order or thread count.
-  /// A source whose second stream() differs from its first dies with
-  /// "edge source changed between passes" instead of overrunning.
-  static Graph from_source(std::size_t n, const EdgeBlockSource& src,
-                           std::size_t num_threads = 1);
-
-  std::size_t num_vertices() const { return n_; }
-  std::size_t num_edges() const { return edge_u_.size(); }
-
-  std::size_t degree(Vertex v) const {
-    return offsets_[v + 1] - offsets_[v];
-  }
-
-  /// Neighbors of v, sorted ascending.
-  std::span<const Vertex> neighbors(Vertex v) const {
-    return {adjacency_.data() + offsets_[v],
-            adjacency_.data() + offsets_[v + 1]};
-  }
+  /// False only for a default-constructed index.
+  explicit operator bool() const { return offsets_ != nullptr; }
 
   /// Edge ids incident on v, aligned with neighbors(v): the i-th entry is
   /// the id of the edge {v, neighbors(v)[i]}.
   std::span<const EdgeId> incident_edges(Vertex v) const {
-    return {incident_.data() + offsets_[v],
-            incident_.data() + offsets_[v + 1]};
+    return {incident_ + offsets_[v], incident_ + offsets_[v + 1]};
   }
 
   Vertex edge_u(EdgeId e) const { return edge_u_[e]; }
@@ -155,23 +130,158 @@ class Graph {
     return edge_u_[e] == v ? edge_v_[e] : edge_u_[e];
   }
 
+ private:
+  friend class Graph;
+
+  const std::size_t* offsets_ = nullptr;
+  const EdgeId* incident_ = nullptr;
+  const std::uint32_t* mirror_ = nullptr;
+  const Vertex* edge_u_ = nullptr;
+  const Vertex* edge_v_ = nullptr;
+};
+
+class Graph {
+ public:
+  Graph() = default;
+
+  /// Builds from an edge list over vertices [0, n). Self-loops are
+  /// rejected; duplicate edges are rejected (simple graph). Edge ids
+  /// follow the input order, so this path builds its edge index
+  /// eagerly. Requires n <= kMaxVertices.
+  Graph(std::size_t n, std::vector<std::pair<Vertex, Vertex>> edges);
+
+  /// Memory-lean streaming build: two serial passes over `src`
+  /// (degree count, then scatter straight into CSR), then a
+  /// per-vertex sort + dedup in place. It stops at the CSR: edge ids,
+  /// incident lists and reciprocal ports are built on the first
+  /// edge-id query (edge_index). No edge-pair staging vector, no
+  /// hash-set dedup and no atomics: peak transient memory is
+  /// ~2·pairs·sizeof(Vertex) for the adjacency scatter plus the n+1
+  /// offsets and one max-degree radix scratch per sort chunk.
+  /// `num_threads` parallelizes the source's block production and the
+  /// per-slice sort over disjoint vertex ranges. Unlike the vector
+  /// constructor, self-loops and duplicate pairs are silently dropped
+  /// (generator-exchange semantics: RMAT and Graph500-style inputs
+  /// produce both), and edge ids are canonical — lexicographic by
+  /// (u, v) — so any two sources yielding the same edge multiset build
+  /// byte-identical graphs regardless of pair order or thread count.
+  /// A source whose second stream() differs from its first dies with
+  /// "edge source changed between passes" instead of overrunning.
+  static Graph from_source(std::size_t n, const EdgeBlockSource& src,
+                           std::size_t num_threads = 1);
+
+  std::size_t num_vertices() const { return n_; }
+  std::size_t num_edges() const { return m_; }
+
+  std::size_t degree(Vertex v) const {
+    return offsets_[v + 1] - offsets_[v];
+  }
+
+  /// Neighbors of v, sorted ascending.
+  std::span<const Vertex> neighbors(Vertex v) const {
+    return {adjacency_.data() + offsets_[v],
+            adjacency_.data() + offsets_[v + 1]};
+  }
+
+  /// Neighbors of v above v: the sorted suffix of neighbors(v). Walking
+  /// it for every v visits each edge once, with no edge ids.
+  std::span<const Vertex> forward_neighbors(Vertex v) const {
+    const auto nbrs = neighbors(v);
+    return {std::upper_bound(nbrs.begin(), nbrs.end(), v), nbrs.end()};
+  }
+
+  /// Calls f(u, v) once per edge {u, v}, u < v, in unspecified order,
+  /// without building the edge index: one flat loop over the edge ids
+  /// when the index exists (about twice as fast as the per-vertex walk
+  /// on sparse graphs), else the forward_neighbors walk.
+  template <class F>
+  void for_each_edge(F&& f) const {
+    if (edge_index_built()) {
+      const EdgeIndex ix = edge_index();
+      for (EdgeId e = 0; e < m_; ++e) f(ix.edge_u(e), ix.edge_v(e));
+      return;
+    }
+    for (Vertex u = 0; u < n_; ++u)
+      for (const Vertex v : forward_neighbors(u)) f(u, v);
+  }
+
+  /// The edge-id tables. On a streamed graph the first call builds them
+  /// (one O(n + m) cursor sweep); concurrent first calls are safe and
+  /// all see the same tables. Fetch it once per loop, not per edge.
+  EdgeIndex edge_index() const {
+    const EdgeTables* t = edge_tables_ ? edge_tables_->ready.load(
+                                             std::memory_order_acquire)
+                                       : nullptr;
+    return index_over(t ? *t : build_edge_tables());
+  }
+
+  /// True once the edge-id tables exist (always for the vector
+  /// constructor; after the first edge-id query for a streamed graph).
+  bool edge_index_built() const {
+    return edge_tables_ &&
+           edge_tables_->ready.load(std::memory_order_acquire) != nullptr;
+  }
+
+  // Per-call edge-id accessors: each fetches the index. Loops should
+  // hold one edge_index() instead.
+  std::span<const EdgeId> incident_edges(Vertex v) const {
+    return edge_index().incident_edges(v);
+  }
+  Vertex edge_u(EdgeId e) const { return edge_index().edge_u(e); }
+  Vertex edge_v(EdgeId e) const { return edge_index().edge_v(e); }
+  std::size_t neighbor_port(Vertex v, std::size_t i) const {
+    return edge_index().neighbor_port(v, i);
+  }
+  Vertex other_endpoint(EdgeId e, Vertex v) const {
+    return edge_index().other_endpoint(e, v);
+  }
+
   /// Maximum degree Delta(G). O(1); precomputed.
   std::size_t max_degree() const { return max_degree_; }
 
-  /// True if {u, v} is an edge. O(log deg(u)).
+  /// True if {u, v} is an edge. O(log deg(u)); needs no edge ids.
   bool has_edge(Vertex u, Vertex v) const;
 
   /// Edge id of {u, v}, or kInvalidEdge. O(log deg(u)).
   EdgeId find_edge(Vertex u, Vertex v) const;
 
  private:
+  struct EdgeTables {
+    std::vector<EdgeId> incident;        // 2m, aligned with adjacency_
+    std::vector<std::uint32_t> mirror;   // 2m reciprocal ports
+    std::vector<Vertex> edge_u, edge_v;  // m each; u < v
+  };
+  /// Built at most once and then immutable, so copies of a graph
+  /// share it (their CSR arrays are equal, so either may build it).
+  /// `ready` publishes `tables` (release) once they are complete.
+  struct LazyEdgeTables {
+    std::atomic<const EdgeTables*> ready{nullptr};
+    std::mutex build;
+    EdgeTables tables;
+  };
+
+  EdgeIndex index_over(const EdgeTables& t) const {
+    EdgeIndex ix;
+    ix.offsets_ = offsets_.data();
+    ix.incident_ = t.incident.data();
+    ix.mirror_ = t.mirror.data();
+    ix.edge_u_ = t.edge_u.data();
+    ix.edge_v_ = t.edge_v.data();
+    return ix;
+  }
+  /// The slow path of edge_index(): builds the tables once, under the
+  /// shared lock, and publishes them.
+  const EdgeTables& build_edge_tables() const;
+  /// Adjacency slot of w in v's slice, or kNoSlot.
+  static constexpr std::size_t kNoSlot = ~std::size_t{0};
+  std::size_t slot_of(Vertex v, Vertex w) const;
+
   std::size_t n_ = 0;
+  std::size_t m_ = 0;
   std::size_t max_degree_ = 0;
-  std::vector<std::size_t> offsets_;   // n+1
-  std::vector<Vertex> adjacency_;      // 2m
-  std::vector<EdgeId> incident_;       // 2m
-  std::vector<std::uint32_t> mirror_;  // 2m reciprocal ports
-  std::vector<Vertex> edge_u_, edge_v_;  // m each; u < v
+  std::vector<std::size_t> offsets_;  // n+1
+  std::vector<Vertex> adjacency_;     // 2m
+  std::shared_ptr<LazyEdgeTables> edge_tables_;
 };
 
 /// Incremental edge-list builder with de-duplication. Convenient for
@@ -198,11 +308,19 @@ class GraphBuilder {
   Graph build() &&;
 
  private:
+  /// Open-addressing key set: linear probing at load <= 1/2, with
+  /// kEmptyKey marking a free slot. Keys are (min << 32) | max of two
+  /// distinct ids below n <= 2^32 - 1, so no key equals it.
+  static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
+
   static std::uint64_t key(Vertex u, Vertex v);
+  /// The slot holding `k`, or the free slot where probing for it ends.
+  std::size_t probe(std::uint64_t k) const;
+  void grow();
 
   std::size_t n_;
   std::vector<std::pair<Vertex, Vertex>> edges_;
-  std::unordered_set<std::uint64_t> seen_;
+  std::vector<std::uint64_t> slots_;  // power-of-two size, or empty
 };
 
 }  // namespace valocal

@@ -14,8 +14,9 @@ namespace valocal {
 
 void write_edge_list(std::ostream& os, const Graph& g) {
   os << g.num_vertices() << ' ' << g.num_edges() << '\n';
+  const EdgeIndex ix = g.edge_index();
   for (EdgeId e = 0; e < g.num_edges(); ++e)
-    os << g.edge_u(e) << ' ' << g.edge_v(e) << '\n';
+    os << ix.edge_u(e) << ' ' << ix.edge_v(e) << '\n';
   os.flush();
   VALOCAL_REQUIRE(os.good(),
                   "edge list: write failed (disk full or stream error)");
@@ -97,8 +98,9 @@ void write_dot(std::ostream& os, const Graph& g,
                      kPaletteSize]
          << ", label=\"" << v << ':' << (*vertex_color)[v] << "\"];\n";
   }
+  const EdgeIndex ix = g.edge_index();
   for (EdgeId e = 0; e < g.num_edges(); ++e)
-    os << "  " << g.edge_u(e) << " -- " << g.edge_v(e) << ";\n";
+    os << "  " << ix.edge_u(e) << " -- " << ix.edge_v(e) << ";\n";
   os << "}\n";
 }
 

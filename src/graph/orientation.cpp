@@ -7,21 +7,21 @@ namespace valocal {
 
 std::size_t Orientation::out_degree(Vertex v) const {
   std::size_t d = 0;
-  for (EdgeId e : graph_->incident_edges(v))
+  for (EdgeId e : edges_.incident_edges(v))
     if (is_oriented(e) && tail(e) == v) ++d;
   return d;
 }
 
 std::vector<Vertex> Orientation::parents(Vertex v) const {
   std::vector<Vertex> out;
-  for (EdgeId e : graph_->incident_edges(v))
+  for (EdgeId e : edges_.incident_edges(v))
     if (is_oriented(e) && tail(e) == v) out.push_back(head(e));
   return out;
 }
 
 std::vector<Vertex> Orientation::children(Vertex v) const {
   std::vector<Vertex> out;
-  for (EdgeId e : graph_->incident_edges(v))
+  for (EdgeId e : edges_.incident_edges(v))
     if (is_oriented(e) && head(e) == v) out.push_back(tail(e));
   return out;
 }
@@ -50,10 +50,11 @@ std::size_t longest_path_or_cycle(const Graph& g, const Orientation& o) {
 
   std::vector<std::size_t> depth(n, 0);
   std::size_t processed = 0, longest = 0;
+  const EdgeIndex ix = g.edge_index();
   for (std::size_t i = 0; i < queue.size(); ++i) {
     const Vertex v = queue[i];
     ++processed;
-    for (EdgeId e : g.incident_edges(v)) {
+    for (EdgeId e : ix.incident_edges(v)) {
       if (!o.is_oriented(e) || o.tail(e) != v) continue;
       const Vertex h = o.head(e);
       depth[h] = std::max(depth[h], depth[v] + 1);

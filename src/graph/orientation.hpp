@@ -22,12 +22,13 @@ enum class EdgeDir : std::uint8_t {
 class Orientation {
  public:
   explicit Orientation(const Graph& g)
-      : graph_(&g), dir_(g.num_edges(), EdgeDir::kNone) {}
+      : graph_(&g), edges_(g.edge_index()),
+        dir_(g.num_edges(), EdgeDir::kNone) {}
 
   const Graph& graph() const { return *graph_; }
 
   void orient_towards(EdgeId e, Vertex head) {
-    dir_[e] = (graph_->edge_v(e) == head) ? EdgeDir::kToV : EdgeDir::kToU;
+    dir_[e] = (edges_.edge_v(e) == head) ? EdgeDir::kToV : EdgeDir::kToU;
   }
 
   void clear(EdgeId e) { dir_[e] = EdgeDir::kNone; }
@@ -36,14 +37,12 @@ class Orientation {
 
   /// Head (target) of an oriented edge.
   Vertex head(EdgeId e) const {
-    return dir_[e] == EdgeDir::kToV ? graph_->edge_v(e)
-                                    : graph_->edge_u(e);
+    return dir_[e] == EdgeDir::kToV ? edges_.edge_v(e) : edges_.edge_u(e);
   }
 
   /// Tail (source) of an oriented edge.
   Vertex tail(EdgeId e) const {
-    return dir_[e] == EdgeDir::kToV ? graph_->edge_u(e)
-                                    : graph_->edge_v(e);
+    return dir_[e] == EdgeDir::kToV ? edges_.edge_u(e) : edges_.edge_v(e);
   }
 
   /// Out-degree of vertex v under this orientation.
@@ -69,6 +68,7 @@ class Orientation {
 
  private:
   const Graph* graph_;
+  EdgeIndex edges_;  // fetched once: head/tail run per edge
   std::vector<EdgeDir> dir_;
 };
 

@@ -17,8 +17,9 @@ Graph relabel(const Graph& g, const std::vector<Vertex>& perm) {
     seen[p] = 1;
   }
   GraphBuilder builder(g.num_vertices());
+  const EdgeIndex ix = g.edge_index();
   for (EdgeId e = 0; e < g.num_edges(); ++e)
-    builder.add_edge(perm[g.edge_u(e)], perm[g.edge_v(e)]);
+    builder.add_edge(perm[ix.edge_u(e)], perm[ix.edge_v(e)]);
   return std::move(builder).build();
 }
 

@@ -117,11 +117,12 @@ MailboxRunResult<A> run_mailbox(const Graph& g, const A& algo,
   std::vector<std::vector<std::pair<std::uint32_t, Message>>> inbox(n),
       pending(n);
 
+  const EdgeIndex ports = g.edge_index();
   auto route = [&](Vertex v, const Outbox<Message>& out) {
     for (const auto& [port, msg] : out.staged()) {
       const Vertex u = g.neighbors(v)[port];
       pending[u].emplace_back(
-          static_cast<std::uint32_t>(g.neighbor_port(v, port)), msg);
+          static_cast<std::uint32_t>(ports.neighbor_port(v, port)), msg);
       ++result.messages_sent;
     }
   };

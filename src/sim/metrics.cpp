@@ -40,23 +40,21 @@ void Metrics::finalize(const Graph& g) {
     s.round_sum += r;
     if (r > s.worst_case) s.worst_case = r;
   }
-  // Edge costs in one O(m) pass: bucket each edge at its cost
-  // max(r(u), r(v)), then suffix-sum so edge_active_per_round[i] is
-  // m_{i+1} = #{e : cost(e) >= i + 1}, mirroring active_per_round's
-  // decay-sequence convention. Hand-built metrics may carry fewer
-  // entries than the graph has vertices; missing vertices count as
-  // r = 0 rather than faulting.
+  // Edge costs in one O(m) pass that needs no edge ids: bucket each
+  // edge at its cost max(r(u), r(v)), then suffix-sum so
+  // edge_active_per_round[i] is m_{i+1} = #{e : cost(e) >= i + 1},
+  // mirroring active_per_round's decay-sequence convention. Hand-built
+  // metrics may carry fewer entries than the graph has vertices;
+  // missing vertices count as r = 0 rather than faulting.
   edge_active_per_round.assign(s.worst_case, 0);
   const std::size_t nr = rounds.size();
-  for (std::size_t e = 0; e < s.num_edges; ++e) {
-    const Vertex u = g.edge_u(static_cast<EdgeId>(e));
-    const Vertex v = g.edge_v(static_cast<EdgeId>(e));
+  g.for_each_edge([&](Vertex u, Vertex v) {
     const std::uint32_t ru = u < nr ? rounds[u] : 0;
     const std::uint32_t rv = v < nr ? rounds[v] : 0;
     const std::uint32_t cost = ru > rv ? ru : rv;
     s.edge_round_sum += cost;
     if (cost > 0) ++edge_active_per_round[cost - 1];
-  }
+  });
   for (std::size_t i = edge_active_per_round.size(); i > 1; --i)
     edge_active_per_round[i - 2] += edge_active_per_round[i - 1];
   std::uint64_t stepped = 0;

@@ -110,7 +110,7 @@ class RoundView {
   std::span<const Vertex> neighbors() const { return nbrs_; }
 
   std::span<const EdgeId> incident_edges() const {
-    return graph_->incident_edges(v_);
+    return edges().incident_edges(v_);
   }
 
   Vertex neighbor(std::size_t i) const { return nbrs_[i]; }
@@ -122,7 +122,7 @@ class RoundView {
   /// Port of the shared edge within neighbor i's incident list — lets
   /// per-edge state published by the neighbor be addressed locally.
   std::size_t neighbor_port(std::size_t i) const {
-    return graph_->neighbor_port(v_, i);
+    return edges().neighbor_port(v_, i);
   }
 
   /// State of a specific neighbor u (debug-checked to be adjacent).
@@ -146,10 +146,19 @@ class RoundView {
   }
 
  private:
+  /// The graph's edge index, fetched on the view's first edge-id query:
+  /// a vertex-only algorithm never builds it, an edge algorithm pays
+  /// the graph's first-use check once per view, not once per port.
+  const EdgeIndex& edges() const {
+    if (!edges_) edges_ = graph_->edge_index();
+    return edges_;
+  }
+
   const Graph* graph_;
   const State* read_;
   Vertex v_ = 0;
   std::span<const Vertex> nbrs_{};
+  mutable EdgeIndex edges_{};
 };
 
 /// Per-round verdict of a vertex. The paper (Section 2) modifies the

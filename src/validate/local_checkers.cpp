@@ -57,13 +57,14 @@ LocalVerdict locally_check_mis(const Graph& g,
 LocalVerdict locally_check_matching(const Graph& g,
                                     const std::vector<bool>& in_matching) {
   auto verdict = make_verdict(g.num_vertices());
+  const EdgeIndex ix = g.edge_index();
   // One auxiliary exchange (still radius-1): every vertex publishes
   // whether it is matched.
   std::vector<char> matched(g.num_vertices(), 0);
   std::vector<char> overmatched(g.num_vertices(), 0);
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     int count = 0;
-    for (EdgeId e : g.incident_edges(v))
+    for (EdgeId e : ix.incident_edges(v))
       if (in_matching[e]) ++count;
     matched[v] = count >= 1;
     overmatched[v] = count > 1;
@@ -87,9 +88,10 @@ LocalVerdict locally_check_edge_coloring(
     const Graph& g, const std::vector<int>& edge_color,
     std::size_t palette) {
   auto verdict = make_verdict(g.num_vertices());
+  const EdgeIndex ix = g.edge_index();
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     std::unordered_set<int> seen;
-    for (EdgeId e : g.incident_edges(v)) {
+    for (EdgeId e : ix.incident_edges(v)) {
       const int c = edge_color[e];
       if (c < 0 ||
           (palette != static_cast<std::size_t>(-1) &&
@@ -108,9 +110,10 @@ LocalVerdict locally_check_forest_labels(const Graph& g,
                                          const std::vector<int>& label,
                                          std::size_t num_forests) {
   auto verdict = make_verdict(g.num_vertices());
+  const EdgeIndex ix = g.edge_index();
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     std::unordered_set<int> out_labels;
-    for (EdgeId e : g.incident_edges(v)) {
+    for (EdgeId e : ix.incident_edges(v)) {
       if (!orient.is_oriented(e) || label[e] < 0 ||
           static_cast<std::size_t>(label[e]) >= num_forests) {
         reject(verdict, v);

@@ -47,10 +47,12 @@ std::vector<bool> greedy_mis(const Graph& g) {
 std::vector<bool> greedy_matching(const Graph& g) {
   std::vector<bool> in_matching(g.num_edges(), false);
   std::vector<char> matched(g.num_vertices(), 0);
+  const EdgeIndex ix = g.edge_index();
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    if (matched[g.edge_u(e)] || matched[g.edge_v(e)]) continue;
+    const Vertex u = ix.edge_u(e), v = ix.edge_v(e);
+    if (matched[u] || matched[v]) continue;
     in_matching[e] = true;
-    matched[g.edge_u(e)] = matched[g.edge_v(e)] = 1;
+    matched[u] = matched[v] = 1;
   }
   return in_matching;
 }
@@ -59,10 +61,11 @@ std::vector<int> greedy_edge_coloring(const Graph& g) {
   std::vector<int> color(g.num_edges(), -1);
   const std::size_t palette = 2 * std::max<std::size_t>(g.max_degree(), 1);
   std::vector<char> taken;
+  const EdgeIndex ix = g.edge_index();
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     taken.assign(palette, 0);
-    for (Vertex endpoint : {g.edge_u(e), g.edge_v(e)})
-      for (EdgeId f : g.incident_edges(endpoint))
+    for (Vertex endpoint : {ix.edge_u(e), ix.edge_v(e)})
+      for (EdgeId f : ix.incident_edges(endpoint))
         if (color[f] >= 0) taken[color[f]] = 1;
     int c = 0;
     while (taken[c]) ++c;

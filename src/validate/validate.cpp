@@ -12,9 +12,10 @@ bool is_proper_coloring(const Graph& g, const std::vector<int>& color) {
   if (color.size() != g.num_vertices()) return false;
   for (int c : color)
     if (c < 0) return false;
-  for (EdgeId e = 0; e < g.num_edges(); ++e)
-    if (color[g.edge_u(e)] == color[g.edge_v(e)]) return false;
-  return true;
+  bool proper = true;
+  g.for_each_edge(
+      [&](Vertex u, Vertex v) { proper = proper && color[u] != color[v]; });
+  return proper;
 }
 
 std::size_t count_colors(const std::vector<int>& color) {
@@ -27,10 +28,10 @@ bool is_proper_edge_coloring(const Graph& g,
   if (edge_color.size() != g.num_edges()) return false;
   for (int c : edge_color)
     if (c < 0) return false;
+  const EdgeIndex ix = g.edge_index();
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const auto edges = g.incident_edges(v);
     std::unordered_set<int> seen;
-    for (EdgeId e : edges)
+    for (EdgeId e : ix.incident_edges(v))
       if (!seen.insert(edge_color[e]).second) return false;
   }
   return true;
@@ -38,17 +39,13 @@ bool is_proper_edge_coloring(const Graph& g,
 
 bool is_mis(const Graph& g, const std::vector<bool>& in_set) {
   if (in_set.size() != g.num_vertices()) return false;
-  for (EdgeId e = 0; e < g.num_edges(); ++e)
-    if (in_set[g.edge_u(e)] && in_set[g.edge_v(e)]) return false;
+  // One pass over the adjacency, no edge ids: a member has no member
+  // neighbor (independence), a non-member has one (maximality).
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    if (in_set[v]) continue;
-    bool dominated = false;
-    for (Vertex u : g.neighbors(v))
-      if (in_set[u]) {
-        dominated = true;
-        break;
-      }
-    if (!dominated) return false;
+    const auto nbrs = g.neighbors(v);
+    const bool member_neighbor = std::any_of(
+        nbrs.begin(), nbrs.end(), [&](Vertex u) { return in_set[u]; });
+    if (member_neighbor == in_set[v]) return false;
   }
   return true;
 }
@@ -56,14 +53,16 @@ bool is_mis(const Graph& g, const std::vector<bool>& in_set) {
 bool is_maximal_matching(const Graph& g,
                          const std::vector<bool>& in_matching) {
   if (in_matching.size() != g.num_edges()) return false;
+  const EdgeIndex ix = g.edge_index();
   std::vector<char> matched(g.num_vertices(), 0);
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     if (!in_matching[e]) continue;
-    if (matched[g.edge_u(e)] || matched[g.edge_v(e)]) return false;
-    matched[g.edge_u(e)] = matched[g.edge_v(e)] = 1;
+    const Vertex u = ix.edge_u(e), v = ix.edge_v(e);
+    if (matched[u] || matched[v]) return false;
+    matched[u] = matched[v] = 1;
   }
   for (EdgeId e = 0; e < g.num_edges(); ++e)
-    if (!in_matching[e] && !matched[g.edge_u(e)] && !matched[g.edge_v(e)])
+    if (!in_matching[e] && !matched[ix.edge_u(e)] && !matched[ix.edge_v(e)])
       return false;  // addable edge: not maximal
   return true;
 }
@@ -80,9 +79,10 @@ bool is_forest_decomposition(const Graph& g, const Orientation& orient,
   if (!orient.is_acyclic()) return false;
   // Per-label out-degree <= 1: each vertex has at most one outgoing edge
   // with a given label, so each label class is a functional forest.
+  const EdgeIndex ix = g.edge_index();
   for (Vertex v = 0; v < g.num_vertices(); ++v) {
     std::unordered_set<int> out_labels;
-    for (EdgeId e : g.incident_edges(v)) {
+    for (EdgeId e : ix.incident_edges(v)) {
       if (orient.tail(e) != v) continue;
       if (!out_labels.insert(label[e]).second) return false;
     }

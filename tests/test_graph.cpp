@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <random>
+#include <set>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "graph/rmat.hpp"
 #include "stream_contract.hpp"
 
 namespace valocal {
@@ -72,6 +77,38 @@ TEST(GraphBuilder, DeduplicatesEdges) {
   EXPECT_FALSE(b.has_edge(0, 2));
   Graph g = std::move(b).build();
   EXPECT_EQ(g.num_edges(), 2u);
+
+  // A random add/has sequence through several rehash growths, with
+  // repeats in both orientations and self-loops, against std::set;
+  // accepted edges keep their insertion order as ids.
+  constexpr Vertex kN = 300;
+  GraphBuilder big(kN);
+  std::set<std::pair<Vertex, Vertex>> reference;
+  std::vector<std::pair<Vertex, Vertex>> accepted;
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 20000; ++i) {
+    const auto u = static_cast<Vertex>(rng() % kN);
+    const auto v = static_cast<Vertex>(rng() % kN);
+    const std::pair<Vertex, Vertex> key = std::minmax(u, v);
+    const bool present = reference.contains(key);
+    ASSERT_EQ(big.has_edge(u, v), present) << u << ' ' << v;
+    ASSERT_EQ(big.has_edge(v, u), present) << u << ' ' << v;
+    ASSERT_EQ(big.add_edge(u, v), u != v && !present) << u << ' ' << v;
+    if (u != v && !present) {
+      reference.insert(key);
+      accepted.push_back(key);
+    }
+    ASSERT_EQ(big.has_edge(v, u), u != v);
+  }
+  ASSERT_GT(accepted.size(), 10000u);
+  ASSERT_LT(accepted.size(), 20000u);
+  ASSERT_EQ(big.num_edges(), accepted.size());
+  const Graph built = std::move(big).build();
+  ASSERT_EQ(built.num_edges(), accepted.size());
+  for (EdgeId e = 0; e < built.num_edges(); ++e) {
+    ASSERT_EQ(built.edge_u(e), accepted[e].first) << "edge " << e;
+    ASSERT_EQ(built.edge_v(e), accepted[e].second) << "edge " << e;
+  }
 }
 
 TEST(Graph, DegreeSumIsTwiceEdges) {
@@ -157,6 +194,33 @@ void expect_ports_consistent(const Graph& g) {
   }
 }
 
+// g rebuilt through the eager vector constructor with its edges in
+// lexicographic order, so its edge index is the canonical one,
+// computed by the eager sweep.
+Graph eager_canonical(const Graph& g) {
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  for (Vertex u = 0; u < g.num_vertices(); ++u)
+    for (const Vertex v : g.forward_neighbors(u)) edges.emplace_back(u, v);
+  return Graph(g.num_vertices(), std::move(edges));
+}
+
+// Same edge ids, incident lists and ports.
+void expect_same_edge_index(const Graph& a, const Graph& b) {
+  ASSERT_EQ(a.num_edges(), b.num_edges());
+  for (EdgeId e = 0; e < a.num_edges(); ++e) {
+    ASSERT_EQ(a.edge_u(e), b.edge_u(e)) << "edge " << e;
+    ASSERT_EQ(a.edge_v(e), b.edge_v(e)) << "edge " << e;
+  }
+  for (Vertex v = 0; v < a.num_vertices(); ++v) {
+    const auto ia = a.incident_edges(v), ib = b.incident_edges(v);
+    ASSERT_TRUE(std::equal(ia.begin(), ia.end(), ib.begin(), ib.end()))
+        << "incident edges of " << v;
+    for (std::size_t i = 0; i < a.degree(v); ++i)
+      ASSERT_EQ(a.neighbor_port(v, i), b.neighbor_port(v, i))
+          << "port " << i << " of " << v;
+  }
+}
+
 // Same adjacency structure (ids may differ: from_source assigns
 // canonical lexicographic edge ids, the staged path input order).
 void expect_same_structure(const Graph& a, const Graph& b) {
@@ -201,9 +265,106 @@ TEST(GraphFromSource, MatchesStagedBuildOnEveryGeneratorFamily) {
         const Graph streamed =
             Graph::from_source(g.num_vertices(), src, threads);
         expect_same_structure(streamed, g);
+        ASSERT_FALSE(streamed.edge_index_built());
+        expect_same_edge_index(streamed, eager_canonical(g));
+        ASSERT_TRUE(streamed.edge_index_built());
         expect_ports_consistent(streamed);
       }
     }
+  }
+}
+
+// FNV-1a over a graph's edge index, read through the per-call
+// accessors; `incident_first` picks which table the first query hits.
+std::uint64_t edge_index_fingerprint(const Graph& g, bool incident_first) {
+  const auto mix = [](std::uint64_t& h, std::uint64_t x) {
+    h = (h ^ x) * 0x100000001b3ULL;
+  };
+  std::uint64_t by_vertex = 0xcbf29ce484222325ULL, by_edge = by_vertex;
+  const auto vertices = [&] {
+    for (Vertex v = 0; v < g.num_vertices(); ++v) {
+      for (const EdgeId e : g.incident_edges(v)) mix(by_vertex, e);
+      for (std::size_t i = 0; i < g.degree(v); ++i)
+        mix(by_vertex, g.neighbor_port(v, i));
+    }
+  };
+  const auto edges = [&] {
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      mix(by_edge, g.edge_u(e));
+      mix(by_edge, g.edge_v(e));
+    }
+  };
+  if (incident_first) {
+    vertices();
+    edges();
+  } else {
+    edges();
+    vertices();
+  }
+  return by_vertex ^ (by_edge * 31);
+}
+
+TEST(GraphFromSource, EdgeIndexIsBuiltOnFirstUseAndSharedByCopies) {
+  const Graph g = gen::rmat({.scale = 8, .edge_factor = 4, .seed = 3});
+  EXPECT_FALSE(g.edge_index_built());
+  // Counts, adjacency and has_edge need no edge ids.
+  ASSERT_GT(g.num_edges(), 0u);
+  Vertex u = 0;
+  while (g.degree(u) == 0) ++u;
+  EXPECT_TRUE(g.has_edge(u, g.neighbors(u)[0]));
+  EXPECT_TRUE(g.has_edge(g.neighbors(u)[0], u));
+  const auto edge_set = [](const Graph& h) {
+    std::set<std::pair<Vertex, Vertex>> out;
+    h.for_each_edge([&](Vertex a, Vertex b) {
+      EXPECT_LT(a, b);
+      EXPECT_TRUE(out.emplace(a, b).second) << a << ' ' << b;
+    });
+    return out;
+  };
+  const auto walked = edge_set(g);  // the forward-neighbor walk
+  EXPECT_EQ(walked.size(), g.num_edges());
+  EXPECT_FALSE(g.edge_index_built());
+  const Graph copy = g;
+  EXPECT_FALSE(copy.edge_index_built());
+  expect_same_edge_index(copy, eager_canonical(g));
+  // The copy's first query built the tables both copies share.
+  EXPECT_TRUE(copy.edge_index_built());
+  EXPECT_TRUE(g.edge_index_built());
+  EXPECT_EQ(edge_set(g), walked);  // the edge-id loop
+  EXPECT_TRUE(Graph(3, {{0, 1}}).edge_index_built());
+  EXPECT_FALSE(Graph().edge_index_built());
+  EXPECT_FALSE(Graph().edge_index());
+}
+
+TEST(GraphFromSource, ConcurrentFirstEdgeQueriesSeeOneIndex) {
+  // Four threads race the first incident_edges / edge_u on a fresh
+  // streamed graph; two more wait until edge_index_built() and then
+  // read through the fast path only, which checks the publication.
+  // Every one must read the tables a serial build gives. Run under
+  // TSan in CI.
+  const gen::RmatParams params{.scale = 11, .edge_factor = 8, .seed = 9};
+  const std::uint64_t want =
+      edge_index_fingerprint(eager_canonical(gen::rmat(params)), true);
+  constexpr int kRacers = 4, kLate = 2;
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    const Graph g = gen::rmat(params);
+    ASSERT_FALSE(g.edge_index_built());
+    std::atomic<int> waiting{kRacers};
+    std::array<std::uint64_t, kRacers + kLate> seen{};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kRacers + kLate; ++t)
+      threads.emplace_back([&, t] {
+        if (t < kRacers) {
+          waiting.fetch_sub(1);
+          while (waiting.load() > 0) std::this_thread::yield();
+        } else {
+          while (!g.edge_index_built()) std::this_thread::yield();
+        }
+        seen[t] = edge_index_fingerprint(g, t % 2 == 0);
+      });
+    for (std::thread& th : threads) th.join();
+    for (int t = 0; t < kRacers + kLate; ++t)
+      EXPECT_EQ(seen[t], want) << "thread " << t;
   }
 }
 

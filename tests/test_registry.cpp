@@ -10,8 +10,10 @@
 #include <set>
 
 #include "graph/generators.hpp"
+#include "graph/rmat.hpp"
 #include "registry/registry.hpp"
 #include "sim/network.hpp"
+#include "validate/validate.hpp"
 
 namespace valocal {
 namespace {
@@ -216,6 +218,39 @@ TEST(Registry, Bgko22EntriesHoldEdgeMeasuresByteStableAcrossEngines) {
     }
     set_engine_threads(1);
   }
+}
+
+TEST(Registry, VertexEntriesLeaveAStreamedGraphsEdgeIndexUnbuilt) {
+  // luby and bgko_mis — the solve, its verdict, the metrics' edge
+  // measures and the MIS re-check — read adjacency only, so a streamed
+  // graph's lazily built edge index stays unbuilt through them. Their
+  // edge measures equal those on the same graph with an eager index.
+  const Graph streamed = gen::rmat({.scale = 10, .edge_factor = 8, .seed = 4});
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  for (Vertex u = 0; u < streamed.num_vertices(); ++u)
+    for (const Vertex v : streamed.forward_neighbors(u))
+      edges.emplace_back(u, v);
+  const Graph eager(streamed.num_vertices(), std::move(edges));
+  const Registry& reg = Registry::instance();
+  for (const char* name : {"luby", "bgko_mis"}) {
+    SCOPED_TRACE(name);
+    const AlgoSpec& spec = reg.at(name);
+    const SolveOutcome o = spec.run(streamed, default_params());
+    EXPECT_TRUE(o.ok());
+    std::vector<bool> in_set(o.labels.begin(), o.labels.end());
+    EXPECT_TRUE(is_mis(streamed, in_set));
+    EXPECT_FALSE(streamed.edge_index_built());
+
+    const SolveOutcome ref = spec.run(eager, default_params());
+    EXPECT_EQ(o.labels, ref.labels);
+    EXPECT_GT(o.metrics.edge_round_sum(), 0u);
+    EXPECT_EQ(o.metrics.edge_round_sum(), ref.metrics.edge_round_sum());
+    EXPECT_EQ(o.metrics.edge_active_per_round,
+              ref.metrics.edge_active_per_round);
+  }
+  // An edge entry does build it.
+  EXPECT_TRUE(reg.at("bgko_matching").run(streamed, default_params()).ok());
+  EXPECT_TRUE(streamed.edge_index_built());
 }
 
 TEST(Registry, RandomizedSpecsArePureFunctionsOfTheSeed) {
