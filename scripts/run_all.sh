@@ -156,8 +156,8 @@ fi
 # dormancy barrier index it raw) and the edge-id index's consumers
 # (the lazily built incident lists, ports and endpoint arrays are read
 # through raw pointers by the edge algorithms, orientations and
-# validators). UBSan
-# findings abort the test instead of scrolling by. Skipped gracefully
+# validators) — and every other suite too: the job covers all of
+# tests/. UBSan findings abort the test instead of scrolling by. Skipped gracefully
 # where libasan or libubsan is absent.
 if echo 'int main(){}' | c++ -fsanitize=address,undefined -x c++ - -o /tmp/valocal_asan_probe 2>/dev/null; then
   rm -f /tmp/valocal_asan_probe
@@ -168,10 +168,15 @@ if echo 'int main(){}' | c++ -fsanitize=address,undefined -x c++ - -o /tmp/valoc
     test_wake_engine test_frontier_engine test_parallel_engine \
     test_registry test_step_alloc test_randomized test_wc_baselines \
     test_extension test_forest_decomposition test_hset_composition \
-    test_orientation test_validate test_local_checkers
+    test_orientation test_validate test_local_checkers test_coloring_ka \
+    test_arboricity test_batch test_defective_coloring \
+    test_general_partition test_generators test_infrastructure \
+    test_io_cli test_mathx test_metrics_io test_misc_coverage \
+    test_one_plus_eta test_partition test_relabel test_rings test_stress \
+    test_trace test_mailbox
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan --output-on-failure \
-    -R 'test_graph|test_rmat|test_edgelist_bin|test_coverfree|test_kw_reduce|test_coloring_a2$|test_coloring_a2logn|test_coloring_oa|test_determinism|test_engine$|test_engine_contracts|test_wake_engine|test_frontier_engine|test_parallel_engine|test_registry|test_step_alloc|test_randomized|test_wc_baselines|test_extension|test_forest_decomposition|test_hset_composition|test_orientation|test_validate|test_local_checkers' \
+    -R 'test_graph|test_rmat|test_edgelist_bin|test_coverfree|test_kw_reduce|test_coloring_a2$|test_coloring_a2logn|test_coloring_oa|test_determinism|test_engine$|test_engine_contracts|test_wake_engine|test_frontier_engine|test_parallel_engine|test_registry|test_step_alloc|test_randomized|test_wc_baselines|test_extension|test_forest_decomposition|test_hset_composition|test_orientation|test_validate|test_local_checkers|test_coloring_ka|test_arboricity|test_batch|test_defective_coloring|test_general_partition|test_generators|test_infrastructure|test_io_cli|test_mathx|test_metrics_io|test_misc_coverage|test_one_plus_eta|test_partition|test_relabel|test_rings|test_stress|test_trace|test_mailbox' \
     2>&1 | tee asan_output.txt
 else
   echo "ASan/UBSan unavailable; skipping ASan+UBSan job" | tee asan_output.txt

@@ -58,7 +58,6 @@ class ColoringA2Algo {
   std::size_t palette_bound() const;
 
   std::size_t phase1_sets() const { return t1_; }
-  std::size_t total_partition_rounds() const { return ell_; }
   std::size_t ladder_steps() const { return steps_; }
 
   // Trace phases (trace::PhaseTraced), mirroring the round ranges in

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "algo/line_plan.hpp"
 #include "util/assertx.hpp"
 #include "util/mathx.hpp"
 #include "validate/validate.hpp"
@@ -73,15 +74,8 @@ bool ColoringKaAlgo::step(Vertex, std::size_t round,
       return false;
     }
     // Plan round pos-1 for H_{hset_index}.
-    if (self.hset == static_cast<std::int32_t>(hset_index)) {
-      std::vector<std::uint64_t> nbrs;
-      nbrs.reserve(view.degree());
-      for (std::size_t i = 0; i < view.degree(); ++i) {
-        const auto& nbr = view.neighbor_state(i);
-        if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);
-      }
-      next.aux = plan_->advance(pos - 1, self.aux, nbrs);
-    }
+    if (self.hset == static_cast<std::int32_t>(hset_index))
+      next.aux = same_set_plan_round(*plan_, pos - 1, view);
     return false;
   }
 
@@ -91,21 +85,8 @@ bool ColoringKaAlgo::step(Vertex, std::size_t round,
   // palette offset.
   if (!in_seg(self.hset) || self.pick >= 0) return false;
   const std::size_t a_bound = params_.threshold();
-  std::vector<char> taken(a_bound + 1, 0);
-  for (std::size_t i = 0; i < view.degree(); ++i) {
-    const auto& nbr = view.neighbor_state(i);
-    if (!in_seg(nbr.hset)) continue;
-    const bool parent = nbr.hset > self.hset ||
-                        (nbr.hset == self.hset && nbr.aux > self.aux);
-    if (!parent) continue;
-    if (nbr.pick < 0) return false;
-    taken[nbr.pick] = 1;
-  }
-  std::int32_t pick = 0;
-  while (pick <= static_cast<std::int32_t>(a_bound) && taken[pick])
-    ++pick;
-  VALOCAL_ENSURE(pick <= static_cast<std::int32_t>(a_bound),
-                 "recoloring palette exhausted: H-partition bound broken");
+  const std::int32_t pick = recolor_pick(view, a_bound, in_seg);
+  if (pick < 0) return false;
   next.pick = pick;
   next.final_color = static_cast<std::int64_t>(
       seg_idx * (a_bound + 1) + static_cast<std::size_t>(pick));

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <vector>
 
+#include "algo/line_plan.hpp"
 #include "util/assertx.hpp"
-#include "util/scratch.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
@@ -111,37 +111,7 @@ std::size_t ColoringOaAlgo::next_wake(Vertex, std::size_t round,
   return std::max(wake, round + 1);
 }
 
-bool ColoringOaAlgo::recolor_round(Vertex, int phase,
-                                   const RoundView<State>& view,
-                                   State& next) const {
-  const auto& self = view.self();
-  if (!in_phase(self.hset, phase) || self.pick >= 0) return false;
-
-  // Parents within this phase: later H-set, or same H-set with larger
-  // auxiliary color. At most A of them (H-partition property).
-  std::vector<char>& taken = thread_scratch<ColoringOaAlgo, char>();
-  taken.assign(params_.threshold() + 1, 0);
-  for (std::size_t i = 0; i < view.degree(); ++i) {
-    const auto& nbr = view.neighbor_state(i);
-    if (!in_phase(nbr.hset, phase)) continue;
-    const bool parent =
-        nbr.hset > self.hset ||
-        (nbr.hset == self.hset && nbr.aux > self.aux);
-    if (!parent) continue;
-    if (nbr.pick < 0) return false;  // wait for every parent
-    taken[nbr.pick] = 1;
-  }
-  std::int32_t pick = 0;
-  while (pick <= static_cast<std::int32_t>(params_.threshold()) &&
-         taken[pick])
-    ++pick;
-  VALOCAL_ENSURE(pick <= static_cast<std::int32_t>(params_.threshold()),
-                 "recoloring palette exhausted: H-partition bound broken");
-  next.pick = pick;
-  return true;
-}
-
-bool ColoringOaAlgo::step(Vertex v, std::size_t round,
+bool ColoringOaAlgo::step(Vertex, std::size_t round,
                           const RoundView<State>& view, State& next,
                           Xoshiro256&) const {
   const Region region = locate(round);
@@ -154,20 +124,21 @@ bool ColoringOaAlgo::step(Vertex v, std::size_t round,
                                        params_.threshold());
       return false;
     case 1:  // plan round for H_{region.index}
-      if (self.hset == static_cast<std::int32_t>(region.index)) {
-        std::vector<std::uint64_t>& nbrs =
-            thread_scratch<ColoringOaAlgo, std::uint64_t>();
-        for (std::size_t i = 0; i < view.degree(); ++i) {
-          const auto& nbr = view.neighbor_state(i);
-          if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);
-        }
-        next.aux = plan_->advance(region.plan_round, self.aux, nbrs);
-        (void)v;
-      }
+      if (self.hset == static_cast<std::int32_t>(region.index))
+        next.aux = same_set_plan_round(*plan_, region.plan_round, view);
       return false;
     case 2:
-    default:
-      return recolor_round(v, region.phase, view, next);
+    default: {
+      // Recoloring attempt, parents taken within this phase only; the
+      // vertex terminates once it picks.
+      if (!in_phase(self.hset, region.phase) || self.pick >= 0) return false;
+      const std::int32_t pick = recolor_pick(
+          view, params_.threshold(),
+          [&](std::int32_t h) { return in_phase(h, region.phase); });
+      if (pick < 0) return false;
+      next.pick = pick;
+      return true;
+    }
   }
 }
 

@@ -110,11 +110,6 @@ class ColoringOaAlgo {
   /// First round of the given phase's recoloring stage.
   std::size_t recolor_start(int phase) const;
 
-  /// Recoloring attempt; returns true when the vertex picked (and thus
-  /// terminates).
-  bool recolor_round(Vertex v, int phase, const RoundView<State>& view,
-                     State& next) const;
-
   PartitionParams params_;
   std::size_t t1_ = 0;
   std::size_t ell_ = 0;

@@ -22,6 +22,7 @@
 #include "algo/coloring_result.hpp"
 #include "algo/deg_plus_one_plan.hpp"
 #include "algo/extension.hpp"
+#include "algo/line_plan.hpp"
 #include "algo/partition.hpp"
 #include "graph/graph.hpp"
 #include "sim/network.hpp"
@@ -83,13 +84,7 @@ class DeltaPlusOneAlgo {
     const std::size_t plan_rounds = plan_->num_rounds();
     if (pos <= plan_rounds) {
       // Auxiliary (A+1)-coloring of G(H_i).
-      std::vector<std::uint64_t>& nbrs =
-          thread_scratch<DeltaPlusOneAlgo, std::uint64_t>();
-      for (std::size_t i = 0; i < view.degree(); ++i) {
-        const auto& nbr = view.neighbor_state(i);
-        if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);
-      }
-      next.aux = plan_->advance(pos - 1, self.aux, nbrs);
+      next.aux = same_set_plan_round(*plan_, pos - 1, view);
       return false;
     }
 

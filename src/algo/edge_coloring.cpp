@@ -12,82 +12,38 @@ namespace valocal {
 EdgeColoringAlgo::EdgeColoringAlgo(std::size_t num_vertices,
                                    std::size_t num_edges,
                                    PartitionParams params)
-    : params_(params),
-      plan_(std::make_shared<DegPlusOnePlan>(
-          std::max<std::uint64_t>(1, num_edges),
-          std::max<std::size_t>(1, 2 * params.threshold() - 2))),
-      schedule_(num_vertices, params.epsilon,
-                1 + plan_->num_rounds() + (2 * params.threshold() - 1) +
-                    2 * params.threshold()) {
-  params_.check();
-  VALOCAL_REQUIRE(params_.threshold() <= 120,
-                  "edge labels are stored as int8: threshold too large");
-}
+    : stages_(num_vertices, num_edges, params) {}
 
 void EdgeColoringAlgo::init(Vertex v, const Graph& g, State& s) const {
-  const std::size_t deg = g.degree(v);
-  s.ecolor.assign(deg, -1);
-  s.lcolor.assign(deg, -1);
-  s.kind.assign(deg, 0);
-  s.out_label.assign(deg, -1);
+  s.init_ports(g.degree(v));
+  s.ecolor.assign(g.degree(v), -1);
 }
 
 bool EdgeColoringAlgo::step(Vertex, std::size_t round,
                             const RoundView<State>& view, State& next,
                             Xoshiro256&) const {
-  VALOCAL_ENSURE(round <= schedule_.total_rounds(),
+  VALOCAL_ENSURE(round <= stages_.schedule().total_rounds(),
                  "edge_coloring schedule exhausted with active vertices");
   const auto& self = view.self();
-  const std::size_t iter = schedule_.iteration(round);
-  const std::size_t pos = schedule_.position(round);
-  const std::size_t t_line = line_plan_rounds();
-  const auto my_iter = static_cast<std::int32_t>(iter);
+  const EdgeStages::At at = stages_.at(round);
+  const auto my_iter = static_cast<std::int32_t>(at.iter);
 
-  if (pos == 0) {
+  if (at.stage == EdgeStages::kPartition) {
     if (self.hset == 0)
-      next.hset = partition_try_join(iter, view, params_.threshold());
+      next.hset = partition_try_join(at.iter, view, stages_.threshold());
     return false;
   }
 
-  // Stage geometry: [flag][line plan][resolution sweep][cross].
-  const std::size_t sweep_len = 2 * params_.threshold() - 1;
-  const std::size_t cross_begin = 2 + t_line + sweep_len;
-  const bool in_cross = pos >= cross_begin;
-  const std::size_t rel = in_cross ? pos - cross_begin : 0;
-  const std::size_t label = rel / 2;
-  const bool assign_phase = in_cross && rel % 2 == 0;
-  const bool ingest_phase = in_cross && rel % 2 == 1;
-
   if (self.hset == 0) {
-    // Active vertex: acts as head in assign phases.
-    if (assign_phase) {
-      // Colors already used at this head (previous head assignments
-      // plus the ones made earlier this round).
-      std::vector<std::int32_t> head_used;
-      for (auto c : self.ecolor)
-        if (c >= 0) head_used.push_back(c);
+    // Active vertex: acts as head in assign phases. next.ecolor holds
+    // the colors already used at this head, the ones assigned earlier
+    // this round included.
+    if (at.stage == EdgeStages::kCross && at.assign) {
       for (std::size_t i = 0; i < view.degree(); ++i) {
         const auto& nbr = view.neighbor_state(i);
-        if (nbr.hset != my_iter) continue;
-        const std::size_t port = view.neighbor_port(i);
-        if (nbr.kind[port] != 2 ||
-            nbr.out_label[port] != static_cast<std::int8_t>(label))
-          continue;
-        // Smallest color free at both endpoints: at most
-        // (deg(u)-1) + (deg(w)-1) colors are forbidden, so the pick
-        // stays below 2*Delta - 1.
-        std::vector<char> forbidden(
-            head_used.size() + nbr.ecolor.size() + 2, 0);
-        auto mark = [&](std::int32_t c) {
-          if (c >= 0 && static_cast<std::size_t>(c) < forbidden.size())
-            forbidden[c] = 1;
-        };
-        for (auto c : head_used) mark(c);
-        for (auto c : nbr.ecolor) mark(c);
-        std::size_t pick = 0;
-        while (forbidden[pick]) ++pick;
-        next.ecolor[i] = static_cast<std::int32_t>(pick);
-        head_used.push_back(static_cast<std::int32_t>(pick));
+        if (nbr.hset == my_iter &&
+            nbr.out_with_label(view.neighbor_port(i), at.index))
+          next.ecolor[i] = smallest_free_color(next.ecolor, nbr.ecolor);
       }
     }
     return false;
@@ -96,98 +52,56 @@ bool EdgeColoringAlgo::step(Vertex, std::size_t round,
   if (self.hset != my_iter) return false;  // already-terminated track
   // (terminated vertices never reach step; this guards waiting sets)
 
-  if (pos == 1) {
-    // Flag round: classify ports and label the out edges.
-    std::int8_t next_label = 0;
-    for (std::size_t i = 0; i < view.degree(); ++i) {
-      const auto& nbr = view.neighbor_state(i);
-      if (nbr.hset == my_iter) {
-        next.kind[i] = 1;  // intra-set
-        next.lcolor[i] =
-            static_cast<std::int64_t>(view.incident_edges()[i]);
-      } else if (nbr.hset == 0) {
-        next.kind[i] = 2;  // outgoing towards a later joiner
-        next.out_label[i] = next_label++;
-      } else {
-        next.kind[i] = 3;  // colored in an earlier iteration
+  switch (at.stage) {
+    case EdgeStages::kFlag:
+      stages_.flag_round(my_iter, view, next);
+      break;
+    case EdgeStages::kLinePlan:
+      line_plan_round(stages_.line_plan(), at.index, view, next, intra_port);
+      break;
+    case EdgeStages::kSweep:
+      // Resolution sweep slot c: the unique intra edge with line-plan
+      // color c at this vertex takes its FINAL color — the smallest one
+      // free at both endpoints (so intra colors also dodge the cross
+      // colors this vertex received as a head in earlier iterations).
+      // Slot-c edges form a matching, and both endpoints compute the
+      // identical pick from published state.
+      for (std::size_t i = 0; i < view.degree(); ++i)
+        if (self.in_slot(i, at.index))
+          next.ecolor[i] =
+              smallest_free_color(self.ecolor, view.neighbor_state(i).ecolor);
+      break;
+    default:
+      // Cross stage, tail side: ingest the head's assignment for label j.
+      if (at.assign) break;
+      for (std::size_t i = 0; i < view.degree(); ++i) {
+        if (!self.out_with_label(i, at.index)) continue;
+        const auto& w = view.neighbor_state(i);
+        const std::size_t port = view.neighbor_port(i);
+        VALOCAL_ENSURE(w.ecolor[port] >= 0,
+                       "head failed to assign a cross edge");
+        next.ecolor[i] = w.ecolor[port];
       }
-    }
-    VALOCAL_ENSURE(next_label <=
-                       static_cast<std::int8_t>(params_.threshold()),
-                   "more out-edges than the H-partition permits");
-    return false;
-  }
-
-  if (pos < 2 + t_line) {
-    // Line-graph plan round t = pos - 2 on the intra-set edges.
-    line_plan_round(*plan_, pos - 2, view, next);
-    return false;
-  }
-
-  if (pos < cross_begin) {
-    // Resolution sweep slot c: the unique intra edge with line-plan
-    // color c at this vertex takes its FINAL color — the smallest one
-    // free at both endpoints (so intra colors also dodge the cross
-    // colors this vertex received as a head in earlier iterations).
-    // Slot-c edges form a matching, and both endpoints compute the
-    // identical pick from published state.
-    const std::size_t c = pos - 2 - t_line;
-    for (std::size_t i = 0; i < view.degree(); ++i) {
-      if (self.kind[i] != 1 ||
-          self.lcolor[i] != static_cast<std::int64_t>(c))
-        continue;
-      const auto& w = view.neighbor_state(i);
-      std::vector<char> forbidden(
-          self.ecolor.size() + w.ecolor.size() + 2, 0);
-      auto mark = [&](std::int32_t col) {
-        if (col >= 0 && static_cast<std::size_t>(col) < forbidden.size())
-          forbidden[col] = 1;
-      };
-      for (auto col : self.ecolor) mark(col);
-      for (auto col : w.ecolor) mark(col);
-      std::size_t pick = 0;
-      while (forbidden[pick]) ++pick;
-      next.ecolor[i] = static_cast<std::int32_t>(pick);
-    }
-    return false;
-  }
-
-  // Cross stage, tail side: ingest the head's assignment for label j.
-  if (ingest_phase) {
-    for (std::size_t i = 0; i < view.degree(); ++i) {
-      if (self.kind[i] != 2 ||
-          self.out_label[i] != static_cast<std::int8_t>(label))
-        continue;
-      const auto& w = view.neighbor_state(i);
-      const std::size_t port = view.neighbor_port(i);
-      VALOCAL_ENSURE(w.ecolor[port] >= 0,
-                     "head failed to assign a cross edge");
-      next.ecolor[i] = w.ecolor[port];
-    }
   }
   // Terminate at the end of the block.
-  return pos == schedule_.sub_rounds;
+  return stages_.block_end(at);
 }
 
 std::size_t EdgeColoringAlgo::next_wake(Vertex, std::size_t round,
                                         const State& s) const {
   std::size_t wake = round + 1;
   if (s.hset <= 0) {
-    const std::size_t block = schedule_.block();
-    const std::size_t iter = schedule_.iteration(round);
-    const std::size_t pos = schedule_.position(round);
-    const std::size_t cross_begin =
-        2 + line_plan_rounds() + (2 * params_.threshold() - 1);
-    if (pos < cross_begin) {
+    const EdgeStages::At at = stages_.at(round);
+    if (at.stage != EdgeStages::kCross) {
       // Idle until this iteration's first assign phase.
-      wake = (iter - 1) * block + 1 + cross_begin;
-    } else if ((pos - cross_begin) % 2 == 0) {
-      // Assign phase for label j = (pos - cross_begin) / 2: the next
-      // head duty is label j+1's assign phase two rounds on, or the
-      // next partition round once the labels are exhausted.
-      wake = (pos - cross_begin) / 2 + 1 < params_.threshold()
+      wake = stages_.cross_start(at.iter);
+    } else if (at.assign) {
+      // Assign phase for label j: the next head duty is label j+1's
+      // assign phase two rounds on, or the next partition round once
+      // the labels are exhausted.
+      wake = at.index + 1 < stages_.threshold()
                  ? round + 2
-                 : iter * block + 1;
+                 : stages_.schedule().round_of(at.iter + 1, 0);
     }
     // Ingest phases: the next assign phase IS round + 1 — no parking.
   }
@@ -201,19 +115,7 @@ EdgeColoringResult compute_edge_coloring(const Graph& g,
   auto run = run_local(g, algo);
 
   EdgeColoringResult result;
-  result.color.assign(g.num_edges(), -1);
-  const EdgeIndex ix = g.edge_index();
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const auto& ports = run.outputs[v];
-    const auto edges = ix.incident_edges(v);
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      if (ports[i] < 0) continue;
-      if (result.color[edges[i]] >= 0)
-        VALOCAL_ENSURE(result.color[edges[i]] == ports[i],
-                       "endpoints disagree on an edge color");
-      result.color[edges[i]] = ports[i];
-    }
-  }
+  result.color = per_edge_colors(g, run.outputs);
   result.num_colors = count_colors(result.color);
   result.palette_bound = algo.palette_bound(g.max_degree());
   result.metrics = std::move(run.metrics);

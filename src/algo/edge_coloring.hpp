@@ -1,19 +1,15 @@
 // (2Delta-1)-edge-coloring with vertex-averaged complexity
 // O~(a + log* n) (Corollaries 8.6 / 8.7).
 //
-// Extension framework instantiation. Iteration i, for the fresh H-set
-// H_i:
-//   flag round   — H_i vertices classify incident edges (intra-set /
-//                  outgoing-to-active / already-colored) and label
-//                  their <= A outgoing edges with distinct labels;
-//   line plan    — the intra-set edges are colored by running the
-//                  (D+1)-plan on the LINE GRAPH of G(H_i) (max line
-//                  degree 2A-2 => 2A-1 colors, inside the global
-//                  {0..2Delta-2} palette). Both endpoints deterministically
-//                  compute each edge's update from published per-port
-//                  state, the standard LOCAL line-graph simulation;
-//   cross stage  — 2A sub-rounds, two per label j: first every ACTIVE
-//                  head w assigns greedily distinct free colors to its
+// Extension framework instantiation on the edge frame (edge_stage.hpp:
+// flag round, line plan on the line graph of G(H_i), sweep, cross
+// stage). Iteration i, for the fresh H-set H_i:
+//   line plan    — colors the intra-set edges with 2A-1 line colors;
+//   resolve      — sweep slot c gives each intra edge of line color c
+//                  its final color, the smallest one free at both
+//                  endpoints (inside the global {0..2Delta-2} palette);
+//   cross stage  — in label j's assign sub-round every ACTIVE head w
+//                  assigns greedily distinct free colors to its
 //                  incoming label-j edges from H_i (free w.r.t. both
 //                  endpoints' published used sets; at most 2Delta-2
 //                  forbidden, so {0..2Delta-2} suffices), then the H_i
@@ -25,12 +21,9 @@
 // iteration costs O(a log a + log* n) rounds and Corollary 6.4 applies.
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "algo/deg_plus_one_plan.hpp"
-#include "algo/extension.hpp"
-#include "algo/partition.hpp"
+#include "algo/edge_stage.hpp"
 #include "graph/graph.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
@@ -39,11 +32,8 @@ namespace valocal {
 
 class EdgeColoringAlgo {
  public:
-  struct State : PartitionState {
-    std::vector<std::int32_t> ecolor;    // per incident port; -1 unknown
-    std::vector<std::int64_t> lcolor;    // line-plan transient color
-    std::vector<std::int8_t> kind;       // 0 ?, 1 intra, 2 out, 3 settled
-    std::vector<std::int8_t> out_label;  // label of out edges, -1 else
+  struct State : EdgePortState {
+    std::vector<std::int32_t> ecolor;  // per incident port; -1 unknown
   };
   using Output = std::vector<std::int32_t>;  // final per-port colors
 
@@ -73,33 +63,22 @@ class EdgeColoringAlgo {
   std::size_t palette_bound(std::size_t max_degree) const {
     return std::max<std::size_t>(1, 2 * max_degree - 1);
   }
-  const CompositionSchedule& schedule() const { return schedule_; }
 
-  // Trace phases (trace::PhaseTraced), mirroring the stage geometry
-  // documented in step(): [flag][line plan][resolution sweep][cross].
+  // Trace phases (trace::PhaseTraced): the edge frame's stages, with
+  // the sweep resolving final intra-set colors.
   std::span<const char* const> trace_phases() const {
     return kTracePhases;
   }
   std::size_t trace_phase_of(Vertex, std::size_t round,
                              const State&) const {
-    const std::size_t pos = schedule_.position(round);
-    if (pos == 0) return 0;
-    if (pos == 1) return 1;
-    if (pos < 2 + line_plan_rounds()) return 2;
-    if (pos < 2 + line_plan_rounds() + (2 * params_.threshold() - 1))
-      return 3;
-    return 4;
+    return stages_.at(round).stage;
   }
 
  private:
   static constexpr const char* kTracePhases[] = {
       "partition", "flag", "line_plan", "resolve", "cross"};
 
-  std::size_t line_plan_rounds() const { return plan_->num_rounds(); }
-
-  PartitionParams params_;
-  std::shared_ptr<const DegPlusOnePlan> plan_;  // on the line graph
-  CompositionSchedule schedule_;
+  EdgeStages stages_;
 };
 
 struct EdgeColoringResult {

@@ -61,6 +61,12 @@ struct CompositionSchedule {
   std::size_t position(std::size_t round) const {
     return (round - 1) % block();
   }
+
+  /// Engine round at position `pos` of iteration `iter` (the inverse of
+  /// iteration() and position()).
+  std::size_t round_of(std::size_t iter, std::size_t pos) const {
+    return (iter - 1) * block() + 1 + pos;
+  }
 };
 
 }  // namespace valocal

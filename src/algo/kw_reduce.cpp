@@ -68,4 +68,11 @@ std::uint64_t KwReduction::advance(
   return color;
 }
 
+std::uint64_t KwReduction::advance_unread(std::size_t t, std::uint64_t own,
+                                         std::size_t) const {
+  VALOCAL_REQUIRE(t < rounds_.size() && !reads_neighbors(t, own),
+                  "this round reads the neighbor colors");
+  return advance(t, own, {});
+}
+
 }  // namespace valocal

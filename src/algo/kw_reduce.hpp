@@ -49,6 +49,13 @@ class KwReduction {
   std::uint64_t advance(std::size_t t, std::uint64_t own,
                         std::span<const std::uint64_t> neighbors) const;
 
+  /// Round t for a vertex that did not gather its neighbors' colors,
+  /// which is allowed only when !reads_neighbors(t, own). The neighbor
+  /// count is taken for parity with DegPlusOnePlan::advance_unread;
+  /// like advance(), the reduction checks no degree bound itself.
+  std::uint64_t advance_unread(std::size_t t, std::uint64_t own,
+                               std::size_t num_neighbors) const;
+
   /// First round t' >= t whose advance() can return something other
   /// than `color` (a color in round t's palette): the round of the
   /// current phase whose step is color's in-block index if that is

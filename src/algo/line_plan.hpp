@@ -1,15 +1,24 @@
-// One round of the (D+1)-coloring plan on the line graph of G(H_i), as
-// edge coloring and maximal matching run it (Corollaries 8.6-8.9): each
-// endpoint of an intra-set edge {v, w} advances the edge's line color
-// from published per-port state, the standard LOCAL line-graph
-// simulation. The edge's line neighbors are v's other intra-set ports
-// plus w's. They are gathered only in rounds whose plan step reads them
-// (DegPlusOnePlan::reads_neighbors) and merely counted otherwise, so the
-// plan's degree-bound check still sees the true line degree on every
-// step.
+// The two plan rounds every H-set entry runs, and the one place a
+// replacement plan (substitutions S2/S3) plugs in:
+//
+//   same_set_plan_round — one round of an auxiliary (A+1)-coloring plan
+//     on G(H_i), as delta_plus1, mis, ka, oa and the be08 baseline run
+//     it: a vertex's subgraph neighbors are the neighbors in its own
+//     H-set, their colors the published `aux`;
+//   line_plan_round — one round of the (D+1)-plan on the line graph, as
+//     edge coloring and maximal matching run it on G(H_i)
+//     (Corollaries 8.6-8.9) and the run-to-completion baselines on all
+//     of G: each endpoint of a line-vertex edge {v, w} advances the
+//     edge's line color from published per-port state, the standard
+//     LOCAL line-graph simulation. The edge's line neighbors are v's
+//     other line ports plus w's.
+//
+// Both gather neighbor colors (into thread_scratch) only in rounds whose
+// plan step reads them (reads_neighbors) and merely count them
+// otherwise, so the plan's degree-bound check still sees the true
+// degree on every step.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -19,21 +28,51 @@
 
 namespace valocal {
 
-struct LinePlanScratch;  // thread_scratch owner tag
+struct SameSetPlanScratch;  // thread_scratch owner tags
+struct LinePlanScratch;
 
-/// Plan round t over every intra-set port (kind 1) of the stepping
-/// vertex. State carries per-port `kind` and `lcolor` vectors.
-template <class State>
-void line_plan_round(const DegPlusOnePlan& plan, std::size_t t,
-                     const RoundView<State>& view, State& next) {
+/// Plan round t for the stepping vertex on G(H_i); returns its new
+/// auxiliary color. State carries `hset` and `aux`. Plan is
+/// DegPlusOnePlan or a bare KwReduction: anything with advance,
+/// advance_unread and reads_neighbors.
+template <class Plan, class State>
+std::uint64_t same_set_plan_round(const Plan& plan, std::size_t t,
+                                  const RoundView<State>& view) {
   const State& self = view.self();
-  const auto intra_ports = [](const State& s) {
-    return static_cast<std::size_t>(
-        std::count(s.kind.begin(), s.kind.end(), std::int8_t{1}));
+  if (plan.reads_neighbors(t, self.aux)) {
+    std::vector<std::uint64_t>& nbrs =
+        thread_scratch<SameSetPlanScratch, std::uint64_t>();
+    for (std::size_t i = 0; i < view.degree(); ++i) {
+      const State& nbr = view.neighbor_state(i);
+      if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);
+    }
+    return plan.advance(t, self.aux, nbrs);
+  }
+  std::size_t same_set = 0;
+  for (std::size_t i = 0; i < view.degree(); ++i)
+    if (view.neighbor_state(i).hset == self.hset) ++same_set;
+  return plan.advance_unread(t, self.aux, same_set);
+}
+
+/// Plan round t over every line port of the stepping vertex: the ports
+/// j of a state s with is_line(s, j). State carries a per-port `lcolor`
+/// vector.
+template <class State, class IsLine>
+void line_plan_round(const DegPlusOnePlan& plan, std::size_t t,
+                     const RoundView<State>& view, State& next,
+                     IsLine is_line) {
+  const State& self = view.self();
+  // Branch-free: line and other ports interleave, so a branch on each
+  // port mispredicts (the count runs once per port on unread rounds).
+  const auto line_ports = [&](const State& s) {
+    std::size_t count = 0;
+    for (std::size_t j = 0; j < s.lcolor.size(); ++j)
+      count += is_line(s, j) ? 1 : 0;
+    return count;
   };
-  const std::size_t own_intra = intra_ports(self);
+  const std::size_t own_line = line_ports(self);
   for (std::size_t i = 0; i < view.degree(); ++i) {
-    if (self.kind[i] != 1) continue;
+    if (!is_line(self, i)) continue;
     const auto own = static_cast<std::uint64_t>(self.lcolor[i]);
     const State& w = view.neighbor_state(i);
     const std::size_t port = view.neighbor_port(i);
@@ -42,15 +81,15 @@ void line_plan_round(const DegPlusOnePlan& plan, std::size_t t,
       std::vector<std::uint64_t>& line_nbrs =
           thread_scratch<LinePlanScratch, std::uint64_t>();
       for (std::size_t j = 0; j < view.degree(); ++j)
-        if (j != i && self.kind[j] == 1)
+        if (j != i && is_line(self, j))
           line_nbrs.push_back(static_cast<std::uint64_t>(self.lcolor[j]));
-      for (std::size_t j = 0; j < w.kind.size(); ++j)
-        if (j != port && w.kind[j] == 1)
+      for (std::size_t j = 0; j < w.lcolor.size(); ++j)
+        if (j != port && is_line(w, j))
           line_nbrs.push_back(static_cast<std::uint64_t>(w.lcolor[j]));
       color = plan.advance(t, own, line_nbrs);
     } else {
-      const std::size_t far = intra_ports(w) - (w.kind[port] == 1 ? 1 : 0);
-      color = plan.advance_unread(t, own, own_intra - 1 + far);
+      const std::size_t far = line_ports(w) - (is_line(w, port) ? 1 : 0);
+      color = plan.advance_unread(t, own, own_line - 1 + far);
     }
     next.lcolor[i] = static_cast<std::int64_t>(color);
   }

@@ -1,33 +1,9 @@
 #include "algo/matching.hpp"
 
-#include <algorithm>
-
 #include "util/assertx.hpp"
 #include "registry/spec_util.hpp"
 
 namespace valocal {
-
-MatchingAlgo::MatchingAlgo(std::size_t num_vertices,
-                           std::size_t num_edges, PartitionParams params)
-    : params_(params),
-      plan_(std::make_shared<DegPlusOnePlan>(
-          std::max<std::uint64_t>(1, num_edges),
-          std::max<std::size_t>(1, 2 * params.threshold() - 2))),
-      schedule_(num_vertices, params.epsilon,
-                1 + plan_->num_rounds() +
-                    (2 * params.threshold() - 1) +
-                    2 * params.threshold()) {
-  params_.check();
-  VALOCAL_REQUIRE(params_.threshold() <= 120,
-                  "edge labels are stored as int8: threshold too large");
-}
-
-void MatchingAlgo::init(Vertex v, const Graph& g, State& s) const {
-  const std::size_t deg = g.degree(v);
-  s.lcolor.assign(deg, -1);
-  s.kind.assign(deg, 0);
-  s.out_label.assign(deg, -1);
-}
 
 MatchingResult compute_matching(const Graph& g, PartitionParams params) {
   VALOCAL_TRACE_PHASE("matching");

@@ -24,6 +24,7 @@
 #include "sim/network.hpp"
 #include "util/assertx.hpp"
 #include "util/mathx.hpp"
+#include "util/scratch.hpp"
 
 namespace valocal {
 
@@ -73,6 +74,37 @@ std::int32_t partition_try_join(std::size_t partition_round,
   if (active_neighbor_count(view) <= threshold)
     return static_cast<std::int32_t>(partition_round);
   return 0;
+}
+
+struct RecolorScratch;  // thread_scratch owner tag
+
+/// Wait-for-parents recolor pick (the last stage of Procedure
+/// Arb-Color, and of Sections 7.4/7.7 per H-set range). Among the
+/// neighbors whose H-set `in_scope` accepts, v's parents are those in a
+/// later H-set or in v's own H-set with a larger auxiliary color — at
+/// most A = `a_bound` of them by the H-partition property. Returns -1
+/// while some parent has not picked yet, else the smallest color of
+/// {0..A} no parent holds. State carries `hset`, `aux` and `pick`.
+template <class State, class InScope>
+std::int32_t recolor_pick(const RoundView<State>& view, std::size_t a_bound,
+                          InScope in_scope) {
+  const State& self = view.self();
+  std::vector<char>& taken = thread_scratch<RecolorScratch, char>();
+  taken.assign(a_bound + 1, 0);
+  for (std::size_t i = 0; i < view.degree(); ++i) {
+    const State& nbr = view.neighbor_state(i);
+    if (!in_scope(nbr.hset)) continue;
+    const bool parent = nbr.hset > self.hset ||
+                        (nbr.hset == self.hset && nbr.aux > self.aux);
+    if (!parent) continue;
+    if (nbr.pick < 0) return -1;  // wait for every parent
+    taken[nbr.pick] = 1;
+  }
+  std::int32_t pick = 0;
+  while (pick <= static_cast<std::int32_t>(a_bound) && taken[pick]) ++pick;
+  VALOCAL_ENSURE(pick <= static_cast<std::int32_t>(a_bound),
+                 "recoloring palette exhausted: H-partition bound broken");
+  return pick;
 }
 
 /// Standalone Procedure Partition as a LOCAL algorithm: a vertex

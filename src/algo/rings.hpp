@@ -155,8 +155,6 @@ class RingColoring3Algo {
 
   static constexpr bool uses_rng = false;
 
-  std::size_t cv_rounds() const { return cv_rounds_; }
-
  private:
   std::size_t cv_rounds_ = 0;  // bit-reduction rounds to reach <= 6
 };

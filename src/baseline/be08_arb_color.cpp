@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <vector>
 
+#include "algo/line_plan.hpp"
 #include "algo/segmentation.hpp"
 #include "util/assertx.hpp"
+#include "util/scratch.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
@@ -39,8 +41,8 @@ bool Be08ArbColorAlgo::step(Vertex v, std::size_t round,
   } else if (round <= ell_ + ladder_steps_) {
     // Global ladder over the (hset, ID) orientation.
     const std::size_t t = round - ell_ - 1;
-    std::vector<std::uint64_t> parents;
-    parents.reserve(view.degree());
+    std::vector<std::uint64_t>& parents =
+        thread_scratch<Be08ArbColorAlgo, std::uint64_t>();
     for (std::size_t i = 0; i < view.degree(); ++i) {
       const auto& nbr = view.neighbor_state(i);
       const Vertex u = view.neighbor(i);
@@ -50,37 +52,11 @@ bool Be08ArbColorAlgo::step(Vertex v, std::size_t round,
     next.aux = ladder_->apply_step(t, self.aux, parents);
   } else if (round <= ell_ + ladder_steps_ + kw_rounds_) {
     // KW within the own H-set only.
-    const std::size_t t = round - ell_ - ladder_steps_ - 1;
-    std::vector<std::uint64_t> nbrs;
-    nbrs.reserve(view.degree());
-    for (std::size_t i = 0; i < view.degree(); ++i) {
-      const auto& nbr = view.neighbor_state(i);
-      if (nbr.hset == self.hset) nbrs.push_back(nbr.aux);
-    }
-    next.aux = kw_->advance(t, self.aux, nbrs);
+    next.aux = same_set_plan_round(*kw_, round - ell_ - ladder_steps_ - 1,
+                                   view);
   } else if (self.pick < 0) {
-    // Recoloring stage.
-    std::vector<char> taken(a_bound + 1, 0);
-    bool ready = true;
-    for (std::size_t i = 0; i < view.degree(); ++i) {
-      const auto& nbr = view.neighbor_state(i);
-      const bool parent = nbr.hset > self.hset ||
-                          (nbr.hset == self.hset && nbr.aux > self.aux);
-      if (!parent) continue;
-      if (nbr.pick < 0) {
-        ready = false;
-        break;
-      }
-      taken[nbr.pick] = 1;
-    }
-    if (ready) {
-      std::int32_t pick = 0;
-      while (pick <= static_cast<std::int32_t>(a_bound) && taken[pick])
-        ++pick;
-      VALOCAL_ENSURE(pick <= static_cast<std::int32_t>(a_bound),
-                     "recoloring palette exhausted");
-      next.pick = pick;
-    }
+    // Recoloring stage: -1 (no pick yet) while a parent is undecided.
+    next.pick = recolor_pick(view, a_bound, [](std::int32_t) { return true; });
   }
   // Run to completion: nobody terminates before the schedule ends.
   if (round >= end_) {

@@ -50,7 +50,6 @@ class Be08ArbColorAlgo {
   static constexpr bool uses_rng = false;
 
   std::size_t palette_bound() const { return params_.threshold() + 1; }
-  std::size_t schedule_length() const { return end_; }
 
  private:
   PartitionParams params_;

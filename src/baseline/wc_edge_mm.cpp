@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "algo/line_plan.hpp"
 #include "util/assertx.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
@@ -27,63 +28,29 @@ bool WcEdgeColoringAlgo::step(Vertex, std::size_t round,
                               Xoshiro256&) const {
   const std::size_t total = plan_->num_rounds();
   if (total == 0) return true;
-  const std::size_t t = round - 1;
-  for (std::size_t i = 0; i < view.degree(); ++i) {
-    const auto& w = view.neighbor_state(i);
-    const std::size_t port = view.neighbor_port(i);
-    std::vector<std::uint64_t> line_nbrs;
-    for (std::size_t j = 0; j < view.degree(); ++j)
-      if (j != i)
-        line_nbrs.push_back(
-            static_cast<std::uint64_t>(view.self().lcolor[j]));
-    for (std::size_t j = 0; j < w.lcolor.size(); ++j)
-      if (j != port)
-        line_nbrs.push_back(static_cast<std::uint64_t>(w.lcolor[j]));
-    next.lcolor[i] = static_cast<std::int64_t>(plan_->advance(
-        t, static_cast<std::uint64_t>(view.self().lcolor[i]), line_nbrs));
-  }
+  // Every port is a line vertex: the line graph of all of G.
+  line_plan_round(*plan_, round - 1, view, next,
+                  [](const State&, std::size_t) { return true; });
   return round >= total;  // run to completion: everyone stops together
 }
-
-namespace {
-
-EdgeColoringResult assemble(const Graph& g,
-                            RunResult<WcEdgeColoringAlgo>&& run,
-                            std::size_t palette) {
-  EdgeColoringResult result;
-  result.color.assign(g.num_edges(), -1);
-  const EdgeIndex ix = g.edge_index();
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const auto edges = ix.incident_edges(v);
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      const auto c = static_cast<int>(run.outputs[v][i]);
-      if (result.color[edges[i]] >= 0)
-        VALOCAL_ENSURE(result.color[edges[i]] == c,
-                       "endpoints disagree on an edge color");
-      result.color[edges[i]] = c;
-    }
-  }
-  result.num_colors = count_colors(result.color);
-  result.palette_bound = palette;
-  result.metrics = std::move(run.metrics);
-  return result;
-}
-
-}  // namespace
 
 EdgeColoringResult compute_wc_edge_coloring(const Graph& g) {
   WcEdgeColoringAlgo algo(g.num_edges(), g.max_degree());
   auto run = run_local(g, algo);
-  return assemble(g, std::move(run), algo.palette_bound());
+
+  EdgeColoringResult result;
+  result.color = per_edge_colors(g, run.outputs);
+  result.num_colors = count_colors(result.color);
+  result.palette_bound = algo.palette_bound();
+  result.metrics = std::move(run.metrics);
+  return result;
 }
 
 MatchingResult compute_wc_matching(const Graph& g) {
   // Phase 1: the run-to-completion edge coloring (reusing its rounds);
   // phase 2: sweep the color classes centrally but charge the sweep
   // rounds to every vertex — the classical synchronized reduction.
-  const WcEdgeColoringAlgo algo(g.num_edges(), g.max_degree());
-  auto run = run_local(g, algo);
-  EdgeColoringResult ec = assemble(g, std::move(run), algo.palette_bound());
+  EdgeColoringResult ec = compute_wc_edge_coloring(g);
 
   MatchingResult result;
   result.in_matching.assign(g.num_edges(), false);

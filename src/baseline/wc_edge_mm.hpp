@@ -43,7 +43,6 @@ class WcEdgeColoringAlgo {
   static constexpr bool uses_rng = false;
 
   std::size_t palette_bound() const { return line_bound_ + 1; }
-  std::size_t schedule_length() const { return plan_->num_rounds(); }
 
  private:
   std::size_t line_bound_;

@@ -111,13 +111,6 @@ std::string Registry::suggest(std::string_view name) const {
   return best;
 }
 
-std::vector<const AlgoSpec*> Registry::by_problem(Problem p) const {
-  std::vector<const AlgoSpec*> out;
-  for (const AlgoSpec& s : specs_)
-    if (s.problem == p) out.push_back(&s);
-  return out;
-}
-
 std::vector<RowPlan> Registry::rows_for(BenchSection section) const {
   std::vector<RowPlan> out;
   for (const AlgoSpec& s : specs_)

@@ -193,7 +193,6 @@ class Registry {
   std::vector<std::string> names() const;
   /// Nearest registered name by edit distance (for typo suggestions).
   std::string suggest(std::string_view name) const;
-  std::vector<const AlgoSpec*> by_problem(Problem p) const;
   /// All bench rows of a section, sorted by their `order` field.
   std::vector<RowPlan> rows_for(BenchSection section) const;
 

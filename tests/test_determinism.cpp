@@ -12,7 +12,11 @@
 #include "algo/mis.hpp"
 #include "algo/one_plus_eta.hpp"
 #include "algo/rand_a_loglog.hpp"
+#include "baseline/be08_arb_color.hpp"
+#include "baseline/wc_edge_mm.hpp"
 #include "graph/generators.hpp"
+
+#include "fingerprint.hpp"
 
 namespace valocal {
 namespace {
@@ -65,6 +69,71 @@ TEST(Determinism, RandomizedIsAPureFunctionOfTheSeed) {
   EXPECT_EQ(r1.color, r2.color);
   EXPECT_EQ(r1.metrics.rounds, r2.metrics.rounds);
   EXPECT_NE(r1.color, r3.color);
+}
+
+// Outputs and r(v) of the entries built from the shared H-set steps
+// (same-set plan round, wait-for-parents recolor, line-plan round,
+// edge stage frame) that no perfbench golden covers, pinned to the
+// values the per-entry copies of those steps produced.
+const PartitionParams kPinParams{.arboricity = 3};
+const PartitionParams kTreeParams{.arboricity = 1};
+
+const Graph& pin_forest() {
+  static const Graph g = gen::forest_union(1 << 12, 3, 7);
+  return g;
+}
+
+/// The (A+1)-ary tree: every Partition round peels only the leaves.
+const Graph& pin_tree() {
+  static const Graph g =
+      gen::dary_tree(1 << 12, kTreeParams.threshold() + 1);
+  return g;
+}
+
+TEST(HsetStepPins, KaOutputsAndRounds) {
+  const auto forest = compute_coloring_ka(pin_forest(), kPinParams, 2);
+  EXPECT_EQ(fingerprint(forest.color, forest.metrics.rounds),
+            0xa063df2aa9e36650ULL);
+  const auto tree = compute_coloring_ka(pin_tree(), kTreeParams, 0);
+  EXPECT_EQ(fingerprint(tree.color, tree.metrics.rounds),
+            0x217d35703e7c1537ULL);
+}
+
+TEST(HsetStepPins, Be08OutputsAndRounds) {
+  const auto forest = compute_be08_arb_color(pin_forest(), kPinParams);
+  EXPECT_EQ(fingerprint(forest.color, forest.metrics.rounds),
+            0xb60e5c778b284de0ULL);
+  const auto tree = compute_be08_arb_color(pin_tree(), kTreeParams);
+  EXPECT_EQ(fingerprint(tree.color, tree.metrics.rounds),
+            0xd75b1d656bf922e5ULL);
+}
+
+TEST(HsetStepPins, WcEdgeOutputsAndRounds) {
+  const auto forest = compute_wc_edge_coloring(pin_forest());
+  EXPECT_EQ(fingerprint(forest.color, forest.metrics.rounds),
+            0x8557ef4f9a9d016fULL);
+  const auto tree = compute_wc_edge_coloring(pin_tree());
+  EXPECT_EQ(fingerprint(tree.color, tree.metrics.rounds),
+            0x6dbe5663e6d8786fULL);
+}
+
+TEST(HsetStepPins, WcMatchingOutputsAndRounds) {
+  const auto forest = compute_wc_matching(pin_forest());
+  EXPECT_EQ(fingerprint(forest.in_matching, forest.metrics.rounds),
+            0x057227149cf543a5ULL);
+  const auto tree = compute_wc_matching(pin_tree());
+  EXPECT_EQ(fingerprint(tree.in_matching, tree.metrics.rounds),
+            0xb2bf93e6a02dbd04ULL);
+}
+
+TEST(HsetStepPins, EdgeEntriesOnATorus) {
+  const Graph g = gen::torus(16, 16);
+  const auto ec = compute_edge_coloring(g, kPinParams);
+  EXPECT_EQ(fingerprint(ec.color, ec.metrics.rounds),
+            0x80df976032374aa2ULL);
+  const auto mm = compute_matching(g, kPinParams);
+  EXPECT_EQ(fingerprint(mm.in_matching, mm.metrics.rounds),
+            0x501cb55813108824ULL);
 }
 
 }  // namespace

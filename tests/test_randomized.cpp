@@ -11,25 +11,10 @@
 #include "graph/generators.hpp"
 #include "validate/validate.hpp"
 
+#include "fingerprint.hpp"
+
 namespace valocal {
 namespace {
-
-/// FNV-1a over the values of `outputs` then `rounds`, widened to 64
-/// bits so the pin does not depend on the Output type's width.
-template <class T>
-std::uint64_t fingerprint(const std::vector<T>& outputs,
-                          const std::vector<std::uint32_t>& rounds) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  for (const T& o : outputs) mix(static_cast<std::uint64_t>(o));
-  for (const std::uint32_t r : rounds) mix(r);
-  return h;
-}
 
 const Graph& pin_graph() {
   static const Graph g = gen::erdos_renyi(2000, 8.0, 17);

@@ -1,22 +1,22 @@
 // Steady-state step bodies of the deterministic color-reduction entries
-// and of the randomized entries allocate nothing. This binary replaces
+// (the H-set entries, their edge counterparts and the baselines) and of
+// the randomized entries allocate nothing. This binary replaces
 // the global operator new with a counter that is armed only while an
 // algorithm's step runs (a wrapper algorithm toggles it), so engine
 // bookkeeping, result vectors and graph generation never count. The
 // first run of each entry warms the per-thread scratch buffers; the
 // second run (same seed, so the same draws) must make zero allocations
-// inside step. The edge entries are held to that only in their
-// line-plan phase (their other stages still build per-port vectors).
+// inside step.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <new>
-#include <string_view>
 
 #include "algo/bgko22.hpp"
 #include "algo/coloring_a2.hpp"
 #include "algo/coloring_a2logn.hpp"
+#include "algo/coloring_ka.hpp"
 #include "algo/coloring_ka2.hpp"
 #include "algo/coloring_oa.hpp"
 #include "algo/delta_plus1.hpp"
@@ -24,8 +24,10 @@
 #include "algo/matching.hpp"
 #include "algo/mis.hpp"
 #include "algo/rand_delta_plus1.hpp"
+#include "baseline/be08_arb_color.hpp"
 #include "baseline/luby_mis.hpp"
 #include "baseline/wc_delta_plus1.hpp"
+#include "baseline/wc_edge_mm.hpp"
 #include "graph/generators.hpp"
 #include "sim/network.hpp"
 
@@ -76,24 +78,22 @@ namespace valocal {
 namespace {
 
 /// Forwards every hook of A unchanged; step arms the counter for the
-/// duration of the wrapped call — only in the trace phase named `phase`
-/// when one is given. Wake hints and the RNG trait are forwarded too,
-/// so the engine drives the same path as for A itself (a randomized A
-/// draws from its own per-vertex streams).
+/// duration of the wrapped call. Wake hints and the RNG trait are
+/// forwarded too, so the engine drives the same path as for A itself
+/// (a randomized A draws from its own per-vertex streams).
 template <class A>
 class CountingStep {
  public:
   using State = typename A::State;
   using Output = typename A::Output;
 
-  explicit CountingStep(const A& algo, const char* phase = nullptr)
-      : algo_(algo), phase_(phase) {}
+  explicit CountingStep(const A& algo) : algo_(algo) {}
 
   void init(Vertex v, const Graph& g, State& s) const { algo_.init(v, g, s); }
 
   bool step(Vertex v, std::size_t round, const RoundView<State>& view,
             State& next, Xoshiro256& rng) const {
-    counting = armed(v, round, view.self());
+    counting = true;
     const bool done = algo_.step(v, round, view, next, rng);
     counting = false;
     return done;
@@ -110,30 +110,15 @@ class CountingStep {
   static constexpr bool uses_rng = algorithm_uses_rng<A>;
 
  private:
-  bool armed(Vertex v, std::size_t round, const State& s) const {
-    if (phase_ == nullptr) return true;
-    if constexpr (trace::PhaseTraced<A>)
-      return std::string_view(
-                 algo_.trace_phases()[algo_.trace_phase_of(v, round, s)]) ==
-             phase_;
-    return false;
-  }
-
   const A& algo_;
-  const char* phase_;
 };
 
-/// Allocations inside step during the second of two identical runs,
-/// counted in every step or only in the trace phase `phase`.
+/// Allocations inside step during the second of two identical runs.
 template <class A>
-std::size_t second_run_step_allocations(const Graph& g, const A& algo,
-                                        const char* phase = nullptr) {
-  if constexpr (!trace::PhaseTraced<A>) {
-    EXPECT_EQ(phase, nullptr) << "a phase filter needs trace phases";
-  }
+std::size_t second_run_step_allocations(const Graph& g, const A& algo) {
   RunOptions opt;
   opt.num_threads = 1;
-  const CountingStep<A> wrapped(algo, phase);
+  const CountingStep<A> wrapped(algo);
   const auto first = run_local(g, wrapped, opt);
   step_allocations = 0;
   const auto second = run_local(g, wrapped, opt);
@@ -163,6 +148,16 @@ TEST(StepAlloc, Ka2) {
   EXPECT_EQ(second_run_step_allocations(forest(), algo), 0u);
 }
 
+TEST(StepAlloc, Ka) {
+  const ColoringKaAlgo algo(forest().num_vertices(), kParams, 0);
+  EXPECT_EQ(second_run_step_allocations(forest(), algo), 0u);
+}
+
+TEST(StepAlloc, Be08) {
+  const Be08ArbColorAlgo algo(forest().num_vertices(), kParams);
+  EXPECT_EQ(second_run_step_allocations(forest(), algo), 0u);
+}
+
 TEST(StepAlloc, Oa) {
   const ColoringOaAlgo algo(forest().num_vertices(), kParams);
   EXPECT_EQ(second_run_step_allocations(forest(), algo), 0u);
@@ -179,16 +174,21 @@ TEST(StepAlloc, Mis) {
   EXPECT_EQ(second_run_step_allocations(forest(), algo), 0u);
 }
 
-TEST(StepAlloc, EdgeColoringLinePlan) {
+TEST(StepAlloc, EdgeColoring) {
   const EdgeColoringAlgo algo(forest().num_vertices(), forest().num_edges(),
                               kParams);
-  EXPECT_EQ(second_run_step_allocations(forest(), algo, "line_plan"), 0u);
+  EXPECT_EQ(second_run_step_allocations(forest(), algo), 0u);
 }
 
-TEST(StepAlloc, MatchingLinePlan) {
+TEST(StepAlloc, WorstCaseEdgeColoring) {
+  const WcEdgeColoringAlgo algo(forest().num_edges(), forest().max_degree());
+  EXPECT_EQ(second_run_step_allocations(forest(), algo), 0u);
+}
+
+TEST(StepAlloc, Matching) {
   const MatchingAlgo algo(forest().num_vertices(), forest().num_edges(),
                           kParams);
-  EXPECT_EQ(second_run_step_allocations(forest(), algo, "line_plan"), 0u);
+  EXPECT_EQ(second_run_step_allocations(forest(), algo), 0u);
 }
 
 const Graph& er() {
