@@ -11,7 +11,9 @@
 
 #include "algo/bgko22.hpp"
 #include "algo/coloring_a2logn.hpp"
+#include "algo/edge_coloring.hpp"
 #include "algo/hset_composition.hpp"
+#include "algo/matching.hpp"
 #include "algo/mis.hpp"
 #include "algo/partition.hpp"
 #include "algo/rand_delta_plus1.hpp"
@@ -45,6 +47,15 @@ const Graph& ring(std::size_t n) {
   static std::map<std::size_t, Graph> cache;
   auto it = cache.find(n);
   if (it == cache.end()) it = cache.emplace(n, gen::ring(n)).first;
+  return it->second;
+}
+
+// forest_union(n, 3): the det-catalog shape of the edge entries.
+const Graph& forest3(std::size_t n) {
+  static std::map<std::size_t, Graph> cache;
+  auto it = cache.find(n);
+  if (it == cache.end())
+    it = cache.emplace(n, gen::forest_union(n, 3, 1)).first;
   return it->second;
 }
 
@@ -118,6 +129,28 @@ void BM_EngineWcDelta(benchmark::State& state) {
                  WorstCaseDeltaPlusOneAlgo(g.num_vertices(), g.max_degree()));
 }
 BENCHMARK(BM_EngineWcDelta)->Arg(1 << 14);
+
+// The edge entries (Corollaries 8.6 / 8.8) on forest_union(n, 3), the
+// det-catalog shape: most rounds are the line-graph (D+1)-plan, which
+// H-set members sleep through between their active rounds and idle
+// vertices skip to their head duties (items count parked rounds too).
+void BM_EngineEdgeColoring(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Graph& g = forest3(n);
+  const PartitionParams params{.arboricity = 3, .epsilon = 1.0};
+  engine_fixture(state, g,
+                 EdgeColoringAlgo(g.num_vertices(), g.num_edges(), params));
+}
+BENCHMARK(BM_EngineEdgeColoring)->Arg(1 << 12);
+
+void BM_EngineMatching(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Graph& g = forest3(n);
+  const PartitionParams params{.arboricity = 3, .epsilon = 1.0};
+  engine_fixture(state, g,
+                 MatchingAlgo(g.num_vertices(), g.num_edges(), params));
+}
+BENCHMARK(BM_EngineMatching)->Arg(1 << 12);
 
 // Dense phase then a one-in-64 tail (bench::DensePhaseAlgo): the
 // active profile of the paper's algorithms, where the bitset walk

@@ -22,17 +22,23 @@ std::pair<std::vector<std::uint64_t>, std::size_t> psi_per_set(
     std::size_t threshold) {
   const DegPlusOnePlan plan(std::max<std::size_t>(1, g.num_vertices()),
                             threshold);
-  std::vector<std::uint64_t> aux(g.num_vertices());
+  std::vector<std::uint64_t> aux(g.num_vertices()), next(aux.size()), nbrs;
   for (Vertex v = 0; v < g.num_vertices(); ++v) aux[v] = v;
   for (std::size_t t = 0; t < plan.num_rounds(); ++t) {
-    std::vector<std::uint64_t> next(aux.size());
     for (Vertex v = 0; v < g.num_vertices(); ++v) {
-      std::vector<std::uint64_t> nbrs;
-      for (Vertex u : g.neighbors(v))
-        if (hset[u] == hset[v]) nbrs.push_back(aux[u]);
-      next[v] = plan.advance(t, aux[v], nbrs);
+      if (plan.reads_neighbors(t, aux[v])) {
+        nbrs.clear();
+        for (Vertex u : g.neighbors(v))
+          if (hset[u] == hset[v]) nbrs.push_back(aux[u]);
+        next[v] = plan.advance(t, aux[v], nbrs);
+      } else {
+        std::size_t same_set = 0;
+        for (Vertex u : g.neighbors(v))
+          if (hset[u] == hset[v]) ++same_set;
+        next[v] = plan.advance_unread(t, aux[v], same_set);
+      }
     }
-    aux = std::move(next);
+    aux.swap(next);
   }
   return {std::move(aux), plan.num_rounds()};
 }

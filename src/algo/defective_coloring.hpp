@@ -21,9 +21,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "algo/coloring_result.hpp"
+#include "algo/deg_plus_one_plan.hpp"
 #include "graph/graph.hpp"
+#include "sim/network.hpp"
 
 namespace valocal {
 
@@ -37,6 +40,34 @@ struct ArbdefectiveColoringParams {
 /// The promised per-class arboricity/degeneracy bound.
 std::size_t arbdefective_class_bound(std::size_t degree_bound,
                                      std::size_t colors);
+
+/// The construction above as a LOCAL algorithm: plan rounds 1 .. L,
+/// then sweep slot i (round L + 1 + i) retires auxiliary color D - i.
+class ArbdefectiveLocalAlgo {
+ public:
+  struct State {
+    std::uint64_t aux = 0;
+    std::int32_t bucket = -1;
+  };
+  using Output = int;
+
+  ArbdefectiveLocalAlgo(std::size_t num_vertices, std::size_t degree_bound,
+                        std::size_t colors);
+
+  void init(Vertex v, const Graph&, State& s) const { s.aux = v; }
+
+  bool step(Vertex, std::size_t round, const RoundView<State>& view,
+            State& next, Xoshiro256&) const;
+
+  Output output(Vertex, const State& s) const { return s.bucket; }
+
+  static constexpr bool uses_rng = false;
+
+ private:
+  std::size_t degree_bound_;
+  std::size_t colors_;
+  std::shared_ptr<const DegPlusOnePlan> plan_;
+};
 
 /// Runs the construction above; result.color[v] in [0, colors).
 ColoringResult compute_arbdefective_coloring(

@@ -1,7 +1,5 @@
 #include "algo/edge_coloring.hpp"
 
-#include <algorithm>
-
 #include "algo/line_plan.hpp"
 #include "util/assertx.hpp"
 #include "validate/validate.hpp"
@@ -85,27 +83,6 @@ bool EdgeColoringAlgo::step(Vertex, std::size_t round,
   }
   // Terminate at the end of the block.
   return stages_.block_end(at);
-}
-
-std::size_t EdgeColoringAlgo::next_wake(Vertex, std::size_t round,
-                                        const State& s) const {
-  std::size_t wake = round + 1;
-  if (s.hset <= 0) {
-    const EdgeStages::At at = stages_.at(round);
-    if (at.stage != EdgeStages::kCross) {
-      // Idle until this iteration's first assign phase.
-      wake = stages_.cross_start(at.iter);
-    } else if (at.assign) {
-      // Assign phase for label j: the next head duty is label j+1's
-      // assign phase two rounds on, or the next partition round once
-      // the labels are exhausted.
-      wake = at.index + 1 < stages_.threshold()
-                 ? round + 2
-                 : stages_.schedule().round_of(at.iter + 1, 0);
-    }
-    // Ingest phases: the next assign phase IS round + 1 — no parking.
-  }
-  return std::max(wake, round + 1);
 }
 
 EdgeColoringResult compute_edge_coloring(const Graph& g,

@@ -47,16 +47,12 @@ class EdgeColoringAlgo {
 
   Output output(Vertex, const State& s) const { return s.ecolor; }
 
-  /// Wake hint (WakeHinted): a still-active vertex (hset == 0) only
-  /// ever acts in partition rounds and in the cross stage's assign
-  /// phases, where it colors incoming label-j edges as a head — the
-  /// flag/plan/resolve stretch of every iteration is a provable no-op
-  /// for it (the hset == 0 branch writes nothing outside assign
-  /// phases), so it parks until the iteration's first assign phase,
-  /// then hops assign phase to assign phase and finally to the next
-  /// partition round. H-set members act round to round and stay
-  /// unhinted.
-  std::size_t next_wake(Vertex, std::size_t round, const State& s) const;
+  /// Wake hint (WakeHinted): EdgeStages::next_wake — idle vertices
+  /// park to their head duties, members through the line plan's no-op
+  /// rounds.
+  std::size_t next_wake(Vertex, std::size_t round, const State& s) const {
+    return stages_.next_wake(round, s);
+  }
 
   static constexpr bool uses_rng = false;
 

@@ -25,6 +25,7 @@
 // stage's number is also its trace phase.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -114,6 +115,38 @@ class EdgeStages {
     return schedule_.round_of(iter, cross_begin_);
   }
 
+  /// Wake hint (WakeHinted) shared by the edge entries, read from the
+  /// state a vertex published after its step in `round`:
+  ///   - a still-active vertex (hset == 0) acts only in partition
+  ///     rounds and, as a head, in the cross stage's assign phases; the
+  ///     flag/plan/sweep stretch of every iteration is a no-op for it
+  ///     (the entries' hset == 0 branch writes nothing outside assign
+  ///     phases), so it parks until the iteration's first assign
+  ///     phase, hops assign phase to assign phase, then parks until the
+  ///     next partition round;
+  ///   - an H_i member in the line plan parks through the plan's no-op
+  ///     rounds: it wakes for the earliest DegPlusOnePlan::next_active
+  ///     over its intra-set ports, or for the first sweep slot if no
+  ///     port changes color again. Its other ports' steps in that round
+  ///     are no-ops, both endpoints of a line vertex compute the same
+  ///     hint for it, and the degree-bound check still runs on the
+  ///     member's first plan round (the flag round does not park);
+  ///   - every other member step is followed by the next round.
+  template <class State>
+  std::size_t next_wake(std::size_t round, const State& s) const {
+    const At a = at(round);
+    if (s.hset <= 0) return std::max(idle_wake(round, a), round + 1);
+    if (a.stage != kLinePlan) return round + 1;
+    // Plan round t sits at block position 2 + t; t = num_rounds() is
+    // the first sweep slot.
+    std::size_t t = plan_->num_rounds();
+    for (std::size_t j = 0; j < s.kind.size() && t > a.index + 1; ++j)
+      if (s.kind[j] == 1)
+        t = std::min(t, plan_->next_active(
+                            a.index, static_cast<std::uint64_t>(s.lcolor[j])));
+    return round + (t - a.index);
+  }
+
   /// The bound A: H-partition threshold and number of cross labels.
   std::size_t threshold() const { return params_.threshold(); }
   const DegPlusOnePlan& line_plan() const { return *plan_; }
@@ -143,6 +176,19 @@ class EdgeStages {
   }
 
  private:
+  /// Next round a still-active vertex acts in, after round a.
+  std::size_t idle_wake(std::size_t round, const At& a) const {
+    // Idle until this iteration's first assign phase.
+    if (a.stage != kCross) return cross_start(a.iter);
+    // Ingest phases: the next assign phase IS round + 1.
+    if (!a.assign) return round + 1;
+    // Assign phase for label j: the next head duty is label j+1's
+    // assign phase two rounds on, or the next partition round once the
+    // labels are exhausted.
+    return a.index + 1 < threshold() ? round + 2
+                                     : schedule_.round_of(a.iter + 1, 0);
+  }
+
   PartitionParams params_;
   std::shared_ptr<const DegPlusOnePlan> plan_;  // on the line graph
   CompositionSchedule schedule_;

@@ -1,6 +1,9 @@
-// The two plan rounds every H-set entry runs, and the one place a
+// The plan rounds every (D+1)-plan entry runs, and the one place a
 // replacement plan (substitutions S2/S3) plugs in:
 //
+//   graph_plan_round — one round of the plan on all of G, as the
+//     run-to-completion wc_delta baseline and the arbdefective coloring
+//     run it: every neighbor is a subgraph neighbor;
 //   same_set_plan_round — one round of an auxiliary (A+1)-coloring plan
 //     on G(H_i), as delta_plus1, mis, ka, oa and the be08 baseline run
 //     it: a vertex's subgraph neighbors are the neighbors in its own
@@ -13,8 +16,8 @@
 //     LOCAL line-graph simulation. The edge's line neighbors are v's
 //     other line ports plus w's.
 //
-// Both gather neighbor colors (into thread_scratch) only in rounds whose
-// plan step reads them (reads_neighbors) and merely count them
+// Each gathers neighbor colors (into thread_scratch) only in rounds
+// whose plan step reads them (reads_neighbors) and merely counts them
 // otherwise, so the plan's degree-bound check still sees the true
 // degree on every step.
 #pragma once
@@ -28,8 +31,26 @@
 
 namespace valocal {
 
-struct SameSetPlanScratch;  // thread_scratch owner tags
+struct GraphPlanScratch;  // thread_scratch owner tags
+struct SameSetPlanScratch;
 struct LinePlanScratch;
+
+/// Plan round t for the stepping vertex on all of G; returns its new
+/// color. A vertex's color, and each neighbor's, is color_of(state).
+template <class State, class ColorOf>
+std::uint64_t graph_plan_round(const DegPlusOnePlan& plan, std::size_t t,
+                               const RoundView<State>& view,
+                               ColorOf color_of) {
+  const std::uint64_t own = color_of(view.self());
+  if (plan.reads_neighbors(t, own)) {
+    std::vector<std::uint64_t>& nbrs =
+        thread_scratch<GraphPlanScratch, std::uint64_t>();
+    for (std::size_t i = 0; i < view.degree(); ++i)
+      nbrs.push_back(color_of(view.neighbor_state(i)));
+    return plan.advance(t, own, nbrs);
+  }
+  return plan.advance_unread(t, own, view.degree());
+}
 
 /// Plan round t for the stepping vertex on G(H_i); returns its new
 /// auxiliary color. State carries `hset` and `aux`. Plan is

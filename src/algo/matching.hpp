@@ -126,6 +126,13 @@ class MatchingAlgo {
 
   Output output(Vertex, const State& s) const { return s.matched_edge; }
 
+  /// Wake hint (WakeHinted): EdgeStages::next_wake — idle vertices
+  /// park to their head duties, members through the line plan's no-op
+  /// rounds.
+  std::size_t next_wake(Vertex, std::size_t round, const State& s) const {
+    return stages_.next_wake(round, s);
+  }
+
   static constexpr bool uses_rng = false;
 
   // Trace phases (trace::PhaseTraced): the edge frame's stages, with

@@ -12,13 +12,12 @@
 
 #include <algorithm>
 #include <memory>
-#include <vector>
 
 #include "algo/coloring_result.hpp"
 #include "algo/deg_plus_one_plan.hpp"
+#include "algo/line_plan.hpp"
 #include "graph/graph.hpp"
 #include "sim/network.hpp"
-#include "util/scratch.hpp"
 
 namespace valocal {
 
@@ -40,17 +39,8 @@ class WorstCaseDeltaPlusOneAlgo {
   bool step(Vertex, std::size_t round, const RoundView<State>& view,
             State& next, Xoshiro256&) const {
     if (plan_->num_rounds() == 0) return true;  // n == 1 corner case
-    const std::size_t t = round - 1;
-    const std::uint64_t own = view.self().color;
-    if (plan_->reads_neighbors(t, own)) {
-      std::vector<std::uint64_t>& nbrs =
-          thread_scratch<WorstCaseDeltaPlusOneAlgo, std::uint64_t>();
-      for (std::size_t i = 0; i < view.degree(); ++i)
-        nbrs.push_back(view.neighbor_state(i).color);
-      next.color = plan_->advance(t, own, nbrs);
-    } else {
-      next.color = plan_->advance_unread(t, own, view.degree());
-    }
+    next.color = graph_plan_round(*plan_, round - 1, view,
+                                  [](const State& s) { return s.color; });
     return round >= plan_->num_rounds();
   }
 

@@ -1,6 +1,7 @@
 #include "coverfree/coverfree.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/assertx.hpp"
 #include "util/mathx.hpp"
@@ -62,22 +63,56 @@ CoverFreeFamily::CoverFreeFamily(std::uint64_t num_colors,
   VALOCAL_ENSURE(q_ <= 0xFFFFFFFFULL,
                  "ground set q^2 must fit in 64 bits");
   VALOCAL_ENSURE(d_ <= kMaxDigits, "degree exceeds the digit buffers");
+
+  recip_ = ~0ULL / q_;
+  twos_ = static_cast<unsigned>(std::countr_zero(q_));
+  const std::uint64_t odd = q_ >> twos_;
+  // Newton's iteration doubles the correct low bits: 3, 6, ..., 96.
+  odd_inv_ = odd;
+  for (int i = 0; i < 5; ++i) odd_inv_ *= 2 - odd * odd_inv_;
+  // With digits and x below q, a polynomial's value is at most
+  // (q - 1)(1 + q + ... + q^(d-1)) = q^d - 1.
+  exact_ = ipow_capped(q_, d_, ~0ULL) != ~0ULL;
+}
+
+CoverFreeFamily::QuotRem CoverFreeFamily::divmod_q(std::uint64_t v) const {
+  QuotRem qr;
+  qr.quot = static_cast<std::uint64_t>(
+      (static_cast<unsigned __int128>(v) * recip_) >> 64);
+  qr.rem = v - qr.quot * q_;
+  const std::uint64_t fix = qr.rem >= q_ ? 1 : 0;
+  qr.quot += fix;
+  qr.rem -= q_ & (0 - fix);
+  return qr;
+}
+
+bool CoverFreeFamily::divisible(std::uint64_t v) const {
+  return std::rotr(v * odd_inv_, static_cast<int>(twos_)) <= recip_;
 }
 
 void CoverFreeFamily::digits_of(std::uint64_t color,
                                 std::uint64_t* out) const {
   for (unsigned i = 0; i < d_; ++i) {
-    out[i] = color % q_;
-    color /= q_;
+    const QuotRem qr = divmod_q(color);
+    out[i] = qr.rem;
+    color = qr.quot;
   }
+}
+
+std::uint64_t CoverFreeFamily::eval_exact(const std::uint64_t* digits,
+                                          std::uint64_t x) const {
+  std::uint64_t acc = 0;
+  for (unsigned i = d_; i-- > 0;) acc = acc * x + digits[i];
+  return acc;
 }
 
 std::uint64_t CoverFreeFamily::eval_digits(const std::uint64_t* digits,
                                            std::uint64_t x) const {
-  // Horner, most significant digit first; q < 2^32 keeps every
-  // acc * x + digit < q^2 within 64 bits.
+  if (exact_) return divmod_q(eval_exact(digits, x)).rem;
+  // Horner, most significant digit first, reducing every step; q < 2^32
+  // keeps every acc * x + digit < q^2 within 64 bits.
   std::uint64_t acc = 0;
-  for (unsigned i = d_; i-- > 0;) acc = (acc * x + digits[i]) % q_;
+  for (unsigned i = d_; i-- > 0;) acc = divmod_q(acc * x + digits[i]).rem;
   return acc;
 }
 
@@ -107,27 +142,48 @@ std::uint64_t CoverFreeFamily::pick_escaping(
   // One difference polynomial p_o - p_color per parent o: our element
   // at point j lies in F_o exactly when it vanishes at j. A parent with
   // our own color is skipped — an identical set can never be escaped.
-  std::vector<std::uint64_t>& diffs =
+  // The parents' colors are split digit by digit across all parents,
+  // so their independent quotient chains overlap, and each coefficient
+  // is reduced without a branch (its sign is a coin flip).
+  std::vector<std::uint64_t>& scratch =
       thread_scratch<CoverFreeFamily, std::uint64_t>();
-  diffs.resize(others.size() * d_);
+  scratch.resize(others.size() * (d_ + 1));
+  std::uint64_t* rest = scratch.data();  // parents' digits still unsplit
+  std::uint64_t* diff = rest + others.size();
   std::size_t parents = 0;
   for (std::uint64_t other : others) {
-    if (other == color) continue;
-    std::uint64_t* diff = diffs.data() + parents * d_;
-    digits_of(other, diff);
-    for (unsigned i = 0; i < d_; ++i)
-      diff[i] = diff[i] >= own[i] ? diff[i] - own[i] : diff[i] + q_ - own[i];
-    ++parents;
+    rest[parents] = other;
+    parents += other != color ? 1 : 0;
+  }
+  for (unsigned i = 0; i < d_; ++i) {
+    for (std::size_t p = 0; p < parents; ++p) {
+      const QuotRem qr = divmod_q(rest[p]);
+      rest[p] = qr.quot;
+      const std::uint64_t borrow = qr.rem < own[i] ? 1 : 0;
+      diff[p * d_ + i] = qr.rem - own[i] + (q_ & (0 - borrow));
+    }
   }
   // Ascending points, first collision rejects the point: the first
   // point no parent hits carries the smallest escaping element.
-  for (std::uint64_t j = 0; j < q_; ++j) {
-    std::size_t p = 0;
-    while (p < parents && eval_digits(diffs.data() + p * d_, j) != 0) ++p;
-    if (p == parents) return j * q_ + eval_digits(own, j);
-  }
-  VALOCAL_ENSURE(false, "cover-free family failed to provide an escape");
-  return 0;
+  const auto first_escape = [&](auto hits) {
+    for (std::uint64_t j = 0; j < q_; ++j) {
+      std::size_t p = 0;
+      while (p < parents && !hits(diff + p * d_, j)) ++p;
+      if (p == parents) return j;
+    }
+    VALOCAL_ENSURE(false, "cover-free family failed to provide an escape");
+    return q_;
+  };
+  const auto exact_hit = [this](const std::uint64_t* poly, std::uint64_t x) {
+    return divisible(eval_exact(poly, x));
+  };
+  const auto reduced_hit = [this](const std::uint64_t* poly,
+                                  std::uint64_t x) {
+    return eval_digits(poly, x) == 0;
+  };
+  const std::uint64_t j =
+      exact_ ? first_escape(exact_hit) : first_escape(reduced_hit);
+  return j * q_ + eval_digits(own, j);
 }
 
 std::uint64_t arb_linial_step_colors(std::uint64_t p, std::size_t r) {

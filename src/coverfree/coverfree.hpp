@@ -58,8 +58,11 @@ class CoverFreeFamily {
   /// point is rejected at its first colliding parent, so one call
   /// costs O((j* + 1) * r * d) field operations for r parents, plus
   /// O(r * d) to split the parents' colors into base-q digits once.
-  /// Allocation-free once the calling thread has seen its largest
-  /// parent list.
+  /// No operation divides: digits split by a multiply-high reciprocal,
+  /// and when q^d < 2^64 a parent's difference polynomial is evaluated
+  /// exactly and tested for divisibility by q with q's inverse (else
+  /// every Horner step reduces by the reciprocal). Allocation-free once
+  /// the calling thread has seen its largest parent list.
   std::uint64_t pick_escaping(std::uint64_t color,
                               std::span<const std::uint64_t> others) const;
 
@@ -69,14 +72,33 @@ class CoverFreeFamily {
 
   /// The d base-q digits of `color`, least significant first.
   void digits_of(std::uint64_t color, std::uint64_t* out) const;
-  /// The polynomial with coefficients `digits` evaluated at x.
+  /// The polynomial with coefficients `digits` evaluated at x, mod q.
   std::uint64_t eval_digits(const std::uint64_t* digits,
                             std::uint64_t x) const;
+  /// The same polynomial evaluated over the integers, mod 2^64: the
+  /// exact value when exact_ holds.
+  std::uint64_t eval_exact(const std::uint64_t* digits,
+                           std::uint64_t x) const;
+  /// v / q and v mod q for any 64-bit v: the multiply-high quotient
+  /// estimate is floor(v / q) or one less, so one conditional step
+  /// fixes it.
+  struct QuotRem {
+    std::uint64_t quot;
+    std::uint64_t rem;
+  };
+  QuotRem divmod_q(std::uint64_t v) const;
+  /// Whether q divides v: q = 2^s * o with o odd divides v exactly
+  /// when rotr(v * o^-1 mod 2^64, s) <= floor((2^64 - 1) / q).
+  bool divisible(std::uint64_t v) const;
 
   std::uint64_t m_;  // number of colors the family distinguishes
   std::size_t r_;    // cover-freeness parameter
   std::uint64_t q_;  // field size (prime)
   unsigned d_;       // number of base-q digits (degree bound)
+  std::uint64_t recip_ = 0;    // floor((2^64 - 1) / q)
+  std::uint64_t odd_inv_ = 0;  // inverse of q's odd part mod 2^64
+  unsigned twos_ = 0;          // q = 2^twos_ * odd part
+  bool exact_ = false;         // q^d < 2^64: exact polynomial values
 };
 
 /// The color count produced by one Arb-Linial step applied to a

@@ -132,6 +132,151 @@ TEST(CoverFree, PickEscapingMatchesSetReference) {
   }
 }
 
+// The pick as first written, with `%` and `/` by q in the digit split
+// and in every Horner step: the reference the division-free pick must
+// match bit for bit.
+std::uint64_t reference_pick(const CoverFreeFamily& f, std::uint64_t color,
+                             const std::vector<std::uint64_t>& others) {
+  const std::uint64_t q = f.prime();
+  const unsigned d = f.degree();
+  const auto digits = [&](std::uint64_t c) {
+    std::vector<std::uint64_t> out(d);
+    for (unsigned i = 0; i < d; ++i) {
+      out[i] = c % q;
+      c /= q;
+    }
+    return out;
+  };
+  const auto eval = [&](const std::vector<std::uint64_t>& poly,
+                        std::uint64_t x) {
+    std::uint64_t acc = 0;
+    for (unsigned i = d; i-- > 0;) acc = (acc * x + poly[i]) % q;
+    return acc;
+  };
+  const std::vector<std::uint64_t> own = digits(color);
+  std::vector<std::vector<std::uint64_t>> diffs;
+  for (std::uint64_t other : others) {
+    if (other == color) continue;
+    std::vector<std::uint64_t> diff = digits(other);
+    for (unsigned i = 0; i < d; ++i)
+      diff[i] = diff[i] >= own[i] ? diff[i] - own[i] : diff[i] + q - own[i];
+    diffs.push_back(std::move(diff));
+  }
+  for (std::uint64_t j = 0; j < q; ++j) {
+    std::size_t p = 0;
+    while (p < diffs.size() && eval(diffs[p], j) != 0) ++p;
+    if (p == diffs.size()) return j * q + eval(own, j);
+  }
+  ADD_FAILURE() << "no escape";
+  return 0;
+}
+
+// A random color whose polynomial agrees with `color`'s at point j0:
+// a random color with its lowest digit solved for the agreement, so
+// the difference polynomial's other digits are random. Returns `color`
+// itself when no such other color is in the family (d = 1, or the
+// solved digit pushes it past the last color).
+std::uint64_t colliding_color(const CoverFreeFamily& f, std::uint64_t color,
+                              std::uint64_t j0, Xoshiro256& rng) {
+  using u128 = unsigned __int128;
+  const std::uint64_t q = f.prime();
+  const std::uint64_t x = j0 % q;
+  const auto value_at = [&](std::uint64_t c, bool skip_low) {
+    std::vector<std::uint64_t> digits(f.degree());
+    for (auto& digit : digits) {
+      digit = c % q;
+      c /= q;
+    }
+    if (skip_low) digits[0] = 0;
+    u128 acc = 0;
+    for (unsigned i = f.degree(); i-- > 0;) acc = (acc * x + digits[i]) % q;
+    return static_cast<std::uint64_t>(acc);
+  };
+  const std::uint64_t other = rng.below(f.num_colors());
+  const std::uint64_t low =
+      (value_at(color, false) + q - value_at(other, true)) % q;
+  const std::uint64_t solved = other - other % q + low;
+  return solved < f.num_colors() ? solved : color;
+}
+
+TEST(CoverFree, PickEscapingMatchesModuloReference) {
+  // Families by shape: q = 2 with d = 1; small q; q near 2^16 with
+  // d = 1, and with d = 2 and colors near 2^32; colors >= 2^32 (d = 3);
+  // q near 2^32 with d = 2;
+  // and (2^60, 2^28), whose q^d exceeds 2^64, so its Horner steps
+  // reduce instead of evaluating exactly.
+  struct Case {
+    std::uint64_t m;
+    std::size_t r;
+  };
+  const Case cases[] = {{2, 1},
+                        {2, 3},
+                        {3, 2},
+                        {1ULL << 16, 9},
+                        {841, 9},
+                        {60000, 65000},
+                        {1ULL << 32, 1ULL << 16},
+                        {1ULL << 40, 1ULL << 16},
+                        {(1ULL << 62) + 12345, 4000000000ULL},
+                        {1ULL << 60, 1ULL << 28}};
+  Xoshiro256 rng(22);
+  for (const Case& c : cases) {
+    const CoverFreeFamily f(c.m, c.r);
+    std::size_t past_zero = 0;  // picks whose point j* is not 0
+    for (int trial = 0; trial < 300; ++trial) {
+      const std::uint64_t color = trial == 0 ? c.m - 1 : rng.below(c.m);
+      const std::size_t count = rng.below(std::min<std::size_t>(c.r, 12) + 1);
+      std::vector<std::uint64_t> others;
+      std::uint64_t blocked = 0;  // points 0 .. blocked-1 are hit
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::uint64_t roll = rng.below(8);
+        if (roll == 0)
+          others.push_back(color);
+        else if (roll >= 4)  // blocks the next point, so j* moves on
+          others.push_back(colliding_color(f, color, blocked++, rng));
+        else if (roll == 1 && !others.empty())
+          others.push_back(others[rng.below(others.size())]);
+        else if (roll == 2)  // among the four largest colors
+          others.push_back(c.m - 1 - rng.below(std::min<std::uint64_t>(c.m,
+                                                                      4)));
+        else
+          others.push_back(rng.below(c.m));
+      }
+      const std::uint64_t pick = f.pick_escaping(color, others);
+      ASSERT_EQ(pick, reference_pick(f, color, others))
+          << "m=" << c.m << " r=" << c.r << " q=" << f.prime()
+          << " d=" << f.degree() << " color=" << color
+          << " parents=" << others.size();
+      if (pick >= f.prime()) ++past_zero;
+    }
+    // Points past 0 are where the evaluation can overflow or skip a
+    // reduction; a d = 1 family cannot be hit by a distinct color.
+    if (f.degree() >= 2) {
+      EXPECT_GT(past_zero, 30u) << "m=" << c.m;
+    }
+  }
+}
+
+TEST(CoverFree, ModuloReferenceFamiliesCoverTheirShapes) {
+  // Pins the shapes PickEscapingMatchesModuloReference claims to cover.
+  const CoverFreeFamily two(2, 1);
+  EXPECT_EQ(two.prime(), 2u);
+  EXPECT_EQ(two.degree(), 1u);
+  const CoverFreeFamily flat16(60000, 65000);
+  EXPECT_EQ(flat16.prime(), 60013u);
+  EXPECT_EQ(flat16.degree(), 1u);
+  const CoverFreeFamily near16(1ULL << 32, 1ULL << 16);
+  EXPECT_EQ(near16.prime(), 65537u);
+  EXPECT_EQ(near16.degree(), 2u);
+  const CoverFreeFamily wide(1ULL << 40, 1ULL << 16);
+  EXPECT_GT(wide.num_colors(), 1ULL << 32);
+  const CoverFreeFamily near32((1ULL << 62) + 12345, 4000000000ULL);
+  EXPECT_GT(near32.prime(), 1ULL << 31);
+  EXPECT_EQ(near32.degree(), 2u);
+  const CoverFreeFamily reduced(1ULL << 60, 1ULL << 28);
+  EXPECT_EQ(ipow_capped(reduced.prime(), reduced.degree(), ~0ULL), ~0ULL);
+}
+
 TEST(CoverFree, GroundSizeIsSubquadraticForLargeM) {
   // For m = 2^20, r = 8, the polynomial construction must beat the
   // trivial m ground set by orders of magnitude.

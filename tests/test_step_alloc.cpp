@@ -1,9 +1,10 @@
 // Steady-state step bodies of the deterministic color-reduction entries
-// (the H-set entries, their edge counterparts and the baselines) and of
-// the randomized entries allocate nothing. This binary replaces
-// the global operator new with a counter that is armed only while an
-// algorithm's step runs (a wrapper algorithm toggles it), so engine
-// bookkeeping, result vectors and graph generation never count. The
+// (the H-set entries, their edge counterparts, the arbdefective coloring
+// and the baselines) and of the randomized entries allocate nothing.
+// This binary replaces the global operator new with a counter that is
+// armed only while an algorithm's step runs (a wrapper algorithm
+// toggles it), so engine bookkeeping, result vectors and graph
+// generation never count. The
 // first run of each entry warms the per-thread scratch buffers; the
 // second run (same seed, so the same draws) must make zero allocations
 // inside step.
@@ -19,6 +20,7 @@
 #include "algo/coloring_ka.hpp"
 #include "algo/coloring_ka2.hpp"
 #include "algo/coloring_oa.hpp"
+#include "algo/defective_coloring.hpp"
 #include "algo/delta_plus1.hpp"
 #include "algo/edge_coloring.hpp"
 #include "algo/matching.hpp"
@@ -198,6 +200,12 @@ const Graph& er() {
 
 TEST(StepAlloc, WorstCaseDeltaPlusOne) {
   const WorstCaseDeltaPlusOneAlgo algo(er().num_vertices(), er().max_degree());
+  EXPECT_EQ(second_run_step_allocations(er(), algo), 0u);
+}
+
+TEST(StepAlloc, ArbdefectiveColoring) {
+  const ArbdefectiveLocalAlgo algo(er().num_vertices(), er().max_degree(),
+                                   4);
   EXPECT_EQ(second_run_step_allocations(er(), algo), 0u);
 }
 

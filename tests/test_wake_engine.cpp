@@ -21,7 +21,9 @@
 #include "algo/coloring_ka2.hpp"
 #include "algo/coloring_oa.hpp"
 #include "algo/delta_plus1.hpp"
+#include "algo/edge_coloring.hpp"
 #include "algo/hset_composition.hpp"
+#include "algo/matching.hpp"
 #include "algo/mis.hpp"
 #include "algo/partition.hpp"
 #include "algo/rings.hpp"
@@ -239,10 +241,12 @@ TEST(WakeEngine, RingColoring3IsByteIdentical) {
 }
 
 // The composed entries that park H-set members through the
-// (Delta+1)-plan's no-op rounds. Each must match the no-parking
-// reference byte for byte, skip steps itself, and park members during the plan: the
-// registry sweep only checks the catalog-wide total, which one entry's
-// hint silently falling back to round + 1 would not move.
+// (Delta+1)-plan's no-op rounds: the auxiliary plan on G(H_i) of oa,
+// delta_plus1 and mis, and the line plan of the edge entries. Each
+// must match the no-parking reference byte for byte, skip steps
+// itself, and park members during the plan: the registry sweep only
+// checks the catalog-wide total, which one entry's hint silently
+// falling back to round + 1 would not move.
 const PartitionParams kPlanParams{.arboricity = 3, .epsilon = 1.0};
 
 std::vector<Graph> plan_graphs() {
@@ -252,7 +256,7 @@ std::vector<Graph> plan_graphs() {
 }
 
 /// A with its hint instrumented: counts the hints that park an H-set
-/// member in an `aux_plan` round.
+/// member in a plan round (trace phase `aux_plan` or `line_plan`).
 template <class A>
 class CountsPlanParking : public A {
  public:
@@ -263,7 +267,8 @@ class CountsPlanParking : public A {
     const std::size_t wake = A::next_wake(v, round, s);
     const std::string_view phase =
         this->trace_phases()[this->trace_phase_of(v, round, s)];
-    if (s.hset > 0 && wake > round + 1 && phase == "aux_plan")
+    if (s.hset > 0 && wake > round + 1 &&
+        (phase == "aux_plan" || phase == "line_plan"))
       plan_parks_.fetch_add(1, std::memory_order_relaxed);
     return wake;
   }
@@ -306,6 +311,25 @@ TEST(WakeEngine, MisParksThroughThePlan) {
   for (const Graph& g : plan_graphs())
     expect_entry_parks(
         g, CountsPlanParking<MisAlgo>(g.num_vertices(), kPlanParams));
+}
+
+std::vector<Graph> line_plan_graphs() {
+  // forest_union(2^12, 3), the (A+1)-ary adversarial tree and a torus.
+  return {gen::forest_union(1 << 12, 3, 5),
+          gen::dary_tree(1 << 12, kPlanParams.threshold() + 1),
+          gen::torus(16, 16)};
+}
+
+TEST(WakeEngine, EdgeColoringParksThroughTheLinePlan) {
+  for (const Graph& g : line_plan_graphs())
+    expect_entry_parks(g, CountsPlanParking<EdgeColoringAlgo>(
+                              g.num_vertices(), g.num_edges(), kPlanParams));
+}
+
+TEST(WakeEngine, MatchingParksThroughTheLinePlan) {
+  for (const Graph& g : line_plan_graphs())
+    expect_entry_parks(g, CountsPlanParking<MatchingAlgo>(
+                              g.num_vertices(), g.num_edges(), kPlanParams));
 }
 
 TEST(WakeEngine, WcDeltaParksThroughTheKwStageAndStillRunsToCompletion) {
