@@ -6,11 +6,9 @@
 // should ~2x the O(a) rows and ~4x the O(a^2) rows).
 #include <iostream>
 
-#include "algo/coloring_a2.hpp"
 #include "algo/coloring_a2logn.hpp"
 #include "algo/coloring_ka.hpp"
 #include "algo/coloring_ka2.hpp"
-#include "algo/coloring_oa.hpp"
 #include "algo/delta_plus1.hpp"
 #include "algo/rand_a_loglog.hpp"
 #include "bench_common.hpp"

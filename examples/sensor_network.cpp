@@ -12,7 +12,7 @@
 #include <iostream>
 
 #include "algo/coloring_a2logn.hpp"
-#include "algo/coloring_oa.hpp"
+#include "algo/coloring_ka.hpp"
 #include "baseline/be08_arb_color.hpp"
 #include "graph/generators.hpp"
 #include "util/table.hpp"

@@ -35,13 +35,14 @@ build/tools/valocal_cli --gen er --n 20000 --avg-deg 6 --a 6 \
 # deterministic workload under default CLI settings must actually skip
 # steps (recorded in the run record) while test_wake_engine separately
 # proves the results stay byte-identical to the no-calendar engine.
-# oa and mis park H-set members through the (Delta+1)-plan's no-op
-# rounds; each of their run records must show skipped steps too.
+# oa, ka and mis park H-set members through the (Delta+1)-plan's no-op
+# rounds, and a2 parks joined vertices until their segment's ladder;
+# each of their run records must show skipped steps too.
 build/tools/valocal_cli --gen adversarial --n 65536 --algo ka2 \
   --threads 4 --phase-table \
   --run-json trace_output/ka2_hinted.json \
   2>&1 | tee trace_output/ka2_hinted.txt
-for algo in oa mis; do
+for algo in oa ka a2 mis; do
   build/tools/valocal_cli --gen forest --n 65536 --a 3 --algo "$algo" \
     --threads 4 --phase-table \
     --run-json "trace_output/${algo}_hinted.json" \
@@ -69,7 +70,7 @@ with open("trace_output/ka2_hinted.json") as f:
     runs = [json.loads(line) for line in f]
 assert any(run["totals"].get("skipped_steps", 0) > 0 for run in runs), \
     "ka2_hinted.json: wake scheduling skipped no steps"
-for algo in ("oa", "mis"):
+for algo in ("oa", "ka", "a2", "mis"):
     with open(f"trace_output/{algo}_hinted.json") as f:
         runs = [json.loads(line) for line in f]
     assert runs, f"{algo}_hinted.json: no run records"

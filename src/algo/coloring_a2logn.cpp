@@ -42,15 +42,7 @@ bool ColoringA2LogNAlgo::step(Vertex v, std::size_t round,
 ColoringResult compute_coloring_a2logn(const Graph& g,
                                        PartitionParams params) {
   VALOCAL_TRACE_PHASE("a2logn");
-  ColoringA2LogNAlgo algo(g.num_vertices(), params);
-  auto run = run_local(g, algo);
-
-  ColoringResult result;
-  result.color = std::move(run.outputs);
-  result.num_colors = count_colors(result.color);
-  result.palette_bound = algo.palette_bound();
-  result.metrics = std::move(run.metrics);
-  return result;
+  return run_coloring(g, ColoringA2LogNAlgo(g.num_vertices(), params));
 }
 
 

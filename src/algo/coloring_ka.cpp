@@ -5,22 +5,28 @@
 
 #include "algo/line_plan.hpp"
 #include "util/assertx.hpp"
-#include "util/mathx.hpp"
-#include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
 namespace valocal {
 
 ColoringKaAlgo::ColoringKaAlgo(std::size_t num_vertices,
                                PartitionParams params, int k)
-    : params_(params) {
+    : ColoringKaAlgo(num_vertices, params,
+                     make_segments(num_vertices, params.epsilon,
+                                   scheme_k(num_vertices, k)),
+                     PaletteLayout::kBlocked) {}
+
+ColoringKaAlgo::ColoringKaAlgo(std::size_t num_vertices,
+                               PartitionParams params,
+                               std::vector<Segment> segments,
+                               PaletteLayout layout)
+    : params_(params), segments_(std::move(segments)) {
   params_.check();
-  const int k_max = rho(std::max<std::size_t>(2, num_vertices));
-  k_ = std::clamp(k <= 0 ? k_max : k, 2, std::max(2, k_max));
-  segments_ = make_segments(num_vertices, params_.epsilon, k_);
   plan_ = std::make_shared<DegPlusOnePlan>(
       std::max<std::uint64_t>(1, num_vertices), params_.threshold());
   tcol_ = plan_->num_rounds();
+  strides_ = PaletteStrides(layout, segments_.size(),
+                            params_.threshold() + 1);
 
   const std::size_t block = 1 + tcol_;
   const std::size_t levels = params_.threshold() + 1;
@@ -53,8 +59,7 @@ bool ColoringKaAlgo::step(Vertex, std::size_t round,
   const std::size_t region = timeline_.locate(round);
   VALOCAL_ENSURE(region < timeline_.num_regions(),
                  "coloring_ka schedule exhausted with active vertices");
-  const std::size_t seg_idx = region / 2;
-  const Segment& seg = segments_[seg_idx];
+  const Segment& seg = segments_[region / 2];
   const std::size_t rel = round - timeline_.start(region);
   const auto in_seg = [&](std::int32_t h) {
     return h >= static_cast<std::int32_t>(seg.first_hset) &&
@@ -81,15 +86,12 @@ bool ColoringKaAlgo::step(Vertex, std::size_t round,
 
   // Recolor region for this segment: wait for all same-segment parents
   // (later H-set, or same H-set with larger auxiliary color), then pick
-  // the smallest free color of {0..A} and terminate with the segment's
-  // palette offset.
+  // the smallest free color of {0..A} and terminate.
   if (!in_seg(self.hset) || self.pick >= 0) return false;
-  const std::size_t a_bound = params_.threshold();
-  const std::int32_t pick = recolor_pick(view, a_bound, in_seg);
+  const std::int32_t pick =
+      recolor_pick(view, params_.threshold(), in_seg);
   if (pick < 0) return false;
   next.pick = pick;
-  next.final_color = static_cast<std::int64_t>(
-      seg_idx * (a_bound + 1) + static_cast<std::size_t>(pick));
   return true;
 }
 
@@ -97,8 +99,7 @@ std::size_t ColoringKaAlgo::next_wake(Vertex, std::size_t round,
                                       const State& s) const {
   const std::size_t region = timeline_.locate(round);
   if (region >= timeline_.num_regions()) return round + 1;
-  const std::size_t seg_idx = region / 2;
-  const Segment& seg = segments_[seg_idx];
+  const Segment& seg = segments_[region / 2];
 
   if (region % 2 != 0) {
     // Recolor region. Participants poll their parents every round
@@ -115,12 +116,16 @@ std::size_t ColoringKaAlgo::next_wake(Vertex, std::size_t round,
   const std::size_t rel = round - timeline_.start(region);
   const std::size_t block_idx = rel / block;
   const std::size_t pos = rel % block;
+  const std::size_t block_start = timeline_.start(region) + block_idx * block;
   const std::size_t hset_index = seg.first_hset + block_idx;
 
   if (s.hset == static_cast<std::int32_t>(hset_index)) {
-    // Running (or just joined) the current block: plan rounds follow
-    // until the block ends, then nothing until this segment recolors.
-    return pos < tcol_ ? round + 1 : timeline_.start(region + 1);
+    // In its own block: a vertex that just joined runs plan round 0;
+    // after plan round pos - 1 it sleeps to the next round that can
+    // change its color, or, past the plan, to this segment's recolor.
+    if (pos == 0) return round + 1;
+    const std::size_t t = plan_->next_active(pos - 1, s.aux);
+    return t < tcol_ ? block_start + 1 + t : timeline_.start(region + 1);
   }
   if (s.hset != 0) {
     // Joined an earlier H-set of this segment: idle until recolor.
@@ -129,25 +134,44 @@ std::size_t ColoringKaAlgo::next_wake(Vertex, std::size_t round,
   // Unjoined: idle through the plan rounds, wake at the next
   // Procedure-Partition round — the next block of this segment, or the
   // next segment's blocks region once this one is exhausted.
-  if (block_idx + 1 < seg.partition_rounds)
-    return timeline_.start(region) + (block_idx + 1) * block;
+  if (block_idx + 1 < seg.partition_rounds) return block_start + block;
   return timeline_.start(region + 2);
+}
+
+ColoringResult compute_coloring_oa(const Graph& g,
+                                   PartitionParams params) {
+  return run_coloring(
+      g, ColoringKaAlgo(g.num_vertices(), params,
+                        two_phase_segments(g.num_vertices(),
+                                           params.epsilon),
+                        PaletteLayout::kInterleaved));
 }
 
 ColoringResult compute_coloring_ka(const Graph& g, PartitionParams params,
                                    int k) {
   VALOCAL_TRACE_PHASE("ka");
-  ColoringKaAlgo algo(g.num_vertices(), params, k);
-  auto run = run_local(g, algo);
-
-  ColoringResult result;
-  result.color = std::move(run.outputs);
-  result.num_colors = count_colors(result.color);
-  result.palette_bound = algo.palette_bound();
-  result.metrics = std::move(run.metrics);
-  return result;
+  return run_coloring(g, ColoringKaAlgo(g.num_vertices(), params, k));
 }
 
+
+VALOCAL_ALGO_SPEC(oa) {
+  using namespace registry;
+  AlgoSpec s = spec_base("oa", "oa", Problem::kVertexColoring,
+                         /*deterministic=*/true,
+                         {Param::kArboricity, Param::kEpsilon},
+                         {{Measure::kVertexAveraged, "O~(a loglog n)"},
+                          {Measure::kWorstCase, "O(a log n)"}},
+                         "Thm 7.9");
+  s.rows = {{.section = BenchSection::kTable1Adversarial,
+             .order = 8,
+             .row = "Thm7.9 O(a)",
+             .algo_label = "coloring_oa"}};
+  s.run = [](const Graph& g, const AlgoParams& p) {
+    return coloring_outcome(g, "oa",
+                            compute_coloring_oa(g, p.partition()));
+  };
+  return s;
+}
 
 VALOCAL_ALGO_SPEC(ka) {
   using namespace registry;

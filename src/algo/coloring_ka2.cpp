@@ -3,24 +3,31 @@
 #include <algorithm>
 #include <vector>
 
+#include "algo/line_plan.hpp"
 #include "util/assertx.hpp"
-#include "util/mathx.hpp"
-#include "util/scratch.hpp"
-#include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
 namespace valocal {
 
 ColoringKa2Algo::ColoringKa2Algo(std::size_t num_vertices,
                                  PartitionParams params, int k)
-    : params_(params), num_vertices_(num_vertices) {
+    : ColoringKa2Algo(num_vertices, params,
+                      make_segments(num_vertices, params.epsilon,
+                                    scheme_k(num_vertices, k)),
+                      PaletteLayout::kBlocked) {}
+
+ColoringKa2Algo::ColoringKa2Algo(std::size_t num_vertices,
+                                 PartitionParams params,
+                                 std::vector<Segment> segments,
+                                 PaletteLayout layout)
+    : params_(params), segments_(std::move(segments)) {
   params_.check();
-  const int k_max = rho(std::max<std::size_t>(2, num_vertices));
-  k_ = std::clamp(k <= 0 ? k_max : k, 2, std::max(2, k_max));
-  segments_ = make_segments(num_vertices, params_.epsilon, k_);
   ladder_ = std::make_shared<ArbLinialLadder>(
       std::max<std::uint64_t>(1, num_vertices), params_.threshold());
   steps_ = ladder_->num_steps();
+  per_segment_ = steps_ > 0 ? ladder_->final_colors()
+                            : std::max<std::uint64_t>(1, num_vertices);
+  strides_ = PaletteStrides(layout, segments_.size(), per_segment_);
 
   // Region layout: per segment, a partition region then a ladder region
   // (ladder regions have max(1, S) rounds so degenerate tiny inputs
@@ -47,13 +54,6 @@ ColoringKa2Algo::ColoringKa2Algo(std::size_t num_vertices,
     phase_names_.push_back(name.c_str());
 }
 
-std::size_t ColoringKa2Algo::palette_bound() const {
-  const std::size_t per_segment = static_cast<std::size_t>(
-      steps_ > 0 ? ladder_->final_colors()
-                 : std::max<std::size_t>(1, num_vertices_));
-  return static_cast<std::size_t>(k_) * per_segment;
-}
-
 bool ColoringKa2Algo::step(Vertex v, std::size_t round,
                            const RoundView<State>& view, State& next,
                            Xoshiro256&) const {
@@ -62,8 +62,7 @@ bool ColoringKa2Algo::step(Vertex v, std::size_t round,
   const std::size_t region = timeline_.locate(round);
   VALOCAL_ENSURE(region < timeline_.num_regions(),
                  "coloring_ka2 schedule exhausted with active vertices");
-  const std::size_t seg_idx = region / 2;
-  const Segment& seg = segments_[seg_idx];
+  const Segment& seg = segments_[region / 2];
   const std::size_t rel = round - timeline_.start(region);
 
   if (region % 2 == 0) {
@@ -76,38 +75,19 @@ bool ColoringKa2Algo::step(Vertex v, std::size_t round,
     return false;
   }
 
-  // Ladder region for segment seg_idx: participants are the vertices
-  // whose H-set falls in this segment's range.
+  // Ladder region for this segment: participants are the vertices
+  // whose H-set falls in the segment's range. The last step leaves the
+  // segment-local color output() reads.
   const auto in_seg = [&](std::int32_t h) {
     return h >= static_cast<std::int32_t>(seg.first_hset) &&
            h <= static_cast<std::int32_t>(seg.last_hset);
   };
   if (!in_seg(self.hset)) return false;
-
-  const std::size_t last = std::max<std::size_t>(1, steps_) - 1;
-  std::uint64_t new_color = self.lad_color;
-  if (steps_ > 0) {
-    std::vector<std::uint64_t>& parents =
-        thread_scratch<ColoringKa2Algo, std::uint64_t>();
-    for (std::size_t i = 0; i < view.degree(); ++i) {
-      const auto& nbr = view.neighbor_state(i);
-      if (!in_seg(nbr.hset)) continue;
-      const Vertex u = view.neighbor(i);
-      if (nbr.hset > self.hset || (nbr.hset == self.hset && u > v))
-        parents.push_back(nbr.lad_color);
-    }
-    new_color = ladder_->apply_step(rel, self.lad_color, parents);
-  }
-  next.lad_color = new_color;
-  if (rel == last) {
-    const std::uint64_t per_segment =
-        steps_ > 0 ? ladder_->final_colors()
-                   : std::max<std::uint64_t>(1, num_vertices_);
-    next.final_color = static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(seg_idx) * per_segment + new_color);
-    return true;
-  }
-  return false;
+  if (steps_ > 0)
+    next.lad_color = arb_linial_round(
+        *ladder_, rel, v, view, in_seg,
+        [](const State& s) { return s.lad_color; });
+  return rel + 1 == std::max<std::size_t>(1, steps_);
 }
 
 std::size_t ColoringKa2Algo::next_wake(Vertex, std::size_t round,
@@ -129,20 +109,41 @@ std::size_t ColoringKa2Algo::next_wake(Vertex, std::size_t round,
   return in_seg ? round + 1 : timeline_.start(region + 1);
 }
 
+ColoringResult compute_coloring_a2(const Graph& g,
+                                   PartitionParams params) {
+  VALOCAL_TRACE_PHASE("a2");
+  return run_coloring(
+      g, ColoringKa2Algo(g.num_vertices(), params,
+                         two_phase_segments(g.num_vertices(),
+                                            params.epsilon),
+                         PaletteLayout::kInterleaved));
+}
+
 ColoringResult compute_coloring_ka2(const Graph& g,
                                     PartitionParams params, int k) {
   VALOCAL_TRACE_PHASE("ka2");
-  ColoringKa2Algo algo(g.num_vertices(), params, k);
-  auto run = run_local(g, algo);
-
-  ColoringResult result;
-  result.color = std::move(run.outputs);
-  result.num_colors = count_colors(result.color);
-  result.palette_bound = algo.palette_bound();
-  result.metrics = std::move(run.metrics);
-  return result;
+  return run_coloring(g, ColoringKa2Algo(g.num_vertices(), params, k));
 }
 
+
+VALOCAL_ALGO_SPEC(a2) {
+  using namespace registry;
+  AlgoSpec s = spec_base("a2", "a2", Problem::kVertexColoring,
+                         /*deterministic=*/true,
+                         {Param::kArboricity, Param::kEpsilon},
+                         {{Measure::kVertexAveraged, "O(loglog n)"},
+                          {Measure::kWorstCase, "O(log n)"}},
+                         "Thm 7.6");
+  s.rows = {{.section = BenchSection::kTable1Adversarial,
+             .order = 7,
+             .row = "Thm7.6 O(a^2)",
+             .algo_label = "coloring_a2"}};
+  s.run = [](const Graph& g, const AlgoParams& p) {
+    return coloring_outcome(g, "a2",
+                            compute_coloring_a2(g, p.partition()));
+  };
+  return s;
+}
 
 VALOCAL_ALGO_SPEC(ka2) {
   using namespace registry;

@@ -1,17 +1,27 @@
-// O(k a^2)-vertex-coloring in O(log^(k) n) vertex-averaged complexity
-// (Section 7.6, Theorem 7.13) — the segmentation scheme of Section 7.5
-// instantiated with: algorithm A = null, algorithm B = the forest
-// orientation of Parallelized-Forest-Decomposition (a pure function of
-// the H-partition in this library), algorithm C = Procedure
-// Arb-Linial-Coloring (the full ladder).
+// The segmentation scheme of Section 7.5 with algorithm A = null,
+// algorithm B = the forest orientation of
+// Parallelized-Forest-Decomposition (a pure function of the
+// H-partition in this library: parents are the same-segment neighbors
+// with larger (hset, ID)), algorithm C = Procedure Arb-Linial-Coloring
+// (the full ladder). Two instances:
 //
-// Schedule, in execution order over segments i = k .. 1:
-//   [c*log^(i) n Partition rounds forming segment i's H-sets]
-//   [S = O(log* n) ladder rounds coloring segment i with its own
-//    palette of O(a^2 log a) colors]
-// Segment-i vertices terminate at the end of their ladder; only a
-// O(n / log^(i-1) n) fraction survives into later segments, giving
-// vertex-averaged complexity O(log^(k) n + log* n).
+//   a2  (Section 7.3, Theorem 7.6): two segments (two_phase_segments),
+//       the first formed while the population decays to O(n / log n);
+//       colors tagged <c, segment> (interleaved palette). Vertex-
+//       averaged O(log log n + log* n) = O(log log n), palette twice
+//       the ladder fixed point: O(a^2 log a) (substitution S1; O(a^2)
+//       exactly as in the paper once the non-constructive final Linial
+//       step is granted).
+//   ka2 (Section 7.6, Theorem 7.13): k segments (make_segments), each
+//       with its own palette block. Vertex-averaged
+//       O(log^(k) n + log* n), O(k a^2) colors.
+//
+// Schedule, in execution order over the segments:
+//   [the segment's Partition rounds forming its H-sets]
+//   [S = O(log* n) ladder rounds coloring the segment]
+// A segment's vertices terminate at the end of its ladder; only the
+// population still active after its Partition rounds pays for later
+// segments.
 //
 // Corollaries 7.14/7.15: k = rho(n) yields O(a^2 log* n) colors with
 // O(log* n) vertex-averaged complexity (O(log* n) colors for constant
@@ -33,15 +43,20 @@ namespace valocal {
 
 class ColoringKa2Algo {
  public:
+  /// The final color is not stored: output() derives it from the last
+  /// ladder color and the segment of `hset`.
   struct State : PartitionState {
-    std::uint64_t lad_color = 0;
-    std::int64_t final_color = -1;
+    std::uint64_t lad_color = 0;  // ladder color; initialized to the ID
   };
+  static_assert(sizeof(State) == 16);
   using Output = int;
 
-  /// k must lie in [2, rho(n)] (clamped internally).
+  /// Section 7.6: k segments from make_segments, blocked palette. k is
+  /// resolved by scheme_k (k <= 0 selects rho(n)).
   ColoringKa2Algo(std::size_t num_vertices, PartitionParams params,
                   int k);
+  ColoringKa2Algo(std::size_t num_vertices, PartitionParams params,
+                  std::vector<Segment> segments, PaletteLayout layout);
 
   void init(Vertex v, const Graph&, State& s) const { s.lad_color = v; }
 
@@ -49,7 +64,10 @@ class ColoringKa2Algo {
             State& next, Xoshiro256&) const;
 
   Output output(Vertex, const State& s) const {
-    return static_cast<Output>(s.final_color);
+    if (s.hset <= 0) return -1;
+    return static_cast<Output>(strides_.color(
+        segment_of_hset(segments_, static_cast<std::size_t>(s.hset)),
+        s.lad_color));
   }
 
   /// Wake hint (WakeHinted): a vertex that joined an H-set idles for
@@ -60,8 +78,10 @@ class ColoringKa2Algo {
 
   static constexpr bool uses_rng = false;
 
-  std::size_t palette_bound() const;
-  int k() const { return k_; }
+  std::size_t palette_bound() const {
+    return segments_.size() * static_cast<std::size_t>(per_segment_);
+  }
+  int k() const { return static_cast<int>(segments_.size()); }
   const std::vector<Segment>& segments() const { return segments_; }
   std::size_t ladder_steps() const { return steps_; }
 
@@ -77,16 +97,19 @@ class ColoringKa2Algo {
 
  private:
   PartitionParams params_;
-  int k_;
   std::vector<Segment> segments_;
   SegmentTimeline timeline_;  // two regions per segment
   std::shared_ptr<const ArbLinialLadder> ladder_;
   std::size_t steps_ = 0;
-  std::size_t num_vertices_ = 0;
+  std::uint64_t per_segment_ = 1;  // one segment's palette
+  PaletteStrides strides_;
   // Backing store for the c-strings handed out by trace_phases().
   std::vector<std::string> phase_name_store_;
   std::vector<const char*> phase_names_;
 };
+
+/// Section 7.3: the two-segment instance, interleaved palette.
+ColoringResult compute_coloring_a2(const Graph& g, PartitionParams params);
 
 /// k <= 0 selects k = rho(n) (Corollary 7.14).
 ColoringResult compute_coloring_ka2(const Graph& g, PartitionParams params,

@@ -35,28 +35,14 @@ ColoringResult extend_delta_plus1(const Graph& g, PartitionParams params,
   });
   DeltaPlusOneAlgo algo(g.num_vertices(), g.max_degree(), params);
   algo.set_partial_solution(std::move(partial));
-  auto run = run_local(g, algo);
-
-  ColoringResult result;
-  result.color = std::move(run.outputs);
-  result.num_colors = count_colors(result.color);
-  result.palette_bound = algo.palette_bound();
-  result.metrics = std::move(run.metrics);
-  return result;
+  return run_coloring(g, algo);
 }
 
 ColoringResult compute_delta_plus1(const Graph& g,
                                    PartitionParams params) {
   VALOCAL_TRACE_PHASE("delta_plus1");
   DeltaPlusOneAlgo algo(g.num_vertices(), g.max_degree(), params);
-  auto run = run_local(g, algo);
-
-  ColoringResult result;
-  result.color = std::move(run.outputs);
-  result.num_colors = count_colors(result.color);
-  result.palette_bound = algo.palette_bound();
-  result.metrics = std::move(run.metrics);
-  return result;
+  return run_coloring(g, algo);
 }
 
 

@@ -1,5 +1,6 @@
 // The plan rounds every (D+1)-plan entry runs, and the one place a
-// replacement plan (substitutions S2/S3) plugs in:
+// replacement plan (substitutions S2/S3) plugs in, plus the ladder
+// round of the Arb-Linial entries:
 //
 //   graph_plan_round — one round of the plan on all of G, as the
 //     run-to-completion wc_delta baseline and the arbdefective coloring
@@ -14,17 +15,21 @@
 //     of G: each endpoint of a line-vertex edge {v, w} advances the
 //     edge's line color from published per-port state, the standard
 //     LOCAL line-graph simulation. The edge's line neighbors are v's
-//     other line ports plus w's.
+//     other line ports plus w's;
+//   arb_linial_round — one step of the Arb-Linial ladder over the
+//     (hset, ID) forest orientation, as a2/ka2 run it on a segment and
+//     the be08 baseline on all of G.
 //
-// Each gathers neighbor colors (into thread_scratch) only in rounds
-// whose plan step reads them (reads_neighbors) and merely counts them
-// otherwise, so the plan's degree-bound check still sees the true
-// degree on every step.
+// Each plan round gathers neighbor colors (into thread_scratch) only
+// in rounds whose plan step reads them (reads_neighbors) and merely
+// counts them otherwise, so the plan's degree-bound check still sees
+// the true degree on every step.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "algo/arb_linial.hpp"
 #include "algo/deg_plus_one_plan.hpp"
 #include "sim/network.hpp"
 #include "util/scratch.hpp"
@@ -34,6 +39,7 @@ namespace valocal {
 struct GraphPlanScratch;  // thread_scratch owner tags
 struct SameSetPlanScratch;
 struct LinePlanScratch;
+struct LadderScratch;
 
 /// Plan round t for the stepping vertex on all of G; returns its new
 /// color. A vertex's color, and each neighbor's, is color_of(state).
@@ -73,6 +79,29 @@ std::uint64_t same_set_plan_round(const Plan& plan, std::size_t t,
   for (std::size_t i = 0; i < view.degree(); ++i)
     if (view.neighbor_state(i).hset == self.hset) ++same_set;
   return plan.advance_unread(t, self.aux, same_set);
+}
+
+/// Arb-Linial ladder step t for the stepping vertex v; returns its new
+/// color. Its parents are the neighbors whose H-set in_scope accepts
+/// and that lie in a later H-set, or in v's own with a larger ID: at
+/// most A of them by the H-partition property. A vertex's color, and
+/// each neighbor's, is color_of(state).
+template <class State, class InScope, class ColorOf>
+std::uint64_t arb_linial_round(const ArbLinialLadder& ladder,
+                               std::size_t t, Vertex v,
+                               const RoundView<State>& view,
+                               InScope in_scope, ColorOf color_of) {
+  const State& self = view.self();
+  std::vector<std::uint64_t>& parents =
+      thread_scratch<LadderScratch, std::uint64_t>();
+  for (std::size_t i = 0; i < view.degree(); ++i) {
+    const State& nbr = view.neighbor_state(i);
+    if (!in_scope(nbr.hset)) continue;
+    if (nbr.hset > self.hset ||
+        (nbr.hset == self.hset && view.neighbor(i) > v))
+      parents.push_back(color_of(nbr));
+  }
+  return ladder.apply_step(t, color_of(self), parents);
 }
 
 /// Plan round t over every line port of the stepping vertex: the ports

@@ -101,15 +101,8 @@ bool RandALogLogAlgo::step(Vertex, std::size_t round,
 ColoringResult compute_rand_a_loglog(const Graph& g,
                                      PartitionParams params,
                                      std::uint64_t seed) {
-  RandALogLogAlgo algo(g.num_vertices(), params);
-  auto run = run_local(g, algo, {.seed = seed});
-
-  ColoringResult result;
-  result.color = std::move(run.outputs);
-  result.num_colors = count_colors(result.color);
-  result.palette_bound = algo.palette_bound();
-  result.metrics = std::move(run.metrics);
-  return result;
+  return run_coloring(
+      g, RandALogLogAlgo(g.num_vertices(), params), {.seed = seed});
 }
 
 

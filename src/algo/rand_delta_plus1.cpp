@@ -56,15 +56,7 @@ bool RandDeltaPlusOneAlgo::step(Vertex, std::size_t round,
 
 ColoringResult compute_rand_delta_plus1(const Graph& g,
                                         std::uint64_t seed) {
-  RandDeltaPlusOneAlgo algo(g.max_degree());
-  auto run = run_local(g, algo, {.seed = seed});
-
-  ColoringResult result;
-  result.color = std::move(run.outputs);
-  result.num_colors = count_colors(result.color);
-  result.palette_bound = algo.palette_bound();
-  result.metrics = std::move(run.metrics);
-  return result;
+  return run_coloring(g, RandDeltaPlusOneAlgo(g.max_degree()), {.seed = seed});
 }
 
 

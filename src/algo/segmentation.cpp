@@ -8,6 +8,26 @@
 
 namespace valocal {
 
+namespace {
+
+void check_epsilon(double eps) {
+  VALOCAL_REQUIRE(eps > 0.0 && eps <= 2.0,
+                  "Procedure Partition needs 0 < epsilon <= 2");
+}
+
+/// Partition rounds needed to shrink the active population below
+/// n / log n: the least t with ((2+eps)/2)^t >= log n.
+std::size_t phase1_rounds(std::size_t n, double eps) {
+  if (n < 4) return 1;
+  const double decay = std::log2((2.0 + eps) / 2.0);
+  const double loglog =
+      std::log2(std::max(2.0, std::log2(static_cast<double>(n))));
+  return std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::ceil(loglog / decay)));
+}
+
+}  // namespace
+
 std::size_t partition_round_bound(std::size_t n, double eps) {
   if (n < 2) return 1;
   const double decay = std::log2((2.0 + eps) / 2.0);
@@ -19,6 +39,7 @@ std::size_t partition_round_bound(std::size_t n, double eps) {
 std::vector<Segment> make_segments(std::size_t n, double eps, int k) {
   VALOCAL_REQUIRE(k >= 2, "segmentation needs k >= 2");
   VALOCAL_REQUIRE(n >= 1, "segmentation needs n >= 1");
+  check_epsilon(eps);
   const double c = 2.0 / eps;
   const std::size_t total = partition_round_bound(n, eps);
 
@@ -39,6 +60,18 @@ std::vector<Segment> make_segments(std::size_t n, double eps, int k) {
     next_hset += rounds;
   }
   return segments;
+}
+
+int scheme_k(std::size_t n, int k) {
+  const int k_max = rho(std::max<std::size_t>(2, n));
+  return std::clamp(k <= 0 ? k_max : k, 2, std::max(2, k_max));
+}
+
+std::vector<Segment> two_phase_segments(std::size_t n, double eps) {
+  check_epsilon(eps);
+  const std::size_t total = partition_round_bound(n, eps);
+  const std::size_t t1 = std::min(phase1_rounds(n, eps), total);
+  return {Segment{2, 1, t1, t1}, Segment{1, t1 + 1, total, total - t1}};
 }
 
 std::size_t segment_of_hset(const std::vector<Segment>& segments,

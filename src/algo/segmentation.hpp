@@ -10,9 +10,13 @@
 // ranges over {2, ..., rho(n)} (Section 7.5's rho: the largest k with
 // log^(k-1) n >= log* n).
 //
-// This header provides the shared segment geometry; the two
-// instantiations of the scheme are algo/coloring_ka2.hpp (Section 7.6)
-// and algo/coloring_ka.hpp (Section 7.7).
+// Sections 7.3 and 7.4 are the same scheme on two segments: the H-sets
+// formed while the population decays to O(n / log n), then the rest.
+//
+// This header provides the shared segment geometry and palette layout;
+// the two instantiations of the scheme are algo/coloring_ka2.hpp
+// (Sections 7.3 and 7.6) and algo/coloring_ka.hpp (Sections 7.4 and
+// 7.7).
 #pragma once
 
 #include <cstdint>
@@ -38,9 +42,45 @@ std::size_t partition_round_bound(std::size_t n, double eps);
 /// partition_round_bound(n, eps).
 std::vector<Segment> make_segments(std::size_t n, double eps, int k);
 
+/// Resolves the scheme parameter: k <= 0 selects rho(n), and k is
+/// clamped into [2, rho(n)].
+int scheme_k(std::size_t n, int k);
+
+/// The two-segment geometry of Sections 7.3/7.4, in execution order:
+/// the first t1 partition rounds, t1 the least t with
+/// ((2+eps)/2)^t >= log n (the population still active is then
+/// O(n / log n)), then the rest of partition_round_bound(n, eps). The
+/// second segment is empty when t1 already reaches the bound.
+std::vector<Segment> two_phase_segments(std::size_t n, double eps);
+
 /// Which segment (index into the make_segments vector) owns H-set h.
 std::size_t segment_of_hset(const std::vector<Segment>& segments,
                             std::size_t h);
+
+/// How the segments' palettes share the run's palette, P being the
+/// palette of one segment.
+enum class PaletteLayout {
+  kBlocked,      // Section 7.5: segment s colors s * P + c
+  kInterleaved,  // Sections 7.3/7.4: the tag <c, s> is c * k + s
+};
+
+/// A layout reduced to two integers: segment s's color c lands on
+/// c * color_stride + s * segment_stride.
+struct PaletteStrides {
+  std::uint64_t color_stride = 1;
+  std::uint64_t segment_stride = 0;
+
+  PaletteStrides() = default;
+  PaletteStrides(PaletteLayout layout, std::size_t num_segments,
+                 std::uint64_t per_segment)
+      : color_stride(layout == PaletteLayout::kBlocked ? 1 : num_segments),
+        segment_stride(layout == PaletteLayout::kBlocked ? per_segment
+                                                         : 1) {}
+
+  std::uint64_t color(std::size_t segment, std::uint64_t c) const {
+    return c * color_stride + segment * segment_stride;
+  }
+};
 
 /// Region timetable of a segmentation-scheme run: consecutive regions
 /// of known lengths on the 1-based round axis (per segment, e.g. a

@@ -6,7 +6,6 @@
 #include "algo/line_plan.hpp"
 #include "algo/segmentation.hpp"
 #include "util/assertx.hpp"
-#include "util/scratch.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
@@ -40,16 +39,10 @@ bool Be08ArbColorAlgo::step(Vertex v, std::size_t round,
       next.hset = partition_try_join(round, view, a_bound);
   } else if (round <= ell_ + ladder_steps_) {
     // Global ladder over the (hset, ID) orientation.
-    const std::size_t t = round - ell_ - 1;
-    std::vector<std::uint64_t>& parents =
-        thread_scratch<Be08ArbColorAlgo, std::uint64_t>();
-    for (std::size_t i = 0; i < view.degree(); ++i) {
-      const auto& nbr = view.neighbor_state(i);
-      const Vertex u = view.neighbor(i);
-      if (nbr.hset > self.hset || (nbr.hset == self.hset && u > v))
-        parents.push_back(nbr.aux);
-    }
-    next.aux = ladder_->apply_step(t, self.aux, parents);
+    next.aux = arb_linial_round(
+        *ladder_, round - ell_ - 1, v, view,
+        [](std::int32_t) { return true; },
+        [](const State& s) { return s.aux; });
   } else if (round <= ell_ + ladder_steps_ + kw_rounds_) {
     // KW within the own H-set only.
     next.aux = same_set_plan_round(*kw_, round - ell_ - ladder_steps_ - 1,
@@ -69,15 +62,7 @@ bool Be08ArbColorAlgo::step(Vertex v, std::size_t round,
 
 ColoringResult compute_be08_arb_color(const Graph& g,
                                       PartitionParams params) {
-  Be08ArbColorAlgo algo(g.num_vertices(), params);
-  auto run = run_local(g, algo);
-
-  ColoringResult result;
-  result.color = std::move(run.outputs);
-  result.num_colors = count_colors(result.color);
-  result.palette_bound = algo.palette_bound();
-  result.metrics = std::move(run.metrics);
-  return result;
+  return run_coloring(g, Be08ArbColorAlgo(g.num_vertices(), params));
 }
 
 

@@ -8,15 +8,8 @@
 namespace valocal {
 
 ColoringResult compute_wc_delta_plus1(const Graph& g) {
-  WorstCaseDeltaPlusOneAlgo algo(g.num_vertices(), g.max_degree());
-  auto run = run_local(g, algo);
-
-  ColoringResult result;
-  result.color = std::move(run.outputs);
-  result.num_colors = count_colors(result.color);
-  result.palette_bound = algo.palette_bound();
-  result.metrics = std::move(run.metrics);
-  return result;
+  return run_coloring(
+      g, WorstCaseDeltaPlusOneAlgo(g.num_vertices(), g.max_degree()));
 }
 
 

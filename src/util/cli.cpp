@@ -47,6 +47,7 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
                std::string(argv[i + 1]).rfind("--", 0) != 0) {
       flags_[arg] = argv[++i];
     } else {
+      bare_.insert(arg);
       flags_[arg] = "true";  // bare flag
     }
   }
@@ -80,9 +81,15 @@ double CliArgs::get_double(const std::string& name,
   if (it == flags_.end()) return fallback;
   char* end = nullptr;
   const double value = std::strtod(it->second.c_str(), &end);
-  VALOCAL_REQUIRE(end != nullptr && *end == '\0',
-                  "malformed floating-point flag value");
+  VALOCAL_REQUIRE(!it->second.empty() && end != nullptr && *end == '\0',
+                  ("malformed floating-point value for --" + name).c_str());
   return value;
+}
+
+void CliArgs::require_values(const std::vector<std::string>& names) const {
+  for (const auto& name : names)
+    VALOCAL_REQUIRE(!bare_.contains(name),
+                    ("missing value for --" + name).c_str());
 }
 
 void CliArgs::check_known(const std::vector<std::string>& known) const {

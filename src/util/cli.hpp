@@ -1,11 +1,13 @@
 // Minimal command-line flag parsing for the CLI tool and examples:
 // "--name value" and "--name=value" forms, typed getters with defaults,
-// and an unknown-flag check so typos fail loudly.
+// an unknown-flag check so typos fail loudly, and a missing-value check
+// so a value-taking flag given bare does not silently read "true".
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -40,12 +42,18 @@ class CliArgs {
   /// every provided flag is in `known`.
   void check_known(const std::vector<std::string>& known) const;
 
+  /// Aborts naming the flag if any flag in `names` was given bare
+  /// (followed by another flag or by nothing), the form that reads as
+  /// the value "true".
+  void require_values(const std::vector<std::string>& names) const;
+
   const std::vector<std::string>& positional() const {
     return positional_;
   }
 
  private:
   std::map<std::string, std::string> flags_;
+  std::set<std::string> bare_;
   std::vector<std::string> positional_;
 };
 

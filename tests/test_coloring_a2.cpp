@@ -1,4 +1,4 @@
-#include "algo/coloring_a2.hpp"
+#include "algo/coloring_ka2.hpp"
 
 #include <gtest/gtest.h>
 
@@ -36,11 +36,13 @@ TEST(ColoringA2, VertexAveragedTracksSchedule) {
   // tail is a small fraction. VA <= t1 + S + tail.
   for (std::size_t n : {1024u, 8192u, 65536u}) {
     const Graph g = gen::forest_union(n, 2, 7);
-    ColoringA2Algo algo(n, {.arboricity = 2, .epsilon = 1.0});
-    const auto result =
-        compute_coloring_a2(g, {.arboricity = 2, .epsilon = 1.0});
-    const double seg1 =
-        static_cast<double>(algo.phase1_sets() + algo.ladder_steps());
+    const PartitionParams params{.arboricity = 2, .epsilon = 1.0};
+    const ColoringKa2Algo algo(n, params,
+                               two_phase_segments(n, params.epsilon),
+                               PaletteLayout::kInterleaved);
+    const auto result = compute_coloring_a2(g, params);
+    const double seg1 = static_cast<double>(
+        algo.segments()[0].partition_rounds + algo.ladder_steps());
     const double wc = static_cast<double>(result.metrics.worst_case());
     // Stragglers are at most a (2/3)^t1 <= 1/log n fraction.
     const double tail = wc / std::log2(static_cast<double>(n));

@@ -1,4 +1,4 @@
-#include "algo/coloring_oa.hpp"
+#include "algo/coloring_ka.hpp"
 
 #include <gtest/gtest.h>
 
@@ -50,13 +50,16 @@ TEST(ColoringOa, VaTracksPhase1Schedule) {
   // Every vertex pays at most the phase-1 span plus the straggler tail.
   const std::size_t n = 16384;
   const Graph g = gen::forest_union(n, 2, 19);
-  ColoringOaAlgo algo(n, {.arboricity = 2, .epsilon = 1.0});
-  const auto result =
-      compute_coloring_oa(g, {.arboricity = 2, .epsilon = 1.0});
-  const std::size_t a_thresh = PartitionParams{.arboricity = 2}.threshold();
+  const PartitionParams params{.arboricity = 2, .epsilon = 1.0};
+  const ColoringKaAlgo algo(n, params,
+                            two_phase_segments(n, params.epsilon),
+                            PaletteLayout::kInterleaved);
+  const auto result = compute_coloring_oa(g, params);
+  const std::size_t a_thresh = params.threshold();
+  const std::size_t phase1_sets = algo.segments()[0].partition_rounds;
   const double phase1_span =
-      static_cast<double>(algo.phase1_sets() * (1 + algo.plan_rounds()) +
-                          algo.phase1_sets() * (a_thresh + 1) + 2);
+      static_cast<double>(phase1_sets * (1 + algo.plan_rounds()) +
+                          phase1_sets * (a_thresh + 1) + 2);
   const double tail = static_cast<double>(result.metrics.worst_case()) /
                       std::log2(static_cast<double>(n));
   EXPECT_LE(result.metrics.vertex_averaged(), phase1_span + tail + 1.0);

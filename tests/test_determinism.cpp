@@ -4,9 +4,9 @@
 // iteration-order or staging regressions.
 #include <gtest/gtest.h>
 
-#include "algo/coloring_a2.hpp"
 #include "algo/coloring_a2logn.hpp"
 #include "algo/coloring_ka.hpp"
+#include "algo/coloring_ka2.hpp"
 #include "algo/edge_coloring.hpp"
 #include "algo/matching.hpp"
 #include "algo/mis.hpp"
@@ -73,8 +73,9 @@ TEST(Determinism, RandomizedIsAPureFunctionOfTheSeed) {
 
 // Outputs and r(v) of the entries built from the shared H-set steps
 // (same-set plan round, wait-for-parents recolor, line-plan round,
-// edge stage frame) that no perfbench golden covers, pinned to the
-// values the per-entry copies of those steps produced.
+// edge stage frame, ladder round) and segmentation scheme classes that
+// no perfbench golden covers, pinned to the values the per-entry
+// copies of those steps and the dedicated a2/oa classes produced.
 const PartitionParams kPinParams{.arboricity = 3};
 const PartitionParams kTreeParams{.arboricity = 1};
 
@@ -97,6 +98,24 @@ TEST(HsetStepPins, KaOutputsAndRounds) {
   const auto tree = compute_coloring_ka(pin_tree(), kTreeParams, 0);
   EXPECT_EQ(fingerprint(tree.color, tree.metrics.rounds),
             0x217d35703e7c1537ULL);
+}
+
+TEST(HsetStepPins, A2OutputsAndRounds) {
+  const auto forest = compute_coloring_a2(pin_forest(), kPinParams);
+  EXPECT_EQ(fingerprint(forest.color, forest.metrics.rounds),
+            0xafa662a6ff69970fULL);
+  const auto tree = compute_coloring_a2(pin_tree(), kTreeParams);
+  EXPECT_EQ(fingerprint(tree.color, tree.metrics.rounds),
+            0xa33fc744964f682bULL);
+}
+
+TEST(HsetStepPins, OaOutputsAndRounds) {
+  const auto forest = compute_coloring_oa(pin_forest(), kPinParams);
+  EXPECT_EQ(fingerprint(forest.color, forest.metrics.rounds),
+            0xa285dc927e3fbb0cULL);
+  const auto tree = compute_coloring_oa(pin_tree(), kTreeParams);
+  EXPECT_EQ(fingerprint(tree.color, tree.metrics.rounds),
+            0x140dd1e7e4e1a3e7ULL);
 }
 
 TEST(HsetStepPins, Be08OutputsAndRounds) {

@@ -123,6 +123,37 @@ TEST(Cli, MalformedNumberDies) {
   EXPECT_DEATH((void)counts.get_count("n", 4096), "malformed.*--n");
   EXPECT_DEATH((void)counts.get_int("n", 4096), "malformed.*--n");
   EXPECT_DEATH((void)counts.get_count("a", 2), "negative.*--a");
+
+  // Floating-point flags: malformed and empty values die naming the
+  // flag too (a bare --eps reads "true").
+  const char* reals[] = {"prog", "--eps", "--avg-deg=", "--k", "1.5x"};
+  CliArgs floats(5, reals);
+  EXPECT_DEATH((void)floats.get_double("eps", 1.0), "malformed.*--eps");
+  EXPECT_DEATH((void)floats.get_double("avg-deg", 4.0),
+               "malformed.*--avg-deg");
+  EXPECT_DEATH((void)floats.get_double("k", 0.0), "malformed.*--k");
+}
+
+TEST(Cli, BarePathFlagDies) {
+  // A value-taking flag given bare reads "true": --run-json would write
+  // its record to a file named "true". require_values dies naming the
+  // flag, whether the bare flag is followed by a flag or ends the line.
+  const char* mid[] = {"prog", "--run-json", "--n", "5"};
+  CliArgs a(4, mid);
+  EXPECT_DEATH(a.require_values({"input", "run-json"}),
+               "missing value for --run-json");
+  const char* last[] = {"prog", "--algo", "ka", "--dot"};
+  CliArgs b(4, last);
+  EXPECT_DEATH(b.require_values({"algo", "dot"}), "missing value for --dot");
+
+  // Given values (either form), or absent, the flags pass; a bare
+  // boolean flag outside the list is not checked.
+  const char* given[] = {"prog", "--run-json", "r.jsonl", "--dot=g.dot",
+                         "--list-algos"};
+  CliArgs c(5, given);
+  c.require_values({"input", "run-json", "dot"});
+  EXPECT_EQ(c.get_string("run-json", ""), "r.jsonl");
+  EXPECT_TRUE(c.has("list-algos"));
 }
 
 TEST(Cli, EnvCountParsesOrFallsBack) {

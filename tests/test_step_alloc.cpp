@@ -15,11 +15,9 @@
 #include <new>
 
 #include "algo/bgko22.hpp"
-#include "algo/coloring_a2.hpp"
 #include "algo/coloring_a2logn.hpp"
 #include "algo/coloring_ka.hpp"
 #include "algo/coloring_ka2.hpp"
-#include "algo/coloring_oa.hpp"
 #include "algo/defective_coloring.hpp"
 #include "algo/delta_plus1.hpp"
 #include "algo/edge_coloring.hpp"
@@ -141,7 +139,10 @@ TEST(StepAlloc, A2LogN) {
 }
 
 TEST(StepAlloc, A2) {
-  const ColoringA2Algo algo(forest().num_vertices(), kParams);
+  const ColoringKa2Algo algo(
+      forest().num_vertices(), kParams,
+      two_phase_segments(forest().num_vertices(), kParams.epsilon),
+      PaletteLayout::kInterleaved);
   EXPECT_EQ(second_run_step_allocations(forest(), algo), 0u);
 }
 
@@ -161,7 +162,10 @@ TEST(StepAlloc, Be08) {
 }
 
 TEST(StepAlloc, Oa) {
-  const ColoringOaAlgo algo(forest().num_vertices(), kParams);
+  const ColoringKaAlgo algo(
+      forest().num_vertices(), kParams,
+      two_phase_segments(forest().num_vertices(), kParams.epsilon),
+      PaletteLayout::kInterleaved);
   EXPECT_EQ(second_run_step_allocations(forest(), algo), 0u);
 }
 

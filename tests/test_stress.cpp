@@ -8,11 +8,9 @@
 
 #include <tuple>
 
-#include "algo/coloring_a2.hpp"
 #include "algo/coloring_a2logn.hpp"
 #include "algo/coloring_ka.hpp"
 #include "algo/coloring_ka2.hpp"
-#include "algo/coloring_oa.hpp"
 #include "algo/delta_plus1.hpp"
 #include "algo/edge_coloring.hpp"
 #include "algo/matching.hpp"

@@ -20,7 +20,6 @@
 #include <string>
 #include <string_view>
 
-#include "algo/coloring_a2.hpp"
 #include "algo/coloring_a2logn.hpp"
 #include "algo/coloring_ka.hpp"
 #include "algo/coloring_ka2.hpp"

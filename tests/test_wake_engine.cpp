@@ -19,7 +19,6 @@
 
 #include "algo/coloring_ka.hpp"
 #include "algo/coloring_ka2.hpp"
-#include "algo/coloring_oa.hpp"
 #include "algo/delta_plus1.hpp"
 #include "algo/edge_coloring.hpp"
 #include "algo/hset_composition.hpp"
@@ -242,7 +241,7 @@ TEST(WakeEngine, RingColoring3IsByteIdentical) {
 
 // The composed entries that park H-set members through the
 // (Delta+1)-plan's no-op rounds: the auxiliary plan on G(H_i) of oa,
-// delta_plus1 and mis, and the line plan of the edge entries. Each
+// ka, delta_plus1 and mis, and the line plan of the edge entries. Each
 // must match the no-parking reference byte for byte, skip steps
 // itself, and park members during the plan: the registry sweep only
 // checks the catalog-wide total, which one entry's hint silently
@@ -256,7 +255,11 @@ std::vector<Graph> plan_graphs() {
 }
 
 /// A with its hint instrumented: counts the hints that park an H-set
-/// member in a plan round (trace phase `aux_plan` or `line_plan`).
+/// member from a plan round to a later plan round (trace phase
+/// `aux_plan`, `line_plan`, or a segmentation scheme's per-segment
+/// `segK.plan`) — the plan's next active round. A hint that only skips
+/// other H-sets' plans, or the rest of a plan, wakes outside the plan
+/// and counts nothing.
 template <class A>
 class CountsPlanParking : public A {
  public:
@@ -265,10 +268,13 @@ class CountsPlanParking : public A {
   std::size_t next_wake(Vertex v, std::size_t round,
                         const typename A::State& s) const {
     const std::size_t wake = A::next_wake(v, round, s);
-    const std::string_view phase =
-        this->trace_phases()[this->trace_phase_of(v, round, s)];
-    if (s.hset > 0 && wake > round + 1 &&
-        (phase == "aux_plan" || phase == "line_plan"))
+    const auto in_plan = [&](std::size_t r) {
+      const std::string_view phase =
+          this->trace_phases()[this->trace_phase_of(v, r, s)];
+      return phase == "aux_plan" || phase == "line_plan" ||
+             phase.ends_with(".plan");
+    };
+    if (s.hset > 0 && wake > round + 1 && in_plan(round) && in_plan(wake))
       plan_parks_.fetch_add(1, std::memory_order_relaxed);
     return wake;
   }
@@ -279,8 +285,10 @@ class CountsPlanParking : public A {
   mutable std::atomic<std::size_t> plan_parks_{0};
 };
 
+/// The default engine vs the no-parking reference at 1 and 4 threads:
+/// byte-identical, with steps skipped.
 template <class A>
-void expect_entry_parks(const Graph& g, const CountsPlanParking<A>& algo) {
+void expect_parked_run_matches(const Graph& g, const A& algo) {
   const auto unparked = run_unparked(g, algo);
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
@@ -291,13 +299,38 @@ void expect_entry_parks(const Graph& g, const CountsPlanParking<A>& algo) {
               unparked.metrics.active_per_round);
     EXPECT_GT(run.metrics.skipped_steps, 0u);
   }
+}
+
+template <class A>
+void expect_entry_parks(const Graph& g, const CountsPlanParking<A>& algo) {
+  expect_parked_run_matches(g, algo);
   EXPECT_GT(algo.plan_parks(), 0u);
 }
 
 TEST(WakeEngine, OaParksThroughThePlan) {
   for (const Graph& g : plan_graphs())
-    expect_entry_parks(g, CountsPlanParking<ColoringOaAlgo>(
-                              g.num_vertices(), kPlanParams));
+    expect_entry_parks(
+        g, CountsPlanParking<ColoringKaAlgo>(
+               g.num_vertices(), kPlanParams,
+               two_phase_segments(g.num_vertices(), kPlanParams.epsilon),
+               PaletteLayout::kInterleaved));
+}
+
+TEST(WakeEngine, KaParksThroughThePlan) {
+  for (const Graph& g : plan_graphs())
+    expect_entry_parks(g, CountsPlanParking<ColoringKaAlgo>(
+                              g.num_vertices(), kPlanParams, 0));
+}
+
+TEST(WakeEngine, A2ParksThroughItsSegments) {
+  // a2 has no plan: its joined vertices sleep to their segment's
+  // ladder, and the unsettled ones through the first segment's ladder.
+  for (const Graph& g : plan_graphs())
+    expect_parked_run_matches(
+        g, ColoringKa2Algo(
+               g.num_vertices(), kPlanParams,
+               two_phase_segments(g.num_vertices(), kPlanParams.epsilon),
+               PaletteLayout::kInterleaved));
 }
 
 TEST(WakeEngine, DeltaPlusOneParksThroughThePlan) {

@@ -292,6 +292,13 @@ int main(int argc, char** argv) {
                     "rounds-csv", "histogram-csv", "phase-table",
                     "trace-json", "run-json", "list-algos",
                     "validate"});
+  // The path and name flags must get a value: given bare they would
+  // read "true". Numeric flags die parsing it; a bare --list-algos
+  // selects its default mode.
+  args.require_values({"gen", "graph", "input", "load-bin", "save-bin",
+                       "algo", "dot", "decay-csv", "edge-decay-csv",
+                       "measures-csv", "timings-csv", "rounds-csv",
+                       "histogram-csv", "trace-json", "run-json"});
   if (args.has("list-algos"))
     return list_algos(args.get_string("list-algos", ""));
 
