@@ -158,7 +158,7 @@ int run() {
     std::vector<int> ref_colors;
     Metrics ref_metrics;
     for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-      set_engine_threads(threads);
+      const ScopedEngineConfig config({.threads = threads});
       double ms = 0.0;
       bool identical = true;
       if (std::string(algo) == "luby_mis") {
@@ -201,7 +201,6 @@ int run() {
                              ms > 0 ? serial_ms / ms : 0.0, identical});
     }
   }
-  set_engine_threads(1);
   t.print(std::cout);
 
   // Trial-level sharding (run_batch): a 32-seed sweep of randomized
@@ -224,14 +223,10 @@ int run() {
   double batch_serial_ms = 0.0;
   Table bt({"threads", "trials", "best ms", "speedup", "identical"});
   for (std::size_t threads : {1u, 2u, 4u, 8u}) {
+    const ScopedEngineConfig config({.threads = threads});
     double ms = 0.0;
     const auto results = timed_best_of(
-        2,
-        [&] {
-          return run_batch(num_trials, trial,
-                           {.num_threads = threads,
-                            .trial_vertices = bn});
-        },
+        2, [&] { return run_batch(num_trials, trial, {.trial_vertices = bn}); },
         ms);
     bool identical = true;
     if (threads == 1) {

@@ -129,16 +129,19 @@ done
 echo "cross-paper smoke: BGKO'22 entries validate with EA reported"
 
 # ThreadSanitizer job: rebuild the round engine's suites with
-# -DVALOCAL_SANITIZE=thread and run them (the parallel-engine tests use
-# num_threads up to 8 internally), racing-checking the engine before
-# the benches rely on it. test_graph runs the streaming CSR build at 4
-# threads. Skipped gracefully where libtsan is absent.
+# -DVALOCAL_SANITIZE=thread and run them (the parallel-engine tests
+# raise the engine pool to 8 threads), racing-checking the engine before
+# the benches rely on it. test_batch and test_trace shard trials over
+# the shared engine pool, run nested and concurrent engine runs that
+# find it claimed, and read its load counters between runs. test_graph
+# runs the streaming CSR build at 4 threads. Skipped gracefully where
+# libtsan is absent.
 if echo 'int main(){}' | c++ -fsanitize=thread -x c++ - -o /tmp/valocal_tsan_probe 2>/dev/null; then
   rm -f /tmp/valocal_tsan_probe
   cmake -B build-tsan -G Ninja -DVALOCAL_SANITIZE=thread
-  cmake --build build-tsan --target test_parallel_engine test_engine test_engine_contracts test_mailbox test_wake_engine test_frontier_engine test_registry test_graph test_rmat test_edgelist_bin
+  cmake --build build-tsan --target test_parallel_engine test_engine test_engine_contracts test_mailbox test_wake_engine test_frontier_engine test_registry test_graph test_rmat test_edgelist_bin test_batch test_trace
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'test_parallel_engine|test_engine$|test_engine_contracts|test_mailbox|test_wake_engine|test_frontier_engine|test_registry|test_graph|test_rmat|test_edgelist_bin' \
+    -R 'test_parallel_engine|test_engine$|test_engine_contracts|test_mailbox|test_wake_engine|test_frontier_engine|test_registry|test_graph|test_rmat|test_edgelist_bin|test_batch|test_trace' \
     2>&1 | tee tsan_output.txt
 else
   echo "ThreadSanitizer unavailable; skipping TSan job" | tee tsan_output.txt

@@ -49,6 +49,10 @@
 // against. Metrics::skipped_steps and the trace `asleep` field record
 // the simulator work saved.
 //
+// Scheduling. Threads and grain come from the process-wide EngineConfig
+// (util/thread_pool.hpp). A run claims the one persistent engine pool
+// for all of its rounds, or steps serially if another run holds it.
+//
 // Algorithm interface (duck-typed; see LocalAlgorithm below):
 //
 //   struct MyAlgo {
@@ -229,50 +233,6 @@ inline constexpr bool algorithm_uses_rng = [] {
     return true;
 }();
 
-/// Process-wide default worker-thread count for run_local, used by runs
-/// whose RunOptions::num_threads is 0 ("inherit"). Initially 1 (serial).
-/// Because the engine's results are byte-identical for every thread
-/// count, raising this changes wall-clock only — tools/benches set it
-/// once (e.g. from --threads / VALOCAL_THREADS) and every compute_*
-/// entry point below them exploits it.
-inline std::size_t& detail_engine_threads() {
-  static std::size_t threads = 1;
-  return threads;
-}
-
-inline void set_engine_threads(std::size_t num_threads) {
-  detail_engine_threads() = num_threads == 0 ? 1 : num_threads;
-}
-
-inline std::size_t engine_threads() { return detail_engine_threads(); }
-
-/// Thread-local override consulted BEFORE the process-wide default when
-/// RunOptions::num_threads is 0. The trial batcher (sim/batch.hpp)
-/// pins it to 1 on its pool workers so trials running concurrently
-/// cannot each spin up a nested parallel engine; 0 = no override.
-inline std::size_t& detail_engine_thread_override() {
-  static thread_local std::size_t threads = 0;
-  return threads;
-}
-
-/// RAII scope for the thread-local engine-thread override.
-class ScopedEngineThreadOverride {
- public:
-  explicit ScopedEngineThreadOverride(std::size_t num_threads)
-      : previous_(detail_engine_thread_override()) {
-    detail_engine_thread_override() = num_threads;
-  }
-  ~ScopedEngineThreadOverride() {
-    detail_engine_thread_override() = previous_;
-  }
-  ScopedEngineThreadOverride(const ScopedEngineThreadOverride&) = delete;
-  ScopedEngineThreadOverride& operator=(const ScopedEngineThreadOverride&) =
-      delete;
-
- private:
-  std::size_t previous_;
-};
-
 /// Wake scheduling is always on (see the file comment). This fixed
 /// report exists only because the repository benchmark's run record
 /// (perfbench/valocal_bench.cpp) prints it; that record is its only
@@ -330,18 +290,6 @@ struct RunOptions {
   /// cap aborts — with a diagnostic reporting the round number and the
   /// number of still-active vertices, to make the runaway findable.
   std::size_t max_rounds = 0;
-  /// Worker threads for the round loop. 1 = the serial engine;
-  /// 0 = inherit the thread-local override (ScopedEngineThreadOverride)
-  /// if set, else the process-wide default (set_engine_threads(),
-  /// initially 1). Outputs and semantic Metrics (rounds,
-  /// active_per_round) are byte-identical for every value — vertices
-  /// are stepped against the previous round's double buffer with
-  /// per-vertex RNG streams, and all per-round reductions are merged
-  /// in deterministic vertex order.
-  std::size_t num_threads = 0;
-  /// Vertices per parallel work chunk; 0 = automatic. Purely a
-  /// scheduling knob: any value yields identical results.
-  std::size_t grain = 0;
   /// Materialize RunResult::final_states (every vertex's post-run
   /// State). Off by default: outputs + metrics are the production
   /// surface, and only tests read the final states. Purely a
@@ -502,9 +450,10 @@ template <LocalAlgorithm A>
 ///
 /// Determinism contract. For fixed (graph, algorithm, seed), outputs,
 /// final_states, Metrics::rounds, and Metrics::active_per_round are
-/// byte-identical for every num_threads/grain combination, with or
-/// without parking: each awake vertex is stepped exactly once per
-/// round against the previous round's buffer with its own RNG stream,
+/// byte-identical for every EngineConfig (threads, grain), with or
+/// without parking, claimed pool or not: each awake vertex is stepped
+/// exactly once per round against the previous round's buffer with its
+/// own RNG stream,
 /// every per-vertex write (next state, r(v), committed output,
 /// dormancy freeze) lands in a slot only that vertex touches, and the
 /// awake bitset only changes at the serial wake phase and barrier.
@@ -580,11 +529,24 @@ RunResult<A> run_local(const Graph& g, const A& algo,
 
   const std::size_t cap =
       opt.max_rounds != 0 ? opt.max_rounds : 64 * n + 100000;
-  const std::size_t thread_override = detail_engine_thread_override();
-  const std::size_t num_threads =
-      opt.num_threads != 0
-          ? opt.num_threads
-          : (thread_override != 0 ? thread_override : engine_threads());
+  // See "Scheduling" in the file comment.
+  const EnginePoolClaim claim;
+  ThreadPool& pool = claim.pool();
+  const std::size_t num_threads = pool.num_threads();
+  // Chunk size only shapes the schedule, never the result; the
+  // automatic choice aims for a few chunks per worker so dynamic
+  // claiming absorbs per-chunk load imbalance. Chunk c covers vertex
+  // indices [c*grain, (c+1)*grain), so chunk order IS ascending-vertex
+  // order. Dormancy deltas and trace counters are accumulated per
+  // chunk and applied at the barrier in chunk order (deltas) or by
+  // summation (counters; order-independent, hence byte-deterministic).
+  const std::size_t config_grain = engine_config().grain;
+  const std::size_t grain =
+      config_grain != 0
+          ? config_grain
+          : std::max<std::size_t>(
+                64, (n + 4 * num_threads - 1) / (4 * num_threads));
+  const std::size_t num_chunks = (n + grain - 1) / grain;
 
   // Wake scheduling: every WakeHinted algorithm parks unless a
   // ScopedNoParking scope is alive — that scope IS the no-calendar
@@ -614,24 +576,11 @@ RunResult<A> run_local(const Graph& g, const A& algo,
                        .num_vertices = n,
                        .num_edges = g.num_edges(),
                        .num_threads = num_threads,
+                       .grain = grain,
                        .state_bytes = sizeof(State),
                        .seed = opt.seed},
         phase_names);
 
-  ThreadPool pool(num_threads);
-  // Chunk size only shapes the schedule, never the result; the
-  // automatic choice aims for a few chunks per worker so dynamic
-  // claiming absorbs per-chunk load imbalance. Chunk c covers vertex
-  // indices [c*grain, (c+1)*grain), so chunk order IS ascending-vertex
-  // order. Dormancy deltas and trace counters are accumulated per
-  // chunk and applied at the barrier in chunk order (deltas) or by
-  // summation (counters; order-independent, hence byte-deterministic).
-  const std::size_t grain =
-      opt.grain != 0
-          ? opt.grain
-          : std::max<std::size_t>(
-                64, (n + 4 * num_threads - 1) / (4 * num_threads));
-  const std::size_t num_chunks = (n + grain - 1) / grain;
   auto& chunk_dormant = ws.chunk_dormant;
   auto& chunk_counters = ws.chunk_counters;
   auto& round_phase_charged = ws.round_phase_charged;

@@ -86,6 +86,7 @@ void TraceCollector::on_run_begin(const RunInfo& info,
   run.num_vertices = info.num_vertices;
   run.num_edges = info.num_edges;
   run.num_threads = info.num_threads;
+  run.grain = info.grain;
   run.state_bytes = info.state_bytes;
   run.seed = info.seed;
   run.phase_names.assign(phases.begin(), phases.end());
@@ -237,7 +238,8 @@ void TraceCollector::write_run_records_jsonl(std::ostream& os,
     os << ",\"n\":" << run.num_vertices << ",\"m\":" << run.num_edges;
     os << ",\"state_bytes\":" << run.state_bytes;
     os << ",\"seed\":" << run.seed;
-    if (include_timing) os << ",\"threads\":" << run.num_threads;
+    if (include_timing)
+      os << ",\"threads\":" << run.num_threads << ",\"grain\":" << run.grain;
     if (!context_.empty()) {
       os << ",\"context\":{";
       bool first = true;

@@ -13,9 +13,9 @@
 //
 // Semantic mode: write_run_records_jsonl(os, /*include_timing=*/false)
 // omits every schedule-dependent field (wall-clock, worker load,
-// thread count, timestamps). The result is byte-identical across
-// num_threads/grain for a fixed (graph, algorithm, seed) — the
-// determinism contract extended to traces, enforced by
+// thread count and grain, timestamps). The result is byte-identical
+// across EngineConfig threads/grain for a fixed (graph, algorithm,
+// seed) — the determinism contract extended to traces, enforced by
 // tests/test_trace.cpp.
 #pragma once
 
@@ -50,6 +50,7 @@ struct RunRecord {
   std::size_t num_vertices = 0;
   std::size_t num_edges = 0;
   std::size_t num_threads = 1;
+  std::size_t grain = 0;
   std::size_t state_bytes = 0;
   std::uint64_t seed = 0;
   std::vector<std::string> phase_names;

@@ -14,7 +14,7 @@
 //      RoundEvent (active/charged/committed/terminated counts, volume,
 //      messages, per-phase charged counts) is a sum over the round's
 //      stepped vertex set. Sums commute, so the values are identical
-//      for every num_threads/grain combination — the engine merges
+//      for every EngineConfig threads/grain — the engine merges
 //      per-chunk counters, and the totals cannot depend on the
 //      schedule. Only wall_ns (and the collector's own timestamps)
 //      vary between runs.
@@ -60,6 +60,7 @@ struct RunInfo {
   std::size_t num_vertices = 0;
   std::size_t num_edges = 0;
   std::size_t num_threads = 1;    // engine workers (1 for mailbox)
+  std::size_t grain = 0;          // vertices per chunk (0 for mailbox)
   std::size_t state_bytes = 0;    // sizeof(State) / sizeof(Message)
   std::uint64_t seed = 0;
 };

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 
+#include "util/assertx.hpp"
+
 namespace valocal {
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
+  VALOCAL_REQUIRE(num_threads <= kMaxPoolThreads,
+                  "thread count above the pool ceiling");
   const std::size_t spawned = num_threads > 1 ? num_threads - 1 : 0;
   workers_.reserve(spawned);
   load_.resize(spawned + 1);
@@ -83,6 +87,59 @@ void ThreadPool::dispatch(
            job->num_chunks;
   });
   job_.reset();
+}
+
+namespace {
+
+/// The pool is read and replaced only under a claim; the config is
+/// atomic because unclaimed runs read it too.
+struct EnginePool {
+  std::atomic<bool> claimed{false};
+  std::atomic<std::size_t> threads{1}, grain{0};
+  std::unique_ptr<ThreadPool> pool = std::make_unique<ThreadPool>(1);
+
+  bool claim() {
+    bool free = false;
+    return claimed.compare_exchange_strong(free, true);
+  }
+};
+
+EnginePool& engine() {
+  static EnginePool pool;
+  return pool;
+}
+
+}  // namespace
+
+EngineConfig engine_config() {
+  return {engine().threads, engine().grain};
+}
+
+void set_engine_config(EngineConfig config) {
+  EnginePool& e = engine();
+  VALOCAL_REQUIRE(e.claim(), "engine configuration changed while a run "
+                             "holds the engine pool");
+  config.threads = std::max<std::size_t>(1, config.threads);
+  if (config.threads != e.pool->num_threads()) {
+    e.pool.reset();  // joins the old workers before new ones start
+    e.pool = std::make_unique<ThreadPool>(config.threads);
+  }
+  e.threads = config.threads;
+  e.grain = config.grain;
+  e.claimed = false;
+}
+
+EnginePoolClaim::EnginePoolClaim() {
+  if (!engine().claim()) {
+    pool_ = &serial_.emplace(1);
+    return;
+  }
+  pool_ = engine().pool.get();
+  pool_->reset_load();
+}
+
+EnginePoolClaim::~EnginePoolClaim() {
+  if (!serial_) engine().claimed = false;
 }
 
 }  // namespace valocal

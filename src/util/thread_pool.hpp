@@ -12,7 +12,8 @@
 // Workers persist across calls (created once, parked on a condition
 // variable between jobs); the calling thread participates in every
 // job, so ThreadPool(1) spawns no threads at all and degenerates to a
-// plain loop.
+// plain loop. The engine's scheduling lives here too: one process-wide
+// EngineConfig and the one persistent engine pool it sizes.
 #pragma once
 
 #include <atomic>
@@ -22,10 +23,14 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
 namespace valocal {
+
+/// Ceiling on a pool's total concurrency; a constant, not an option.
+inline constexpr std::size_t kMaxPoolThreads = 256;
 
 class ThreadPool {
  public:
@@ -41,6 +46,7 @@ class ThreadPool {
 
   /// `num_threads` is the total concurrency, caller included: the pool
   /// spawns num_threads - 1 workers (0 and 1 are both "no workers").
+  /// Dies above kMaxPoolThreads, before any worker starts.
   explicit ThreadPool(std::size_t num_threads);
   ~ThreadPool();
 
@@ -53,6 +59,7 @@ class ThreadPool {
   /// Per-thread load counters, valid only while no job is in flight
   /// (each participant publishes its slot before signalling completion).
   const std::vector<WorkerLoad>& worker_load() const { return load_; }
+  void reset_load() { load_.assign(load_.size(), WorkerLoad{}); }
 
   /// Splits [0, total) into consecutive chunks of `grain` indices and
   /// invokes fn(chunk_index, begin, end) exactly once per chunk
@@ -71,12 +78,8 @@ class ThreadPool {
     if (grain == 0) grain = 1;
     const std::size_t num_chunks = (total + grain - 1) / grain;
     if (workers_.empty() || num_chunks == 1) {
-      for (std::size_t c = 0; c < num_chunks; ++c) {
-        const std::size_t begin = c * grain;
-        const std::size_t end =
-            total < begin + grain ? total : begin + grain;
-        fn(c, begin, end);
-      }
+      for (std::size_t c = 0, begin = 0; c < num_chunks; ++c, begin += grain)
+        fn(c, begin, total - begin < grain ? total : begin + grain);
       load_[0].chunks += num_chunks;
       load_[0].indices += total;
       return;
@@ -125,6 +128,58 @@ class ThreadPool {
   std::shared_ptr<Job> job_;         // guarded by mutex_
   std::uint64_t generation_ = 0;     // guarded by mutex_
   bool stop_ = false;                // guarded by mutex_
+};
+
+/// The engine's scheduling, one per process. Pure scheduling: results
+/// are byte-identical for every value (sim/network.hpp).
+struct EngineConfig {
+  std::size_t threads = 1;  // total concurrency, caller included
+  std::size_t grain = 0;    // vertices per work chunk; 0 = automatic
+};
+
+EngineConfig engine_config();
+/// Rebuilds the engine pool only when the thread count changes, joining
+/// the old workers first: set_engine_threads(1) leaves none alive for a
+/// forked death-test child. Threads 0 reads as 1. Dies while a run
+/// holds the pool.
+void set_engine_config(EngineConfig config);
+inline void set_engine_threads(std::size_t threads) {  // keeps the grain
+  set_engine_config({threads, engine_config().grain});
+}
+inline std::size_t engine_threads() { return engine_config().threads; }
+
+/// Installs a config for its scope and restores the previous one.
+class ScopedEngineConfig {
+ public:
+  explicit ScopedEngineConfig(EngineConfig config)
+      : previous_(engine_config()) {
+    set_engine_config(config);
+  }
+  ~ScopedEngineConfig() { set_engine_config(previous_); }
+  ScopedEngineConfig(const ScopedEngineConfig&) = delete;
+  ScopedEngineConfig& operator=(const ScopedEngineConfig&) = delete;
+
+ private:
+  EngineConfig previous_;
+};
+
+/// A run's claim on the engine pool: one atomic compare-exchange, held
+/// to scope exit. Not a mutex, since the claiming thread runs chunk 0
+/// and a run nested in its step would re-lock it. A claim that finds
+/// the pool taken (a batch trial, a nested run, another user thread)
+/// gets a private ThreadPool(1), a plain loop. Either pool's load
+/// counters start at zero, so they count one run.
+class EnginePoolClaim {
+ public:
+  EnginePoolClaim();
+  ~EnginePoolClaim();
+  EnginePoolClaim(const EnginePoolClaim&) = delete;
+  EnginePoolClaim& operator=(const EnginePoolClaim&) = delete;
+  ThreadPool& pool() const { return *pool_; }
+
+ private:
+  std::optional<ThreadPool> serial_;
+  ThreadPool* pool_ = nullptr;
 };
 
 }  // namespace valocal

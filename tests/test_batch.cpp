@@ -63,6 +63,16 @@ void expect_identical(const GossipResult& a, const GossipResult& b,
       << what;
 }
 
+/// Records the engine thread count each run reports.
+struct ThreadsLog final : trace::TraceSink {
+  std::vector<std::size_t> threads;
+
+  void on_run_begin(const trace::RunInfo& info,
+                    std::span<const char* const>) override {
+    threads.push_back(info.num_threads);
+  }
+};
+
 TEST(Batch, MatchesSerialLoopForEveryThreadAndRegimeCombination) {
   const std::size_t num_trials = 7;
   const Graph g = gen::forest_union(300, 2, 99);
@@ -76,16 +86,26 @@ TEST(Batch, MatchesSerialLoopForEveryThreadAndRegimeCombination) {
   for (std::size_t i = 0; i < num_trials; ++i) reference[i] = trial(i);
 
   for (std::size_t threads : {1u, 2u, 3u, 8u}) {
+    // run_batch follows the process-wide thread count.
+    const ScopedEngineConfig restore(engine_config());
+    set_engine_threads(threads);
     // Unknown trial size shards per trial; huge trials that cannot fill
     // the pool run one after another with parallel rounds inside.
     for (const bool intra : {false, true}) {
       const BatchOptions opt{
-          .num_threads = threads,
           .trial_vertices = intra ? std::size_t{1} << 16 : 0};
       const std::size_t trials =
           intra ? std::max<std::size_t>(1, threads - 1) : num_trials;
-      EXPECT_EQ(detail_batch::use_per_trial(trials, threads, opt),
-                !intra || threads == 1);
+      // The regime shows in the thread count each trial's run reports:
+      // a per-trial batch holds the engine pool, so its trials find it
+      // claimed and run serially; an intra-trial trial claims it.
+      ThreadsLog log;
+      {
+        trace::ScopedSink scoped(&log);
+        (void)run_batch(trials, trial, opt);
+      }
+      EXPECT_EQ(log.threads,
+                std::vector<std::size_t>(trials, intra ? threads : 1));
       const auto results = run_batch(trials, trial, opt);
       ASSERT_EQ(results.size(), trials);
       for (std::size_t i = 0; i < trials; ++i)
@@ -95,24 +115,6 @@ TEST(Batch, MatchesSerialLoopForEveryThreadAndRegimeCombination) {
                              " trial=" + std::to_string(i));
     }
   }
-}
-
-TEST(Batch, InheritsEngineThreadDefaultWhenUnset) {
-  const Graph g = gen::forest_union(200, 2, 7);
-  const GossipAlgo algo;
-  auto trial = [&](std::size_t i) {
-    return run_local(g, algo,
-                     {.seed = 42 + i, .want_final_states = true});
-  };
-  std::vector<GossipResult> reference(4);
-  for (std::size_t i = 0; i < 4; ++i) reference[i] = trial(i);
-
-  set_engine_threads(4);
-  const auto results = run_batch(4, trial);
-  set_engine_threads(1);
-  for (std::size_t i = 0; i < 4; ++i)
-    expect_identical(results[i], reference[i],
-                     "inherited trial=" + std::to_string(i));
 }
 
 /// Serializes the SEMANTIC content of the event stream (no wall-clock,
@@ -173,7 +175,8 @@ TEST(Batch, TracedRunRecordsDoNotInterleave) {
     std::vector<GossipResult> results;
     {
       trace::ScopedSink scoped(&batch_log);
-      results = run_batch(num_trials, trial, {.num_threads = threads});
+      const ScopedEngineConfig config({.threads = threads});
+      results = run_batch(num_trials, trial);
     }
     EXPECT_EQ(batch_log.log.str(), serial_log.log.str())
         << "threads=" << threads;
@@ -213,8 +216,8 @@ TEST(Batch, WorkspaceReuseAcrossGraphSizesIsByteIdentical) {
                            " trial=" + std::to_string(i));
 
   // Sharded batch: each pool worker's workspace sees several sizes.
-  const auto results =
-      run_batch(graphs.size(), trial, {.num_threads = 2});
+  const ScopedEngineConfig config({.threads = 2});
+  const auto results = run_batch(graphs.size(), trial);
   for (std::size_t i = 0; i < graphs.size(); ++i)
     expect_identical(results[i], reference[i],
                      "sharded trial=" + std::to_string(i));
@@ -226,8 +229,9 @@ TEST(Batch, EmptyAndSingleTrialEdgeCases) {
   auto trial = [&](std::size_t i) {
     return run_local(g, algo, {.seed = i, .want_final_states = true});
   };
-  EXPECT_TRUE(run_batch(0, trial, {.num_threads = 4}).empty());
-  const auto one = run_batch(1, trial, {.num_threads = 4});
+  const ScopedEngineConfig config({.threads = 4});
+  EXPECT_TRUE(run_batch(0, trial).empty());
+  const auto one = run_batch(1, trial);
   ASSERT_EQ(one.size(), 1u);
   expect_identical(one[0], trial(0), "single-trial batch");
 }

@@ -43,9 +43,11 @@ TEST(EngineContracts, RoundCapDiagnosticReportsRoundAndActiveCount) {
 
 TEST(EngineContracts, RoundCapAbortsUnderParallelEngine) {
   const Graph g = gen::ring(4);
-  EXPECT_DEATH((void)run_local(g, NeverTerminates{},
-                               {.max_rounds = 50, .num_threads = 2,
-                                .grain = 1}),
+  // Workers are alive when the death test starts: the test main's
+  // "threadsafe" style re-executes the binary, so the child builds its
+  // own pool.
+  const ScopedEngineConfig config({.threads = 2, .grain = 1});
+  EXPECT_DEATH((void)run_local(g, NeverTerminates{}, {.max_rounds = 50}),
                "round 51 with 4 vertices still active");
 }
 

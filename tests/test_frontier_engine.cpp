@@ -56,14 +56,15 @@ std::uint64_t expect_frontier_equivalence(const Graph& g, const A& algo,
   RunResult<A> ref;
   {
     ScopedNoParking no_parking;
-    ref = run_local(g, algo, {.seed = seed, .num_threads = 1});
+    ref = run_local(g, algo, {.seed = seed});
   }
   EXPECT_EQ(ref.metrics.skipped_steps, 0u);
   std::uint64_t skipped = 0;
   for (std::size_t threads : {1u, 4u}) {
     for (std::size_t grain : {0u, 7u}) {
-      const auto run = run_local(
-          g, algo, {.seed = seed, .num_threads = threads, .grain = grain});
+      const ScopedEngineConfig config(
+          {.threads = threads, .grain = grain});
+      const auto run = run_local(g, algo, {.seed = seed});
       const std::string what = "threads=" + std::to_string(threads) +
                                " grain=" + std::to_string(grain);
       EXPECT_EQ(run.outputs, ref.outputs) << what;

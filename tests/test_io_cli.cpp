@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
@@ -132,6 +136,69 @@ TEST(Cli, MalformedNumberDies) {
   EXPECT_DEATH((void)floats.get_double("avg-deg", 4.0),
                "malformed.*--avg-deg");
   EXPECT_DEATH((void)floats.get_double("k", 0.0), "malformed.*--k");
+}
+
+/// Replaces the death-test child process with valocal_cli run on
+/// `args`; a failed exec exits 0, which the death test reports.
+void exec_cli(std::vector<std::string> args) {
+  std::string cli = VALOCAL_CLI_PATH;
+  std::vector<char*> argv{cli.data()};
+  for (std::string& a : args) argv.push_back(a.data());
+  argv.push_back(nullptr);
+  ::execv(cli.c_str(), argv.data());
+  std::_Exit(0);
+}
+
+/// Runs valocal_cli on `flags` (stdout discarded); returns its status.
+int run_cli(const std::string& flags) {
+  return std::system(
+      (std::string(VALOCAL_CLI_PATH) + " " + flags + " > /dev/null")
+          .c_str());
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+TEST(Cli, NumericFlagsAreParsedEvenWhenTheGraphSourceIgnoresThem) {
+  // --avg-deg only feeds --gen er, and --n no graph file; both are
+  // still parsed before anything runs.
+  EXPECT_DEATH(exec_cli({"--gen", "ring", "--n", "16", "--algo", "mis",
+                         "--avg-deg", "x"}),
+               "malformed.*--avg-deg");
+  const std::string input = ::testing::TempDir() + "cli_three.txt";
+  std::ofstream(input) << "3 2\n0 1\n1 2\n";
+  EXPECT_DEATH(exec_cli({"--input", input, "--algo", "mis", "--n", "x"}),
+               "malformed.*--n");
+  std::remove(input.c_str());
+}
+
+TEST(Cli, ThreadCountAboveTheCeilingDies) {
+  // Dies in the engine pool's constructor, before any worker starts.
+  EXPECT_DEATH(exec_cli({"--gen", "ring", "--n", "16", "--algo", "mis",
+                         "--threads", "100000"}),
+               "ceiling");
+}
+
+TEST(Cli, PermTakesASeedAndRelabelsReproducibly) {
+  EXPECT_DEATH(exec_cli({"--gen", "ring", "--n", "16", "--algo", "mis",
+                         "--perm", "random"}),
+               "malformed integer value for --perm");
+  const std::string dir = ::testing::TempDir();
+  auto rounds_with = [&](const std::string& perm, const std::string& tag) {
+    const std::string csv = dir + "cli_perm_" + tag + ".csv";
+    EXPECT_EQ(run_cli("--gen forest --n 256 --algo delta_plus1 " + perm +
+                      " --rounds-csv " + csv),
+              0);
+    const std::string rounds = slurp(csv);
+    std::remove(csv.c_str());
+    return rounds;
+  };
+  const std::string first = rounds_with("--perm 3", "a");
+  ASSERT_FALSE(first.empty());
+  EXPECT_EQ(rounds_with("--perm 3", "b"), first);
+  EXPECT_NE(rounds_with("", "identity"), first);
 }
 
 TEST(Cli, BarePathFlagDies) {

@@ -2,18 +2,19 @@
 //
 // The engine's contract (sim/network.hpp): for fixed (graph,
 // algorithm, seed), outputs, Metrics::rounds and
-// Metrics::active_per_round are byte-identical for EVERY
-// num_threads/grain combination. Thread count varies which worker
+// Metrics::active_per_round are byte-identical for EVERY EngineConfig
+// threads/grain combination. Thread count varies which worker
 // executes a chunk; grain varies the chunk partition itself, so the
 // {grain 1, grain 3, grain 64} sweep exercises genuinely different
 // active-set iteration orders (with > 1 worker, chunk claiming is
 // scheduler-dependent on top). Regression tests for the
-// commit-snapshot bugfix ride along.
+// commit-snapshot bugfix and for the engine-pool claim ride along.
 #include "sim/network.hpp"
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 
 #include "algo/mis.hpp"
 #include "algo/rand_delta_plus1.hpp"
@@ -25,13 +26,6 @@
 namespace valocal {
 namespace {
 
-/// Restores the process-wide engine default on scope exit so tests
-/// cannot leak a parallel default into unrelated suites.
-struct ScopedEngineThreads {
-  explicit ScopedEngineThreads(std::size_t t) { set_engine_threads(t); }
-  ~ScopedEngineThreads() { set_engine_threads(1); }
-};
-
 /// Runs `algo` serially and under every thread/grain combination of
 /// the suite, asserting byte-identical outputs and semantic metrics.
 template <class A>
@@ -42,9 +36,9 @@ void expect_parallel_equivalence(const Graph& g, const A& algo,
             serial.metrics.active_per_round.size());
   for (std::size_t threads : {1u, 2u, 8u}) {
     for (std::size_t grain : {1u, 3u, 64u}) {
-      const auto par = run_local(
-          g, algo,
-          {.seed = seed, .num_threads = threads, .grain = grain});
+      const ScopedEngineConfig config(
+          {.threads = threads, .grain = grain});
+      const auto par = run_local(g, algo, {.seed = seed});
       const std::string label = "threads=" + std::to_string(threads) +
                                 " grain=" + std::to_string(grain);
       EXPECT_EQ(par.outputs, serial.outputs) << label;
@@ -79,14 +73,13 @@ TEST(ParallelEngine, RingThreeColoringEquivalence) {
 }
 
 TEST(ParallelEngine, ComputeEntryPointsHonorTheProcessDefault) {
-  // compute_* wrappers pass default RunOptions (num_threads = 0 =
-  // inherit), so set_engine_threads must flow through them — and must
-  // not change any result.
+  // compute_* wrappers pass default RunOptions, so the engine config
+  // must flow through them — and must not change any result.
   const Graph g = gen::erdos_renyi(2000, 4.0, 17);
   const auto serial = compute_mis(g, {.arboricity = 2});
   const auto luby_serial = compute_luby_mis(g, 5);
   {
-    ScopedEngineThreads scoped(8);
+    const ScopedEngineConfig config({.threads = 8});
     const auto par = compute_mis(g, {.arboricity = 2});
     EXPECT_EQ(par.in_set, serial.in_set);
     EXPECT_EQ(par.metrics.rounds, serial.metrics.rounds);
@@ -103,9 +96,9 @@ TEST(ParallelEngine, SchedulerIndependenceUnderRepetition) {
   // chunk→worker assignment; repeated runs must still match serial.
   const Graph g = gen::erdos_renyi(900, 6.0, 23);
   const auto serial = run_local(g, LubyMisAlgo{}, {.seed = 3});
+  const ScopedEngineConfig config({.threads = 8, .grain = 1});
   for (int rep = 0; rep < 3; ++rep) {
-    const auto par = run_local(
-        g, LubyMisAlgo{}, {.seed = 3, .num_threads = 8, .grain = 1});
+    const auto par = run_local(g, LubyMisAlgo{}, {.seed = 3});
     EXPECT_EQ(par.outputs, serial.outputs) << "rep " << rep;
     EXPECT_EQ(par.metrics.rounds, serial.metrics.rounds)
         << "rep " << rep;
@@ -138,10 +131,9 @@ struct CommitThenMutate {
 TEST(ParallelEngine, CommitFreezesOutputAndRoundStamp) {
   const Graph g = gen::ring(6);
   for (std::size_t threads : {1u, 4u}) {
+    const ScopedEngineConfig config({.threads = threads, .grain = 1});
     const auto result =
-        run_local(g, CommitThenMutate{},
-                  {.num_threads = threads, .grain = 1,
-                   .want_final_states = true});
+        run_local(g, CommitThenMutate{}, {.want_final_states = true});
     for (Vertex v = 0; v < 6; ++v) {
       EXPECT_EQ(result.outputs[v], 42) << "threads=" << threads;
       EXPECT_EQ(result.metrics.rounds[v], 1u) << "threads=" << threads;
@@ -154,7 +146,8 @@ TEST(ParallelEngine, CommitFreezesOutputAndRoundStamp) {
 
 TEST(ParallelEngine, PerRoundWallClockIsRecorded) {
   const Graph g = gen::erdos_renyi(400, 4.0, 29);
-  const auto result = run_local(g, LubyMisAlgo{}, {.num_threads = 2});
+  const ScopedEngineConfig config({.threads = 2});
+  const auto result = run_local(g, LubyMisAlgo{});
   EXPECT_EQ(result.metrics.round_wall_ns.size(),
             result.metrics.active_per_round.size());
   EXPECT_EQ(result.metrics.total_wall_ns(),
@@ -163,6 +156,71 @@ TEST(ParallelEngine, PerRoundWallClockIsRecorded) {
               for (auto ns : result.metrics.round_wall_ns) s += ns;
               return s;
             }());
+}
+
+TEST(EnginePool, ConcurrentUserThreadsMatchTheSerialRun) {
+  // One user thread claims the pool, the other finds it claimed and
+  // runs serially (or both claim in turn); either way both results are
+  // the serial run's, byte for byte.
+  const Graph g = gen::erdos_renyi(1 << 12, 8.0, 41);
+  const auto serial = run_local(g, LubyMisAlgo{}, {.seed = 19});
+  const ScopedEngineConfig config({.threads = 4});
+  RunResult<LubyMisAlgo> runs[2];
+  auto run_into = [&](std::size_t i) {
+    runs[i] = run_local(g, LubyMisAlgo{}, {.seed = 19});
+  };
+  std::thread first(run_into, 0);
+  std::thread second(run_into, 1);
+  first.join();
+  second.join();
+  for (const auto& run : runs) {
+    EXPECT_EQ(run.outputs, serial.outputs);
+    EXPECT_EQ(run.metrics.rounds, serial.metrics.rounds);
+    EXPECT_EQ(run.metrics.active_per_round,
+              serial.metrics.active_per_round);
+  }
+}
+
+/// Changes the engine config from inside a step, which the claim the
+/// run holds forbids.
+struct ReconfiguresMidRun {
+  struct State {};
+  using Output = int;
+  void init(Vertex, const Graph&, State&) const {}
+  bool step(Vertex, std::size_t, const RoundView<State>&, State&,
+            Xoshiro256&) const {
+    set_engine_threads(2);
+    return true;
+  }
+  Output output(Vertex, const State&) const { return 0; }
+};
+
+TEST(EnginePoolDeathTest, ReconfiguringFromAStepDies) {
+  // Engine threads 1: no worker is alive when the death test forks.
+  ASSERT_EQ(engine_threads(), 1u);
+  const Graph g = gen::ring(8);
+  EXPECT_DEATH((void)run_local(g, ReconfiguresMidRun{}),
+               "while a run holds the engine pool");
+}
+
+TEST(EnginePoolDeathTest, ChildReconfiguresWhileWorkersAreAlive) {
+  // A plain-fork child inherits the pool but not its workers, so
+  // rebuilding the pool there joins threads that do not exist (the
+  // child dies without the message). The test main's "threadsafe"
+  // death-test style re-executes the binary, and the child starts from
+  // a pool of its own.
+  const ScopedEngineConfig parent({.threads = 4, .grain = 0});
+  EXPECT_DEATH(
+      {
+        set_engine_threads(3);
+        VALOCAL_REQUIRE(false, "child reconfigured");
+      },
+      "child reconfigured");
+}
+
+TEST(ThreadPoolDeathTest, ThreadCountAboveTheCeilingDies) {
+  // The check fires in the constructor before any worker starts.
+  EXPECT_DEATH(ThreadPool(kMaxPoolThreads + 1), "ceiling");
 }
 
 TEST(ThreadPool, ChunkIndexingCoversTheRangeExactlyOnce) {

@@ -127,10 +127,9 @@ TEST(Registry, DeterministicSpecsAreByteStableAcrossRunsAndThreads) {
     const Graph g = compatible_graph(spec);
     std::vector<SolveOutcome> outs;
     for (const std::size_t threads : {1u, 4u, 1u, 4u}) {
-      set_engine_threads(threads);
+      const ScopedEngineConfig config({.threads = threads});
       outs.push_back(spec.run(g, default_params()));
     }
-    set_engine_threads(1);
     for (std::size_t i = 1; i < outs.size(); ++i) {
       EXPECT_EQ(outs[0].labels, outs[i].labels);
       EXPECT_EQ(outs[0].metrics.rounds, outs[i].metrics.rounds);
@@ -163,7 +162,7 @@ TEST(Registry, EverySpecIsByteStableUnderWakeScheduling) {
     EXPECT_EQ(ref.metrics.skipped_steps, 0u);
     for (const std::size_t threads : {1u, 4u}) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
-      set_engine_threads(threads);
+      const ScopedEngineConfig config({.threads = threads});
       const SolveOutcome o = spec.run(g, p);
       EXPECT_EQ(o.labels, ref.labels);
       EXPECT_EQ(o.metrics.rounds, ref.metrics.rounds);
@@ -171,7 +170,6 @@ TEST(Registry, EverySpecIsByteStableUnderWakeScheduling) {
       EXPECT_EQ(o.summary, ref.summary);
       skipped += o.metrics.skipped_steps;
     }
-    set_engine_threads(1);
   }
   EXPECT_GT(skipped, 0u) << "no catalog entry parked a vertex";
 }
@@ -200,7 +198,7 @@ TEST(Registry, Bgko22EntriesHoldEdgeMeasuresByteStableAcrossEngines) {
       for (const std::size_t threads : {1u, 4u}) {
         SCOPED_TRACE("parking=" + std::to_string(parking) +
                      " threads=" + std::to_string(threads));
-        set_engine_threads(threads);
+        const ScopedEngineConfig config({.threads = threads});
         const SolveOutcome o = [&] {
           if (parking) return spec->run(g, p);
           ScopedNoParking no_parking;
@@ -216,7 +214,6 @@ TEST(Registry, Bgko22EntriesHoldEdgeMeasuresByteStableAcrossEngines) {
         EXPECT_EQ(o.metrics.awake_sum(), ref.metrics.awake_sum());
       }
     }
-    set_engine_threads(1);
   }
 }
 
@@ -296,11 +293,11 @@ TEST(Registry, BatchTrialsAreThreadCountInvariant) {
   const Registry& reg = Registry::instance();
   const AlgoSpec& spec = reg.at("rand_delta_plus1");
   const Graph g = compatible_graph(spec);
-  set_engine_threads(1);
   const auto serial = registry::run_trials(spec, g, default_params(), 8);
-  set_engine_threads(4);
-  const auto parallel = registry::run_trials(spec, g, default_params(), 8);
-  set_engine_threads(1);
+  const auto parallel = [&] {
+    const ScopedEngineConfig config({.threads = 4});
+    return registry::run_trials(spec, g, default_params(), 8);
+  }();
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].labels, parallel[i].labels);

@@ -116,8 +116,7 @@ class CountingStep {
 /// Allocations inside step during the second of two identical runs.
 template <class A>
 std::size_t second_run_step_allocations(const Graph& g, const A& algo) {
-  RunOptions opt;
-  opt.num_threads = 1;
+  const RunOptions opt;
   const CountingStep<A> wrapped(algo);
   const auto first = run_local(g, wrapped, opt);
   step_allocations = 0;
@@ -237,7 +236,7 @@ TEST(StepAlloc, WrapperKeepsTheRngStreams) {
   static_assert(algorithm_uses_rng<CountingStep<BgkoMatchingAlgo>>);
   static_assert(!algorithm_uses_rng<CountingStep<WorstCaseDeltaPlusOneAlgo>>);
   const BgkoMatchingAlgo algo;
-  const RunOptions opt{.seed = 7, .num_threads = 1};
+  const RunOptions opt{.seed = 7};
   EXPECT_EQ(run_local(er(), CountingStep<BgkoMatchingAlgo>(algo), opt).outputs,
             run_local(er(), algo, opt).outputs);
 }

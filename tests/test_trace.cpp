@@ -5,13 +5,14 @@
 //   - Null observer: installing/uninstalling a sink leaves outputs and
 //     Metrics byte-identical.
 //   - Semantic run records (include_timing=false) are byte-identical
-//     across every num_threads/grain combination.
+//     across every EngineConfig threads/grain combination.
 //   - Per-phase charged counts partition the round-sum EXACTLY, for
 //     every phase-annotated algorithm in the library.
 //   - Emitted JSONL and Chrome-trace output is valid JSON (checked by a
 //     self-contained recursive-descent parser, no dependencies).
 //   - run_mailbox wall-clock parity and exact message accounting.
-//   - ThreadPool worker-load counters total the processed indices.
+//   - ThreadPool worker-load counters total the processed indices of
+//     each run on its own.
 #include "trace/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -215,7 +216,8 @@ TEST(Trace, SemanticRecordsIdenticalAcrossThreadsAndGrains) {
   auto semantic_record = [&](std::size_t threads, std::size_t grain) {
     trace::TraceCollector collector;
     trace::ScopedSink sink(&collector);
-    run_local(g, algo, {.num_threads = threads, .grain = grain});
+    const ScopedEngineConfig config({.threads = threads, .grain = grain});
+    run_local(g, algo);
     std::ostringstream os;
     collector.write_run_records_jsonl(os, /*include_timing=*/false);
     return os.str();
@@ -301,6 +303,8 @@ TEST(Trace, EmittedJsonIsValid) {
   collector.write_run_records_jsonl(semantic, /*include_timing=*/false);
   EXPECT_EQ(semantic.str().find("wall_ns"), std::string::npos);
   EXPECT_EQ(semantic.str().find("threads"), std::string::npos);
+  EXPECT_EQ(semantic.str().find("grain"), std::string::npos);
+  EXPECT_NE(jsonl.str().find("\"grain\":"), std::string::npos);
 
   std::ostringstream chrome;
   collector.write_chrome_trace(chrome);
@@ -395,19 +399,30 @@ TEST(Trace, WorkerLoadCountersTotalTheProcessedIndices) {
 
   trace::TraceCollector collector;
   trace::ScopedSink sink(&collector);
-  const auto run = run_local(g, algo, {.num_threads = 4, .grain = 32});
+  const ScopedEngineConfig config({.threads = 4, .grain = 32});
+  // Two runs on the one persistent pool: each claim restarts the
+  // counters, so each record counts its own run only.
+  const auto first = run_local(g, algo);
+  const Graph small = gen::erdos_renyi(300, 5.0, 31);
+  const ColoringA2LogNAlgo small_algo(small.num_vertices(),
+                                      PartitionParams{.arboricity = 4});
+  const auto second = run_local(small, small_algo);
 
-  ASSERT_EQ(collector.runs().size(), 1u);
-  const trace::RunRecord& record = collector.runs().front();
-  EXPECT_EQ(record.num_threads, 4u);
-  ASSERT_FALSE(record.worker_indices.empty());
-
-  // Every round chunks the whole vertex range (the awake-bitset walk),
-  // so the workers' index counts total n per round.
-  std::uint64_t indices = 0;
-  for (std::uint64_t i : record.worker_indices) indices += i;
-  EXPECT_EQ(indices,
-            g.num_vertices() * run.metrics.active_per_round.size());
+  ASSERT_EQ(collector.runs().size(), 2u);
+  const std::uint64_t expected[2] = {
+      g.num_vertices() * first.metrics.active_per_round.size(),
+      small.num_vertices() * second.metrics.active_per_round.size()};
+  for (std::size_t r = 0; r < 2; ++r) {
+    const trace::RunRecord& record = collector.runs()[r];
+    EXPECT_EQ(record.num_threads, 4u);
+    EXPECT_EQ(record.grain, 32u);
+    ASSERT_FALSE(record.worker_indices.empty());
+    // Every round chunks the whole vertex range (the awake-bitset
+    // walk), so the workers' index counts total n per round.
+    std::uint64_t indices = 0;
+    for (std::uint64_t i : record.worker_indices) indices += i;
+    EXPECT_EQ(indices, expected[r]) << "run " << r;
+  }
 }
 
 TEST(Trace, PhaseSpansNestIntoPaths) {

@@ -153,14 +153,14 @@ RunResult<A> run_unparked(const Graph& g, const A& algo,
 template <class A>
 std::uint64_t expect_hint_equivalence(const Graph& g, const A& algo,
                                       std::uint64_t seed) {
-  const RunOptions off{.seed = seed, .num_threads = 1};
-  const auto ref = run_unparked(g, algo, off);
+  const RunOptions opt{.seed = seed};
+  const auto ref = run_unparked(g, algo, opt);
   EXPECT_EQ(ref.metrics.skipped_steps, 0u)
       << "the no-parking reference must never skip a step";
   std::string ref_log;
   {
     ScopedNoParking no_parking;
-    ref_log = traced_log(g, algo, off);
+    ref_log = traced_log(g, algo, opt);
   }
   EXPECT_FALSE(ref_log.empty());
 
@@ -168,9 +168,9 @@ std::uint64_t expect_hint_equivalence(const Graph& g, const A& algo,
   bool first = true;
   for (std::size_t threads : {1u, 2u, 4u}) {
     for (std::size_t grain : {0u, 1u, 5u, 7u, 64u}) {
-      const RunOptions on{
-          .seed = seed, .num_threads = threads, .grain = grain};
-      const auto hinted = run_local(g, algo, on);
+      const ScopedEngineConfig config(
+          {.threads = threads, .grain = grain});
+      const auto hinted = run_local(g, algo, opt);
       const std::string what = "threads=" + std::to_string(threads) +
                                " grain=" + std::to_string(grain);
       EXPECT_EQ(hinted.outputs, ref.outputs) << what;
@@ -178,7 +178,7 @@ std::uint64_t expect_hint_equivalence(const Graph& g, const A& algo,
       EXPECT_EQ(hinted.metrics.active_per_round,
                 ref.metrics.active_per_round)
           << what;
-      EXPECT_EQ(traced_log(g, algo, on), ref_log) << what;
+      EXPECT_EQ(traced_log(g, algo, opt), ref_log) << what;
       if (first) {
         skipped = hinted.metrics.skipped_steps;
         first = false;
@@ -292,7 +292,8 @@ void expect_parked_run_matches(const Graph& g, const A& algo) {
   const auto unparked = run_unparked(g, algo);
   for (const std::size_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
-    const auto run = run_local(g, algo, {.num_threads = threads});
+    const ScopedEngineConfig config({.threads = threads});
+    const auto run = run_local(g, algo);
     EXPECT_EQ(run.outputs, unparked.outputs);
     EXPECT_EQ(run.metrics.rounds, unparked.metrics.rounds);
     EXPECT_EQ(run.metrics.active_per_round,
@@ -378,7 +379,8 @@ TEST(WakeEngine, WcDeltaParksThroughTheKwStageAndStillRunsToCompletion) {
     EXPECT_EQ(unparked.metrics.skipped_steps, 0u);
     for (const std::size_t threads : {1u, 4u}) {
       SCOPED_TRACE(threads);
-      const auto run = run_local(g, algo, {.num_threads = threads});
+      const ScopedEngineConfig config({.threads = threads});
+      const auto run = run_local(g, algo);
       EXPECT_EQ(run.outputs, unparked.outputs);
       EXPECT_EQ(run.metrics.rounds, unparked.metrics.rounds);
       EXPECT_EQ(run.metrics.active_per_round,
@@ -508,12 +510,12 @@ TEST(WakeEngine, NestedRunOnAnotherStateTypeTakesTheFallbackWorkspace) {
 
   NestedRunRecord record;
   const NestingAlgo nesting{.inner_graph = &inner_g, .record = &record};
-  const auto nested = run_local(outer_g, nesting, {.num_threads = 1});
+  const auto nested = run_local(outer_g, nesting);
   ASSERT_TRUE(record.ran);
   EXPECT_FALSE(record.inner_pooled)
       << "the inner run must not lease the outer run's workspace";
 
-  const auto plain = run_local(outer_g, NestingAlgo{}, {.num_threads = 1});
+  const auto plain = run_local(outer_g, NestingAlgo{});
   const auto inner_plain =
       run_local(inner_g, RingColoring3Algo(inner_g.num_vertices()),
                 {.seed = 9});

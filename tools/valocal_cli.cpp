@@ -37,17 +37,22 @@
 //              attached to the registry spec always runs either way
 //              and the exit code always reflects it)
 //   --dot      write a DOT rendering (vertex colorings only)
-//   --perm     relabel the graph's IDs before running: "random" or a
-//              seed value (the VA measure maxes over ID assignments)
-//   --threads  engine worker threads (default 1; results are
-//              byte-identical for every value — see docs/MODEL.md).
+//   --perm     relabel the graph's IDs by a random permutation drawn
+//              from this integer seed before running (the VA measure
+//              maxes over ID assignments; the same seed gives the same
+//              relabeling)
+//   --threads  engine thread count (default 1, at most 256): sizes the
+//              one engine pool every run draws its workers from, and
+//              the CSR build of --graph/--load-bin. Results are
+//              byte-identical for every value — see docs/MODEL.md.
 //              Wake scheduling is always on: hinted algorithms park
 //              idle vertices in a calendar queue instead of stepping
 //              them, with byte-identical results
 //   --batch-trials  run N independent trials (seeds seed..seed+N-1)
 //              through the trial batcher (sim/batch.hpp) and print the
-//              VA/WC distribution; with --threads T > 1 the trials run
-//              T at a time, byte-identical to the serial sweep
+//              VA/WC distribution; with --threads T > 1 the batch shards
+//              trials over the engine pool, T at a time, each trial's
+//              rounds serial — byte-identical to the serial sweep
 //   --decay-csv    write the active-population decay series to a file
 //   --edge-decay-csv  write the edge-decay series (edges still charged
 //              under the BGKO'22 cost max(r(u), r(v))) to a file
@@ -60,6 +65,10 @@
 //   --phase-table  print the per-phase VA/WC/round-sum breakdown
 //   --trace-json   write a Chrome-trace / Perfetto JSON timeline
 //   --run-json     write a JSONL run record (graph, phases, rounds)
+//
+// Every numeric flag given is parsed before anything runs, so a
+// malformed value dies naming its flag even where the chosen graph
+// source never reads it.
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -81,22 +90,46 @@ namespace {
 
 using namespace valocal;
 
-Graph make_graph(const CliArgs& args) {
-  const std::size_t build_threads = args.get_count("threads", 1);
+/// The numeric flags, parsed once before dispatch (see the file
+/// comment).
+struct NumericFlags {
+  registry::AlgoParams params;  // --a, --eps, --k, --seed
+  std::size_t n = 0;
+  double avg_deg = 0.0;
+  std::optional<std::uint64_t> perm;
+  std::size_t threads = 0;
+  std::size_t batch_trials = 0;
+};
+
+NumericFlags parse_numeric_flags(const CliArgs& args) {
+  NumericFlags f;
+  f.params.arboricity = args.get_count("a", 2);
+  f.params.epsilon = args.get_double("eps", 1.0);
+  f.params.k = static_cast<int>(args.get_int("k", 0));
+  f.params.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  f.n = args.get_count("n", 4096);
+  f.avg_deg = args.get_double("avg-deg", 4.0);
+  if (args.has("perm"))
+    f.perm = static_cast<std::uint64_t>(args.get_int("perm", 0));
+  f.threads = args.get_count("threads", 1);
+  f.batch_trials = args.get_count("batch-trials", 0);
+  return f;
+}
+
+Graph make_graph(const CliArgs& args, const NumericFlags& f) {
   if (args.has("load-bin"))
-    return load_graph_bin(args.get_string("load-bin", ""), build_threads);
+    return load_graph_bin(args.get_string("load-bin", ""), f.threads);
   if (args.has("input")) return load_edge_list(args.get_string("input", ""));
-  const std::size_t n = args.get_count("n", 4096);
-  const std::size_t a = args.get_count("a", 2);
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const std::size_t n = f.n;
+  const std::size_t a = f.params.arboricity;
+  const std::uint64_t seed = f.params.seed;
   if (args.has("graph")) {
     const std::string spec = args.get_string("graph", "");
     const auto colon = spec.find(':');
     const std::string family = spec.substr(0, colon);
     if (family == "rmat" && colon != std::string::npos)
       return gen::rmat(
-          gen::parse_rmat_spec(spec.substr(colon + 1), seed),
-          build_threads);
+          gen::parse_rmat_spec(spec.substr(colon + 1), seed), f.threads);
     std::cerr << "unknown graph spec: " << spec
               << " (expected rmat:SCALExEDGE_FACTOR, e.g. rmat:24x16)\n";
     std::exit(2);
@@ -114,7 +147,7 @@ Graph make_graph(const CliArgs& args) {
   if (gen == "star") return gen::star(n);
   if (gen == "star_union") return gen::star_union(n, 8);
   if (gen == "er")
-    return gen::erdos_renyi(n, args.get_double("avg-deg", 4.0), seed);
+    return gen::erdos_renyi(n, f.avg_deg, seed);
   if (gen == "ba") return gen::barabasi_albert(n, std::max<std::size_t>(1, a), seed);
   if (gen == "hypercube") {
     std::size_t dim = 1;
@@ -122,9 +155,7 @@ Graph make_graph(const CliArgs& args) {
     return gen::hypercube(dim);
   }
   if (gen == "adversarial") {
-    const PartitionParams p{.arboricity = a,
-                            .epsilon = args.get_double("eps", 1.0)};
-    return gen::dary_tree(n, p.threshold() + 1);
+    return gen::dary_tree(n, f.params.partition().threshold() + 1);
   }
   std::cerr << "unknown generator: " << gen << "\n";
   std::exit(2);
@@ -186,15 +217,6 @@ void maybe_dot(const CliArgs& args, const Graph& g,
   write_dot(os, g, &color);
 }
 
-registry::AlgoParams params_from(const CliArgs& args) {
-  registry::AlgoParams p;
-  p.arboricity = args.get_count("a", 2);
-  p.epsilon = args.get_double("eps", 1.0);
-  p.k = static_cast<int>(args.get_int("k", 0));
-  p.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  return p;
-}
-
 void print_validation(const CliArgs& args,
                       const registry::AlgoSpec& spec,
                       const registry::SolveOutcome& o) {
@@ -206,9 +228,10 @@ void print_validation(const CliArgs& args,
 
 /// Single run: one registry lookup, one uniform report. The checker
 /// attached to the spec already ran inside spec.run.
-int run_single(const CliArgs& args, const ReportOptions& opts,
-               const registry::AlgoSpec& spec, const Graph& g) {
-  const registry::SolveOutcome o = spec.run(g, params_from(args));
+int run_single(const CliArgs& args, const registry::AlgoParams& params,
+               const ReportOptions& opts, const registry::AlgoSpec& spec,
+               const Graph& g) {
+  const registry::SolveOutcome o = spec.run(g, params);
   std::cout << o.summary << "\n";
   print_validation(args, spec, o);
   print_metrics(o.metrics, opts);
@@ -220,13 +243,13 @@ int run_single(const CliArgs& args, const ReportOptions& opts,
 /// --batch-trials N: run N independent trials of the selected
 /// algorithm (trial i uses seed `seed + i`; deterministic algorithms
 /// simply repeat) through run_batch and print the VA/WC distribution.
-/// The batch inherits the engine thread default (--threads), so
-/// `--threads 8 --batch-trials 32` shards the sweep 8 trials at a time
+/// The batch shards over the engine pool (--threads), so
+/// `--threads 8 --batch-trials 32` runs the sweep 8 trials at a time
 /// — byte-identical to the serial sweep. Exactly the same registry
 /// lookup as the single-run path, so every --algo name works in both.
-int run_batched(const CliArgs& args, const registry::AlgoSpec& spec,
-                const Graph& g, std::size_t trials) {
-  const registry::AlgoParams params = params_from(args);
+int run_batched(const registry::AlgoParams& params,
+                const registry::AlgoSpec& spec, const Graph& g,
+                std::size_t trials) {
   const auto outcomes = registry::run_trials(spec, g, params, trials);
 
   bool all_ok = true;
@@ -299,27 +322,25 @@ int main(int argc, char** argv) {
                        "algo", "dot", "decay-csv", "edge-decay-csv",
                        "measures-csv", "timings-csv", "rounds-csv",
                        "histogram-csv", "trace-json", "run-json"});
+  const NumericFlags flags = parse_numeric_flags(args);
   if (args.has("list-algos"))
     return list_algos(args.get_string("list-algos", ""));
 
-  set_engine_threads(args.get_count("threads", 1));
+  set_engine_threads(flags.threads);
 
   const std::string algo = args.get_string("algo", "a2logn");
   const registry::AlgoSpec* spec = registry::Registry::instance().find(algo);
   if (spec == nullptr) return unknown_algo(algo);
 
-  Graph g = make_graph(args);
+  Graph g = make_graph(args, flags);
   if (args.has("save-bin")) {
     const std::string bin_path = args.get_string("save-bin", "");
     save_edgelist_bin(bin_path, g);
     std::cout << "binary edge list written to " << bin_path << " ("
               << g.num_edges() << " edges)\n";
   }
-  if (args.has("perm")) {
-    const auto perm_seed = static_cast<std::uint64_t>(
-        args.get_int("perm", 0));
-    g = relabel(g, random_permutation(g.num_vertices(), perm_seed));
-  }
+  if (flags.perm)
+    g = relabel(g, random_permutation(g.num_vertices(), *flags.perm));
   if (!registry::family_ok(spec->family, g)) {
     std::cerr << "algorithm '" << spec->name << "' requires a "
               << registry::family_name(spec->family)
@@ -359,10 +380,9 @@ int main(int argc, char** argv) {
   if (args.has("stats"))
     print_graph_stats(std::cout, compute_graph_stats(g));
 
-  const std::size_t batch_trials = args.get_count("batch-trials", 0);
-  const int rc = batch_trials > 1
-                     ? run_batched(args, *spec, g, batch_trials)
-                     : run_single(args, opts, *spec, g);
+  const int rc = flags.batch_trials > 1
+                     ? run_batched(flags.params, *spec, g, flags.batch_trials)
+                     : run_single(args, flags.params, opts, *spec, g);
 
   if (!trace_json.empty()) {
     std::ofstream os(trace_json);
