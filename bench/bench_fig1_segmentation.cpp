@@ -43,6 +43,13 @@ int run() {
   for (std::size_t s = 0; s < algo.segments().size(); ++s) {
     const Segment& seg = algo.segments()[s];
     const std::size_t lo = s * per_palette;
+    // Built by appends: GCC 12 at -O3 reports a false -Wrestrict on a
+    // `"[" + std::string` operator+ chain.
+    std::string range = "[";
+    range += Table::num(static_cast<std::uint64_t>(lo));
+    range += ", ";
+    range += Table::num(static_cast<std::uint64_t>(lo + per_palette - 1));
+    range += ']';
     t.add_row({Table::num(seg.paper_index),
                Table::num(static_cast<std::uint64_t>(
                    seg.partition_rounds)),
@@ -50,10 +57,7 @@ int run() {
                Table::num(static_cast<double>(seg_population[s]) /
                               static_cast<double>(n),
                           4),
-               "[" + Table::num(static_cast<std::uint64_t>(lo)) + ", " +
-                   Table::num(static_cast<std::uint64_t>(
-                       lo + per_palette - 1)) +
-                   "]"});
+               range});
   }
   t.print(std::cout);
 

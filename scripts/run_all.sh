@@ -205,17 +205,25 @@ export VALOCAL_RMAT_SCALE="${VALOCAL_RMAT_SCALE:-20}"
   done
 } 2>&1 | tee bench_output.txt
 
-# perf-smoke job: rebuild the engine micro fixtures under the "release"
-# preset (-O3 -DNDEBUG — the configuration BENCH_engine.json records)
-# and compare round-throughput against the latest committed snapshot.
+# Release build: every target under the "release" preset (-O3 -DNDEBUG
+# — the configuration BENCH_engine.json records), with the same warning
+# gate as the tier-1 build: -O3 inlines deeper and reports warnings the
+# default RelWithDebInfo build never sees.
+cmake --preset release
+cmake --build --preset release 2>&1 | tee release_build_output.txt
+if grep -q 'warning:' release_build_output.txt; then
+  echo "release build emitted compiler warnings (see release_build_output.txt)"
+  exit 1
+fi
+
+# perf-smoke job: run the release engine micro fixtures and compare
+# round-throughput against the latest committed snapshot.
 # A >30% drop on any BM_Engine* fixture, the BM_PickEscaping
 # color-reduction kernel or a BM_Graph* CSR build fails the script
 # loudly; an
 # intended regression requires refreshing the baseline via
 # scripts/bench_baseline.sh and committing BENCH_engine.json.
 if [ -f BENCH_engine.json ] && command -v python3 >/dev/null 2>&1; then
-  cmake --preset release
-  cmake --build --preset release --target bench_micro
   build-release/bench/bench_micro \
     --benchmark_filter='BM_Engine|BM_PickEscaping|BM_Graph' \
     --benchmark_min_time=0.2 \

@@ -1,11 +1,8 @@
 #include "algo/bgko22.hpp"
 
-#include <algorithm>
 #include <vector>
 
-#include "util/assertx.hpp"
 #include "util/scratch.hpp"
-#include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
 namespace valocal {
@@ -93,28 +90,17 @@ bool BgkoMatchingAlgo::step(Vertex v, std::size_t round,
   return false;
 }
 
-BgkoMisResult compute_bgko_mis(const Graph& g, std::uint64_t seed) {
+MisResult compute_bgko_mis(const Graph& g, std::uint64_t seed) {
   VALOCAL_TRACE_PHASE("bgko_mis");
-  BgkoMisAlgo algo;
-  auto run = run_local(g, algo, {.seed = seed});
-
-  BgkoMisResult result;
-  result.in_set.resize(g.num_vertices());
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    VALOCAL_ENSURE(run.outputs[v] != 0, "bgko_mis left a vertex undecided");
-    result.in_set[v] = run.outputs[v] == 1;
-  }
-  result.metrics = std::move(run.metrics);
-  return result;
+  return run_mis(g, BgkoMisAlgo{}, "bgko_mis", {.seed = seed});
 }
 
-BgkoMatchingResult compute_bgko_matching(const Graph& g,
-                                         std::uint64_t seed) {
+MatchingResult compute_bgko_matching(const Graph& g, std::uint64_t seed) {
   VALOCAL_TRACE_PHASE("bgko_matching");
   BgkoMatchingAlgo algo;
   auto run = run_local(g, algo, {.seed = seed});
 
-  BgkoMatchingResult result;
+  MatchingResult result;
   result.in_matching.assign(g.num_edges(), false);
   const EdgeIndex ix = g.edge_index();
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
@@ -144,13 +130,7 @@ VALOCAL_ALGO_SPEC(bgko_mis) {
              .algo_label = "bgko_mis (BGKO'22, rand)",
              .check = "XP MIS bgko"}};
   s.run = [](const Graph& g, const AlgoParams& p) {
-    const BgkoMisResult r = compute_bgko_mis(g, p.seed);
-    SolveOutcome o;
-    o.valid = is_mis(g, r.in_set);
-    o.labels = to_labels(r.in_set);
-    o.metrics = r.metrics;
-    o.summary = std::string("bgko_mis valid=") + yes_no(o.valid);
-    return o;
+    return mis_outcome(g, "bgko_mis", compute_bgko_mis(g, p.seed));
   };
   return s;
 }
@@ -171,13 +151,8 @@ VALOCAL_ALGO_SPEC(bgko_matching) {
              .algo_label = "bgko_matching (BGKO'22, rand)",
              .check = "XP MM bgko"}};
   s.run = [](const Graph& g, const AlgoParams& p) {
-    const BgkoMatchingResult r = compute_bgko_matching(g, p.seed);
-    SolveOutcome o;
-    o.valid = is_maximal_matching(g, r.in_matching);
-    o.labels = to_labels(r.in_matching);
-    o.metrics = r.metrics;
-    o.summary = std::string("bgko_matching maximal=") + yes_no(o.valid);
-    return o;
+    return matching_outcome(g, "bgko_matching",
+                            compute_bgko_matching(g, p.seed));
   };
   return s;
 }

@@ -26,10 +26,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "algo/result.hpp"
 #include "graph/graph.hpp"
-#include "sim/metrics.hpp"
 #include "sim/network.hpp"
 
 namespace valocal {
@@ -79,19 +78,9 @@ class BgkoMatchingAlgo {
   }
 };
 
-struct BgkoMisResult {
-  std::vector<bool> in_set;
-  Metrics metrics;
-};
+MisResult compute_bgko_mis(const Graph& g, std::uint64_t seed = 0x5eed);
 
-struct BgkoMatchingResult {
-  std::vector<bool> in_matching;  // per edge id
-  Metrics metrics;
-};
-
-BgkoMisResult compute_bgko_mis(const Graph& g, std::uint64_t seed = 0x5eed);
-
-BgkoMatchingResult compute_bgko_matching(const Graph& g,
-                                         std::uint64_t seed = 0x5eed);
+MatchingResult compute_bgko_matching(const Graph& g,
+                                     std::uint64_t seed = 0x5eed);
 
 }  // namespace valocal

@@ -16,7 +16,7 @@
 
 #include <memory>
 
-#include "algo/coloring_result.hpp"
+#include "algo/result.hpp"
 #include "algo/partition.hpp"
 #include "coverfree/coverfree.hpp"
 #include "graph/graph.hpp"

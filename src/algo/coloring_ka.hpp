@@ -29,7 +29,7 @@
 #include <span>
 #include <string>
 
-#include "algo/coloring_result.hpp"
+#include "algo/result.hpp"
 #include "algo/deg_plus_one_plan.hpp"
 #include "algo/partition.hpp"
 #include "algo/segmentation.hpp"

@@ -33,7 +33,7 @@
 #include <string>
 
 #include "algo/arb_linial.hpp"
-#include "algo/coloring_result.hpp"
+#include "algo/result.hpp"
 #include "algo/partition.hpp"
 #include "algo/segmentation.hpp"
 #include "graph/graph.hpp"

@@ -23,7 +23,7 @@
 #include <cstdint>
 #include <memory>
 
-#include "algo/coloring_result.hpp"
+#include "algo/result.hpp"
 #include "algo/deg_plus_one_plan.hpp"
 #include "graph/graph.hpp"
 #include "sim/network.hpp"

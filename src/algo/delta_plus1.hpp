@@ -19,7 +19,7 @@
 
 #include "util/assertx.hpp"
 #include "util/scratch.hpp"
-#include "algo/coloring_result.hpp"
+#include "algo/result.hpp"
 #include "algo/deg_plus_one_plan.hpp"
 #include "algo/extension.hpp"
 #include "algo/line_plan.hpp"

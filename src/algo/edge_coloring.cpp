@@ -2,7 +2,6 @@
 
 #include "algo/line_plan.hpp"
 #include "util/assertx.hpp"
-#include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
 namespace valocal {
@@ -88,15 +87,8 @@ bool EdgeColoringAlgo::step(Vertex, std::size_t round,
 EdgeColoringResult compute_edge_coloring(const Graph& g,
                                          PartitionParams params) {
   VALOCAL_TRACE_PHASE("edge_coloring");
-  EdgeColoringAlgo algo(g.num_vertices(), g.num_edges(), params);
-  auto run = run_local(g, algo);
-
-  EdgeColoringResult result;
-  result.color = per_edge_colors(g, run.outputs);
-  result.num_colors = count_colors(result.color);
-  result.palette_bound = algo.palette_bound(g.max_degree());
-  result.metrics = std::move(run.metrics);
-  return result;
+  const EdgeColoringAlgo algo(g.num_vertices(), g.num_edges(), params);
+  return run_edge_coloring(g, algo, algo.palette_bound(g.max_degree()));
 }
 
 
@@ -118,19 +110,8 @@ VALOCAL_ALGO_SPEC(edge_coloring) {
              .order = 1,
              .row = "EC"}};
   s.run = [](const Graph& g, const AlgoParams& p) {
-    const EdgeColoringResult r = compute_edge_coloring(g, p.partition());
-    SolveOutcome o;
-    o.valid = is_proper_edge_coloring(g, r.color);
-    o.aux_valid = r.num_colors <= r.palette_bound;
-    o.num_colors = r.num_colors;
-    o.palette_bound = r.palette_bound;
-    o.labels = to_labels(r.color);
-    o.metrics = r.metrics;
-    std::ostringstream ss;
-    ss << "edge coloring: colors=" << r.num_colors << " (palette "
-       << r.palette_bound << ") proper=" << yes_no(o.valid);
-    o.summary = ss.str();
-    return o;
+    return edge_coloring_outcome(g, "edge coloring",
+                                 compute_edge_coloring(g, p.partition()));
   };
   return s;
 }

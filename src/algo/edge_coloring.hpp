@@ -24,8 +24,8 @@
 #include <vector>
 
 #include "algo/edge_stage.hpp"
+#include "algo/result.hpp"
 #include "graph/graph.hpp"
-#include "sim/metrics.hpp"
 #include "sim/network.hpp"
 
 namespace valocal {
@@ -75,13 +75,6 @@ class EdgeColoringAlgo {
       "partition", "flag", "line_plan", "resolve", "cross"};
 
   EdgeStages stages_;
-};
-
-struct EdgeColoringResult {
-  std::vector<int> color;  // per edge
-  std::size_t num_colors = 0;
-  std::size_t palette_bound = 0;
-  Metrics metrics;
 };
 
 EdgeColoringResult compute_edge_coloring(const Graph& g,

@@ -201,26 +201,4 @@ class EdgeStages {
 std::int32_t smallest_free_color(std::span<const std::int32_t> a,
                                  std::span<const std::int32_t> b);
 
-/// Per-edge colors from a run's per-port outputs (port i of v is edge
-/// g.incident_edges(v)[i]). Both endpoints of an edge must agree; a
-/// port still < 0 leaves the edge to its other endpoint.
-template <class PortColors>
-std::vector<int> per_edge_colors(const Graph& g,
-                                 const std::vector<PortColors>& ports) {
-  std::vector<int> color(g.num_edges(), -1);
-  const EdgeIndex ix = g.edge_index();
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    const auto edges = ix.incident_edges(v);
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      const auto c = static_cast<int>(ports[v][i]);
-      if (c < 0) continue;
-      if (color[edges[i]] >= 0)
-        VALOCAL_ENSURE(color[edges[i]] == c,
-                       "endpoints disagree on an edge color");
-      color[edges[i]] = c;
-    }
-  }
-  return color;
-}
-
 }  // namespace valocal

@@ -156,23 +156,14 @@ class HSetComposition {
   CompositionSchedule schedule_;
 };
 
-template <class Sub>
-struct CompositionResult {
-  std::vector<typename Sub::Output> outputs;
-  Metrics metrics;
-};
-
 /// Runs the composition end to end.
 template <class Sub>
-CompositionResult<Sub> run_hset_composition(const Graph& g,
-                                            PartitionParams params,
-                                            Sub sub,
-                                            std::uint64_t seed = 0x5eed) {
+RunResult<HSetComposition<Sub>> run_hset_composition(
+    const Graph& g, PartitionParams params, Sub sub,
+    std::uint64_t seed = 0x5eed) {
   VALOCAL_TRACE_PHASE("hset_composition");
   HSetComposition<Sub> algo(g.num_vertices(), params, std::move(sub));
-  auto run = run_local(g, algo, {.seed = seed});
-  return CompositionResult<Sub>{std::move(run.outputs),
-                                std::move(run.metrics)};
+  return run_local(g, algo, {.seed = seed});
 }
 
 }  // namespace valocal

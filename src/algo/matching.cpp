@@ -1,6 +1,5 @@
 #include "algo/matching.hpp"
 
-#include "util/assertx.hpp"
 #include "registry/spec_util.hpp"
 
 namespace valocal {
@@ -42,13 +41,8 @@ VALOCAL_ALGO_SPEC(matching) {
              .algo_label = "matching (SPAA'18, det)",
              .check = "XP MM 2018"}};
   s.run = [](const Graph& g, const AlgoParams& p) {
-    const MatchingResult r = compute_matching(g, p.partition());
-    SolveOutcome o;
-    o.valid = is_maximal_matching(g, r.in_matching);
-    o.labels = to_labels(r.in_matching);
-    o.metrics = r.metrics;
-    o.summary = std::string("matching maximal=") + yes_no(o.valid);
-    return o;
+    return matching_outcome(g, "matching",
+                            compute_matching(g, p.partition()));
   };
   return s;
 }

@@ -20,13 +20,12 @@
 //                   freeze semantics.
 #pragma once
 
-#include <vector>
 
 #include "util/assertx.hpp"
 #include "algo/edge_stage.hpp"
 #include "algo/line_plan.hpp"
+#include "algo/result.hpp"
 #include "graph/graph.hpp"
-#include "sim/metrics.hpp"
 #include "sim/network.hpp"
 
 namespace valocal {
@@ -150,11 +149,6 @@ class MatchingAlgo {
       "partition", "flag", "line_plan", "intra_sweep", "cross"};
 
   EdgeStages stages_;
-};
-
-struct MatchingResult {
-  std::vector<bool> in_matching;  // per edge
-  Metrics metrics;
 };
 
 MatchingResult compute_matching(const Graph& g, PartitionParams params);

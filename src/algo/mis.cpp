@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/assertx.hpp"
 #include "registry/spec_util.hpp"
 
 namespace valocal {
@@ -18,17 +17,7 @@ MisAlgo::MisAlgo(std::size_t num_vertices, PartitionParams params)
 
 MisResult compute_mis(const Graph& g, PartitionParams params) {
   VALOCAL_TRACE_PHASE("mis");
-  MisAlgo algo(g.num_vertices(), params);
-  auto run = run_local(g, algo);
-
-  MisResult result;
-  result.in_set.resize(g.num_vertices());
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    VALOCAL_ENSURE(run.outputs[v] != 0, "MIS left a vertex undecided");
-    result.in_set[v] = run.outputs[v] == 1;
-  }
-  result.metrics = std::move(run.metrics);
-  return result;
+  return run_mis(g, MisAlgo(g.num_vertices(), params), "mis");
 }
 
 
@@ -54,13 +43,7 @@ VALOCAL_ALGO_SPEC(mis) {
              .algo_label = "mis (SPAA'18, det)",
              .check = "XP MIS 2018"}};
   s.run = [](const Graph& g, const AlgoParams& p) {
-    const MisResult r = compute_mis(g, p.partition());
-    SolveOutcome o;
-    o.valid = is_mis(g, r.in_set);
-    o.labels = to_labels(r.in_set);
-    o.metrics = r.metrics;
-    o.summary = std::string("MIS valid=") + yes_no(o.valid);
-    return o;
+    return mis_outcome(g, "MIS", compute_mis(g, p.partition()));
   };
   return s;
 }

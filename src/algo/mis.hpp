@@ -10,15 +10,14 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "util/assertx.hpp"
 #include "algo/deg_plus_one_plan.hpp"
 #include "algo/extension.hpp"
 #include "algo/line_plan.hpp"
 #include "algo/partition.hpp"
+#include "algo/result.hpp"
 #include "graph/graph.hpp"
-#include "sim/metrics.hpp"
 #include "sim/network.hpp"
 
 namespace valocal {
@@ -132,11 +131,6 @@ class MisAlgo {
   PartitionParams params_;
   std::shared_ptr<const DegPlusOnePlan> plan_;
   CompositionSchedule schedule_;
-};
-
-struct MisResult {
-  std::vector<bool> in_set;
-  Metrics metrics;
 };
 
 MisResult compute_mis(const Graph& g, PartitionParams params);

@@ -16,39 +16,6 @@ namespace valocal {
 
 namespace {
 
-/// Centralized Procedure Partition limited to `max_rounds` rounds:
-/// hset[v] in [1, max_rounds], or 0 if v is still active afterwards.
-std::vector<std::int32_t> bounded_partition(const Graph& g,
-                                            std::size_t threshold,
-                                            std::size_t max_rounds) {
-  const std::size_t n = g.num_vertices();
-  std::vector<std::int32_t> hset(n, 0);
-  std::vector<std::size_t> active_deg(n);
-  std::vector<Vertex> active;
-  active.reserve(n);
-  for (Vertex v = 0; v < n; ++v) {
-    active_deg[v] = g.degree(v);
-    active.push_back(v);
-  }
-  for (std::size_t round = 1; round <= max_rounds && !active.empty();
-       ++round) {
-    std::vector<Vertex> joiners, survivors;
-    for (Vertex v : active) {
-      if (active_deg[v] <= threshold)
-        joiners.push_back(v);
-      else
-        survivors.push_back(v);
-    }
-    for (Vertex v : joiners) {
-      hset[v] = static_cast<std::int32_t>(round);
-      for (Vertex u : g.neighbors(v))
-        if (hset[u] == 0) --active_deg[u];
-    }
-    active = std::move(survivors);
-  }
-  return hset;
-}
-
 std::size_t loglog_rounds(std::size_t n) {
   if (n < 4) return 1;
   const double loglog =
@@ -89,7 +56,11 @@ SubColoring one_plus_eta_rec(const Graph& g, std::size_t arboricity,
                                     .epsilon = 2.0};
   const std::size_t threshold = part_params.threshold();
   const std::size_t r = loglog_rounds(n_global);
-  const auto hset = bounded_partition(g, threshold, r);
+  // Only the first r H-sets form H; every later vertex is still active
+  // after round r.
+  std::vector<std::int32_t> hset = compute_h_partition(g, part_params).hset;
+  for (auto& h : hset)
+    if (h > static_cast<std::int32_t>(r)) h = 0;
 
   std::vector<Vertex> in_h, rest;
   for (Vertex v = 0; v < n; ++v)

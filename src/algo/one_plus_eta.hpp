@@ -26,7 +26,7 @@
 #include <cstdint>
 
 #include "algo/arbdefective.hpp"
-#include "algo/coloring_result.hpp"
+#include "algo/result.hpp"
 #include "graph/graph.hpp"
 
 namespace valocal {

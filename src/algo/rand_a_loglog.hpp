@@ -23,7 +23,7 @@
 
 #include <cmath>
 
-#include "algo/coloring_result.hpp"
+#include "algo/result.hpp"
 #include "algo/partition.hpp"
 #include "graph/graph.hpp"
 #include "sim/network.hpp"

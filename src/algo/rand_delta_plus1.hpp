@@ -12,7 +12,7 @@
 // resolve) — a constant factor on all bounds.
 #pragma once
 
-#include "algo/coloring_result.hpp"
+#include "algo/result.hpp"
 #include "graph/graph.hpp"
 #include "sim/network.hpp"
 

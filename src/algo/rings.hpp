@@ -33,7 +33,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "algo/coloring_result.hpp"
+#include "algo/result.hpp"
 #include "graph/graph.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"

@@ -22,7 +22,7 @@
 #include <memory>
 
 #include "algo/arb_linial.hpp"
-#include "algo/coloring_result.hpp"
+#include "algo/result.hpp"
 #include "algo/kw_reduce.hpp"
 #include "algo/partition.hpp"
 #include "graph/graph.hpp"

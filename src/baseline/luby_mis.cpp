@@ -1,8 +1,5 @@
 #include "baseline/luby_mis.hpp"
 
-#include <algorithm>
-
-#include "util/assertx.hpp"
 #include "registry/spec_util.hpp"
 
 namespace valocal {
@@ -47,18 +44,8 @@ bool LubyMisAlgo::step(Vertex v, std::size_t round,
   return false;
 }
 
-LubyMisResult compute_luby_mis(const Graph& g, std::uint64_t seed) {
-  LubyMisAlgo algo;
-  auto run = run_local(g, algo, {.seed = seed});
-
-  LubyMisResult result;
-  result.in_set.resize(g.num_vertices());
-  for (Vertex v = 0; v < g.num_vertices(); ++v) {
-    VALOCAL_ENSURE(run.outputs[v] != 0, "Luby left a vertex undecided");
-    result.in_set[v] = run.outputs[v] == 1;
-  }
-  result.metrics = std::move(run.metrics);
-  return result;
+MisResult compute_luby_mis(const Graph& g, std::uint64_t seed) {
+  return run_mis(g, LubyMisAlgo{}, "luby", {.seed = seed});
 }
 
 
@@ -80,13 +67,7 @@ VALOCAL_ALGO_SPEC(luby) {
              .algo_label = "luby (priority baseline, rand)",
              .check = "XP MIS luby"}};
   s.run = [](const Graph& g, const AlgoParams& p) {
-    const LubyMisResult r = compute_luby_mis(g, p.seed);
-    SolveOutcome o;
-    o.valid = is_mis(g, r.in_set);
-    o.labels = to_labels(r.in_set);
-    o.metrics = r.metrics;
-    o.summary = std::string("Luby MIS valid=") + yes_no(o.valid);
-    return o;
+    return mis_outcome(g, "Luby MIS", compute_luby_mis(g, p.seed));
   };
   return s;
 }

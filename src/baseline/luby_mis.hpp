@@ -6,10 +6,9 @@
 // reports both VA and worst case.
 #pragma once
 
-#include <vector>
 
+#include "algo/result.hpp"
 #include "graph/graph.hpp"
-#include "sim/metrics.hpp"
 #include "sim/network.hpp"
 
 namespace valocal {
@@ -31,12 +30,7 @@ class LubyMisAlgo {
   Output output(Vertex, const State& s) const { return s.status; }
 };
 
-struct LubyMisResult {
-  std::vector<bool> in_set;
-  Metrics metrics;
-};
-
-LubyMisResult compute_luby_mis(const Graph& g,
+MisResult compute_luby_mis(const Graph& g,
                                std::uint64_t seed = 0x5eed);
 
 }  // namespace valocal

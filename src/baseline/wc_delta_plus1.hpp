@@ -13,7 +13,7 @@
 #include <algorithm>
 #include <memory>
 
-#include "algo/coloring_result.hpp"
+#include "algo/result.hpp"
 #include "algo/deg_plus_one_plan.hpp"
 #include "algo/line_plan.hpp"
 #include "graph/graph.hpp"

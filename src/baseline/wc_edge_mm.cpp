@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "algo/line_plan.hpp"
-#include "util/assertx.hpp"
-#include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
 
 namespace valocal {
@@ -35,15 +33,8 @@ bool WcEdgeColoringAlgo::step(Vertex, std::size_t round,
 }
 
 EdgeColoringResult compute_wc_edge_coloring(const Graph& g) {
-  WcEdgeColoringAlgo algo(g.num_edges(), g.max_degree());
-  auto run = run_local(g, algo);
-
-  EdgeColoringResult result;
-  result.color = per_edge_colors(g, run.outputs);
-  result.num_colors = count_colors(result.color);
-  result.palette_bound = algo.palette_bound();
-  result.metrics = std::move(run.metrics);
-  return result;
+  const WcEdgeColoringAlgo algo(g.num_edges(), g.max_degree());
+  return run_edge_coloring(g, algo, algo.palette_bound());
 }
 
 MatchingResult compute_wc_matching(const Graph& g) {
@@ -94,19 +85,8 @@ VALOCAL_ALGO_SPEC(wc_edge) {
              .ratio_override = "1.0x",
              .small_sizes_only = true}};
   s.run = [](const Graph& g, const AlgoParams&) {
-    const EdgeColoringResult r = compute_wc_edge_coloring(g);
-    SolveOutcome o;
-    o.valid = is_proper_edge_coloring(g, r.color);
-    o.num_colors = r.num_colors;
-    o.palette_bound = r.palette_bound;
-    o.labels = to_labels(r.color);
-    o.metrics = r.metrics;
-    std::ostringstream ss;
-    ss << "wc_edge_coloring (run to completion): colors=" << r.num_colors
-       << " (palette " << r.palette_bound
-       << ") proper=" << yes_no(o.valid);
-    o.summary = ss.str();
-    return o;
+    return edge_coloring_outcome(g, "wc_edge_coloring (run to completion)",
+                                 compute_wc_edge_coloring(g));
   };
   return s;
 }
@@ -134,14 +114,7 @@ VALOCAL_ALGO_SPEC(wc_matching) {
              .check = "XP MM baseline",
              .small_sizes_only = true}};
   s.run = [](const Graph& g, const AlgoParams&) {
-    const MatchingResult r = compute_wc_matching(g);
-    SolveOutcome o;
-    o.valid = is_maximal_matching(g, r.in_matching);
-    o.labels = to_labels(r.in_matching);
-    o.metrics = r.metrics;
-    o.summary =
-        std::string("wc_matching maximal=") + yes_no(o.valid);
-    return o;
+    return matching_outcome(g, "wc_matching", compute_wc_matching(g));
   };
   return s;
 }

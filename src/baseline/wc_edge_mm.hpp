@@ -17,8 +17,7 @@
 #include <vector>
 
 #include "algo/deg_plus_one_plan.hpp"
-#include "algo/edge_coloring.hpp"
-#include "algo/matching.hpp"
+#include "algo/result.hpp"
 #include "graph/graph.hpp"
 #include "sim/network.hpp"
 

@@ -44,10 +44,16 @@ Graph read_edge_list(std::istream& is) {
     VALOCAL_REQUIRE(ok, "edge list: malformed input (see message above)");
   };
 
+  // A row holds exactly its fields: a third column (a weighted
+  // "u v w" file) or any other trailing token is an error, not noise.
+  auto fields_end = [](std::istringstream& row) {
+    return (row >> std::ws).eof();
+  };
+
   VALOCAL_REQUIRE(next_data_line(), "edge list: missing header");
   std::istringstream header(line);
   std::size_t n = 0, m = 0;
-  require_line(static_cast<bool>(header >> n >> m), "malformed header");
+  require_line(header >> n >> m && fields_end(header), "malformed header");
 
   GraphBuilder builder(n);
   for (std::size_t i = 0; i < m; ++i) {
@@ -57,6 +63,7 @@ Graph read_edge_list(std::istream& is) {
     // silently wrapping around to 4294967295 via unsigned extraction.
     long long u = 0, v = 0;
     require_line(static_cast<bool>(row >> u >> v), "malformed edge line");
+    require_line(fields_end(row), "trailing data on edge line");
     require_line(u >= 0 && v >= 0, "negative vertex id");
     require_line(static_cast<unsigned long long>(u) < n &&
                      static_cast<unsigned long long>(v) < n,
@@ -65,6 +72,7 @@ Graph read_edge_list(std::istream& is) {
                                   static_cast<Vertex>(v)),
                  "self-loop or duplicate edge");
   }
+  require_line(!next_data_line(), "data after the last of the m edges");
   return std::move(builder).build();
 }
 

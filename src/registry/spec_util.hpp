@@ -1,13 +1,13 @@
 // Shared helpers for the VALOCAL_ALGO_SPEC provider functions defined
-// next to each compute_* entry point: label conversion, the common
-// coloring-outcome shape, and a spec-base builder so providers stay a
-// dozen declarative lines each.
+// next to each compute_* entry point: label conversion, one outcome
+// builder per problem result (algo/result.hpp), and a spec-base builder
+// so providers stay a dozen declarative lines each.
 #pragma once
 
 #include <sstream>
 #include <utility>
 
-#include "algo/coloring_result.hpp"
+#include "algo/result.hpp"
 #include "registry/registry.hpp"
 #include "validate/validate.hpp"
 
@@ -26,13 +26,12 @@ inline std::vector<std::int64_t> to_labels(const std::vector<bool>& v) {
 
 inline const char* yes_no(bool ok) { return ok ? "yes" : "NO"; }
 
-/// Uniform outcome for a ColoringResult: properness verdict plus the
-/// classic "<display>: colors=C (palette P) proper=yes" report line.
-inline SolveOutcome coloring_outcome(const Graph& g,
-                                     const std::string& display,
-                                     ColoringResult r) {
+/// The outcome fields every (vertex or edge) coloring reports, with the
+/// classic "<display>: colors=C (palette P) proper=yes" line.
+template <class R>
+SolveOutcome colors_outcome(const std::string& display, R r, bool proper) {
   SolveOutcome o;
-  o.valid = is_proper_coloring(g, r.color);
+  o.valid = proper;
   o.num_colors = r.num_colors;
   o.palette_bound = r.palette_bound;
   o.labels = to_labels(r.color);
@@ -41,6 +40,48 @@ inline SolveOutcome coloring_outcome(const Graph& g,
   ss << display << ": colors=" << o.num_colors << " (palette "
      << o.palette_bound << ") proper=" << yes_no(o.valid);
   o.summary = ss.str();
+  return o;
+}
+
+/// Uniform outcome for a ColoringResult: the properness verdict.
+inline SolveOutcome coloring_outcome(const Graph& g,
+                                     const std::string& display,
+                                     ColoringResult r) {
+  const bool proper = is_proper_coloring(g, r.color);
+  return colors_outcome(display, std::move(r), proper);
+}
+
+/// Uniform outcome for an EdgeColoringResult: the properness verdict,
+/// and the palette bound as the aux invariant.
+inline SolveOutcome edge_coloring_outcome(const Graph& g,
+                                          const std::string& display,
+                                          EdgeColoringResult r) {
+  const bool proper = is_proper_edge_coloring(g, r.color);
+  SolveOutcome o = colors_outcome(display, std::move(r), proper);
+  o.aux_valid = o.num_colors <= o.palette_bound;
+  return o;
+}
+
+/// Uniform outcome for a MisResult: "<prefix> valid=yes".
+inline SolveOutcome mis_outcome(const Graph& g, const std::string& prefix,
+                                MisResult r) {
+  SolveOutcome o;
+  o.valid = is_mis(g, r.in_set);
+  o.labels = to_labels(r.in_set);
+  o.metrics = std::move(r.metrics);
+  o.summary = prefix + " valid=" + yes_no(o.valid);
+  return o;
+}
+
+/// Uniform outcome for a MatchingResult: "<prefix> maximal=yes".
+inline SolveOutcome matching_outcome(const Graph& g,
+                                     const std::string& prefix,
+                                     MatchingResult r) {
+  SolveOutcome o;
+  o.valid = is_maximal_matching(g, r.in_matching);
+  o.labels = to_labels(r.in_matching);
+  o.metrics = std::move(r.metrics);
+  o.summary = prefix + " maximal=" + yes_no(o.valid);
   return o;
 }
 

@@ -61,7 +61,6 @@ void Metrics::finalize(const Graph& g) {
   for (auto a : active_per_round) stepped += a;
   s.awake_sum = stepped >= skipped_steps ? stepped - skipped_steps : 0;
   summary = s;
-  summary_valid = true;
 }
 
 }  // namespace valocal

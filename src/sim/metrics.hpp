@@ -16,9 +16,8 @@
 //   edge-avg      = EdgeRoundSum / m
 // and the wake-scheduled engine's own cost model counts only awake
 // vertex-rounds (active minus parked). All of these are folded into
-// one MeasureSummary computed in a single pass at run end, so the
-// accessors are O(1) on engine-produced metrics instead of rescanning
-// `rounds` per call.
+// one MeasureSummary computed in a single pass at run end, which the
+// accessors read in O(1).
 #pragma once
 
 #include <cstdint>
@@ -89,60 +88,42 @@ struct Metrics {
   // deterministically from `rounds` and the graph, so it shares the
   // byte-identity contract). Empty on unfinalized metrics.
   std::vector<std::size_t> edge_active_per_round;
-  // Valid iff summary_valid: the one-pass rollup finalize computed.
-  // `rounds` stays the ground truth — code that edits metrics after a
-  // run (sweep appends, sub-run splices) must call finalize again or
-  // the accessors below would serve stale cached values.
+  // The one-pass rollup finalize computed; every producer (run_local,
+  // run_mailbox, and code that edits metrics after a run, such as sweep
+  // appends and sub-run splices) calls finalize, and metrics that were
+  // never finalized read 0 everywhere below. `rounds` stays the ground
+  // truth: an edit without a fresh finalize leaves the accessors stale.
   MeasureSummary summary;
-  bool summary_valid = false;
 
   /// One pass over `rounds`, the graph's edge list, and
-  /// active_per_round: fills `summary` + edge_active_per_round and
-  /// makes the accessors O(1). Idempotent; recomputes from scratch.
+  /// active_per_round: fills `summary` + edge_active_per_round.
+  /// Idempotent; recomputes from scratch.
   void finalize(const Graph& g);
 
-  std::uint64_t round_sum() const {
-    if (summary_valid) return summary.round_sum;
-    std::uint64_t s = 0;
-    for (auto r : rounds) s += r;
-    return s;
-  }
+  std::uint64_t round_sum() const { return summary.round_sum; }
 
   double vertex_averaged() const {
-    if (rounds.empty()) return 0.0;
-    return static_cast<double>(round_sum()) /
-           static_cast<double>(rounds.size());
+    if (summary.num_vertices == 0) return 0.0;
+    return static_cast<double>(summary.round_sum) /
+           static_cast<double>(summary.num_vertices);
   }
 
-  std::size_t worst_case() const {
-    if (summary_valid) return summary.worst_case;
-    std::size_t m = 0;
-    for (auto r : rounds) m = m > r ? m : r;
-    return m;
-  }
+  std::size_t worst_case() const { return summary.worst_case; }
 
-  /// sum_e max(r(u), r(v)) — requires finalize (the edge costs need
-  /// the graph); 0 on unfinalized metrics.
-  std::uint64_t edge_round_sum() const {
-    return summary_valid ? summary.edge_round_sum : 0;
-  }
+  /// sum_e max(r(u), r(v)).
+  std::uint64_t edge_round_sum() const { return summary.edge_round_sum; }
 
-  /// BGKO'22 edge-averaged complexity: EdgeRoundSum / m. 0 on
-  /// unfinalized metrics and on edgeless graphs.
+  /// BGKO'22 edge-averaged complexity: EdgeRoundSum / m; 0 on edgeless
+  /// graphs.
   double edge_averaged() const {
-    if (!summary_valid || summary.num_edges == 0) return 0.0;
+    if (summary.num_edges == 0) return 0.0;
     return static_cast<double>(summary.edge_round_sum) /
            static_cast<double>(summary.num_edges);
   }
 
   /// Awake vertex-rounds: sum_i n_i minus the parked steps the wake
   /// scheduler elided. Equals RoundSum-as-simulated when hints are off.
-  std::uint64_t awake_sum() const {
-    if (summary_valid) return summary.awake_sum;
-    std::uint64_t s = 0;
-    for (auto a : active_per_round) s += a;
-    return s >= skipped_steps ? s - skipped_steps : 0;
-  }
+  std::uint64_t awake_sum() const { return summary.awake_sum; }
 
   std::uint64_t total_wall_ns() const {
     std::uint64_t s = 0;

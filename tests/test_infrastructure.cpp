@@ -19,6 +19,7 @@ namespace {
 TEST(Metrics, Arithmetic) {
   Metrics m;
   m.rounds = {1, 2, 3, 4};
+  m.finalize(gen::path(4));
   EXPECT_EQ(m.round_sum(), 10u);
   EXPECT_DOUBLE_EQ(m.vertex_averaged(), 2.5);
   EXPECT_EQ(m.worst_case(), 4u);

@@ -43,6 +43,14 @@ TEST(GraphIo, MalformedInputDies) {
   EXPECT_DEATH((void)read_edge_list(missing), "truncated");
   std::stringstream selfloop("2 1\n1 1\n");
   EXPECT_DEATH((void)read_edge_list(selfloop), "self-loop");
+  // Trailing data: a header token past m, a weighted "u v w" row, and a
+  // row after the m-th edge (whose out-of-range ids were never read).
+  std::stringstream header("3 2 junk\n0 1\n1 2\n");
+  EXPECT_DEATH((void)read_edge_list(header), "malformed header.*at line 1");
+  std::stringstream weighted("3 2\n0 1 7\n1 2 4\n");
+  EXPECT_DEATH((void)read_edge_list(weighted), "trailing data.*at line 2");
+  std::stringstream extra("3 2\n0 1\n1 2\n5 6\n");
+  EXPECT_DEATH((void)read_edge_list(extra), "after the last.*at line 4");
 }
 
 TEST(GraphIo, RejectsOutOfRangeAndNegativeIds) {
@@ -172,6 +180,19 @@ TEST(Cli, NumericFlagsAreParsedEvenWhenTheGraphSourceIgnoresThem) {
   EXPECT_DEATH(exec_cli({"--input", input, "--algo", "mis", "--n", "x"}),
                "malformed.*--n");
   std::remove(input.c_str());
+}
+
+TEST(Cli, ArboricityBelowTheDegeneracyBoundDies) {
+  // Q7 has degeneracy 7, so a(Q7) >= ceil(8 / 2) = 4: the default
+  // --a 2 is provably false, and an entry that reads --a must be
+  // refused before it runs rather than fail an invariant mid-run.
+  for (const char* algo : {"mis", "partition"})
+    EXPECT_DEATH(exec_cli({"--gen", "hypercube", "--n", "100", "--algo",
+                           algo}),
+                 "--a 2 .*degeneracy 7.*at least 4");
+  // An entry that does not read --a runs on the same graph.
+  EXPECT_EQ(run_cli("--gen hypercube --n 100 --algo luby"), 0);
+  EXPECT_EQ(run_cli("--gen hypercube --n 100 --a 4 --algo mis"), 0);
 }
 
 TEST(Cli, ThreadCountAboveTheCeilingDies) {

@@ -11,6 +11,8 @@
 #include "graph/subgraph.hpp"
 #include "validate/validate.hpp"
 
+#include "fingerprint.hpp"
+
 namespace valocal {
 namespace {
 
@@ -94,6 +96,19 @@ TEST(OnePlusEta, RecursionEngages) {
   EXPECT_GT(result.metrics.worst_case(), 0u);
   EXPECT_LE(result.metrics.vertex_averaged(),
             static_cast<double>(result.metrics.worst_case()));
+}
+
+TEST(OnePlusEta, RecursiveBranchOutputsAndRoundsArePinned) {
+  // a = 2C runs the recursive branch, whose first r H-sets come from
+  // Procedure Partition; colors and r(v) are pinned to the values of
+  // the centralized bounded-partition loop the branch used before it
+  // ran the engine's Partition.
+  const Graph g = gen::forest_union(1 << 11, 16, 7);
+  const auto result =
+      compute_one_plus_eta(g, {.arboricity = 16, .big_c = 8});
+  ASSERT_TRUE(is_proper_coloring(g, result.color));
+  EXPECT_EQ(fingerprint(result.color, result.metrics.rounds),
+            0xb9ee6583cc3bea51ULL);
 }
 
 TEST(OnePlusEta, PaletteSublinearInNForFixedA) {

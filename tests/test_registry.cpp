@@ -9,9 +9,13 @@
 
 #include <set>
 
+#include "algo/edge_coloring.hpp"
+#include "algo/matching.hpp"
+#include "algo/mis.hpp"
 #include "graph/generators.hpp"
 #include "graph/rmat.hpp"
 #include "registry/registry.hpp"
+#include "registry/spec_util.hpp"
 #include "sim/network.hpp"
 #include "validate/validate.hpp"
 
@@ -118,6 +122,43 @@ TEST(Registry, EverySpecSolvesAndValidatesOnASmallGraph) {
     }
     EXPECT_EQ(o.metrics.rounds.size(), g.num_vertices());
   }
+}
+
+// Each problem's shared outcome builder runs the problem's validator:
+// a corrupted solution must read valid == false (and the summary NO).
+TEST(Registry, SharedOutcomeBuildersRejectACorruptedLabeling) {
+  const Graph g = gen::forest_union(96, 2, 7);
+  const PartitionParams params = default_params().partition();
+
+  MisResult mis = compute_mis(g, params);
+  ASSERT_TRUE(registry::mis_outcome(g, "MIS", mis).valid);
+  Vertex member = 0;
+  while (!mis.in_set[member] || g.degree(member) == 0) ++member;
+  mis.in_set[g.neighbors(member)[0]] = true;  // two adjacent members
+  const SolveOutcome bad_mis = registry::mis_outcome(g, "MIS", mis);
+  EXPECT_FALSE(bad_mis.valid);
+  EXPECT_EQ(bad_mis.summary, "MIS valid=NO");
+
+  MatchingResult mm = compute_matching(g, params);
+  ASSERT_TRUE(registry::matching_outcome(g, "matching", mm).valid);
+  EdgeId matched = 0;
+  while (!mm.in_matching[matched]) ++matched;
+  mm.in_matching[matched] = false;  // two free adjacent endpoints
+  const SolveOutcome bad_mm = registry::matching_outcome(g, "matching", mm);
+  EXPECT_FALSE(bad_mm.valid);
+  EXPECT_EQ(bad_mm.summary, "matching maximal=NO");
+
+  EdgeColoringResult ec = compute_edge_coloring(g, params);
+  ASSERT_TRUE(registry::edge_coloring_outcome(g, "ec", ec).ok());
+  Vertex hub = 0;
+  while (g.degree(hub) < 2) ++hub;
+  const auto ports = g.incident_edges(hub);
+  ec.color[ports[1]] = ec.color[ports[0]];  // two edges share a color
+  const SolveOutcome bad_ec = registry::edge_coloring_outcome(g, "ec", ec);
+  EXPECT_FALSE(bad_ec.valid);
+  EXPECT_NE(bad_ec.summary.find("proper=NO"), std::string::npos);
+  ec.num_colors = ec.palette_bound + 1;
+  EXPECT_FALSE(registry::edge_coloring_outcome(g, "ec", ec).aux_valid);
 }
 
 TEST(Registry, DeterministicSpecsAreByteStableAcrossRunsAndThreads) {

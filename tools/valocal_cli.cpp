@@ -22,7 +22,9 @@
 //              before solving (pairs in canonical edge-id order)
 //   --stats    print the one-pass degree/arboricity stats block
 //   --n        vertex count                    (default 4096)
-//   --a        declared arboricity             (default 2)
+//   --a        declared arboricity             (default 2); an entry
+//              that reads it refuses a value below
+//              ceil((degeneracy + 1) / 2), a bound every graph meets
 //   --k        segmentation parameter, 0=rho(n)
 //   --eps      Procedure Partition epsilon     (default 1.0)
 //   --seed     generator / algorithm seed      (default 1)
@@ -69,6 +71,7 @@
 // Every numeric flag given is parsed before anything runs, so a
 // malformed value dies naming its flag even where the chosen graph
 // source never reads it.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -347,6 +350,21 @@ int main(int argc, char** argv) {
               << " graph (try --gen ring)\n";
     return 2;
   }
+  // Every graph has a(G) >= ceil((degeneracy + 1) / 2): a declared --a
+  // below that is false, and the entry would fail an invariant or spin
+  // to the round cap instead of blaming the flag.
+  const std::size_t degen = degeneracy(g);
+  const std::size_t a_floor = (degen + 2) / 2;
+  if (std::find(spec->params.begin(), spec->params.end(),
+                registry::Param::kArboricity) != spec->params.end() &&
+      flags.params.arboricity < a_floor) {
+    std::cerr << "--a " << flags.params.arboricity
+              << " is below this graph's arboricity: degeneracy " << degen
+              << " means a(G) is at least " << a_floor
+              << " = ceil((degeneracy + 1) / 2); rerun with --a "
+              << a_floor << " or more\n";
+    return 2;
+  }
 
   ReportOptions opts;
   opts.decay_csv = args.get_string("decay-csv", "");
@@ -376,7 +394,7 @@ int main(int argc, char** argv) {
 
   std::cout << "graph: n=" << g.num_vertices() << " m=" << g.num_edges()
             << " Delta=" << g.max_degree()
-            << " degeneracy=" << degeneracy(g) << "\n";
+            << " degeneracy=" << degen << "\n";
   if (args.has("stats"))
     print_graph_stats(std::cout, compute_graph_stats(g));
 
