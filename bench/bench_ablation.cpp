@@ -32,7 +32,8 @@ int run() {
   for (double eps : {0.25, 0.5, 1.0, 1.5, 2.0}) {
     const PartitionParams params{.arboricity = 3, .epsilon = eps};
     const Graph g = adversarial_tree(n, params);
-    const auto r = compute_coloring_a2logn(g, params);
+    const auto r =
+        labelled("a2logn", [&] { return compute_coloring_a2logn(g, params); });
     tracker.expect(is_proper_coloring(g, r.color), "AB1");
     ab1.add_row({Table::num(eps, 2),
                  Table::num(static_cast<std::uint64_t>(
@@ -51,8 +52,10 @@ int run() {
   Table ab2({"k", "log^(k) n", "ka2 colors", "ka2 VA", "ka colors",
              "ka VA"});
   for (int k = 2; k <= rho(n); ++k) {
-    const auto r2 = compute_coloring_ka2(g, params, k);
-    const auto r1 = compute_coloring_ka(g, params, k);
+    const auto r2 =
+        labelled("ka2", [&] { return compute_coloring_ka2(g, params, k); });
+    const auto r1 =
+        labelled("ka", [&] { return compute_coloring_ka(g, params, k); });
     tracker.expect(is_proper_coloring(g, r2.color), "AB2 ka2");
     tracker.expect(is_proper_coloring(g, r1.color), "AB2 ka");
     ab2.add_row({Table::num(k),
@@ -67,7 +70,8 @@ int run() {
   print_header("AB3 — early termination ablation (VA/WC)");
   Table ab3({"pipeline", "VA", "WC", "WC/VA"});
   {
-    const auto ours = compute_coloring_a2logn(g, params);
+    const auto ours =
+        labelled("a2logn", [&] { return compute_coloring_a2logn(g, params); });
     tracker.expect(is_proper_coloring(g, ours.color), "AB3 ours");
     ab3.add_row({"early termination (coloring_a2logn)",
                  Table::num(ours.metrics.vertex_averaged()),
@@ -76,7 +80,8 @@ int run() {
                  fmt_ratio(ours.metrics.vertex_averaged(),
                            static_cast<double>(
                                ours.metrics.worst_case()))});
-    const auto base = compute_be08_arb_color(g, params);
+    const auto base =
+        labelled("be08", [&] { return compute_be08_arb_color(g, params); });
     tracker.expect(is_proper_coloring(g, base.color), "AB3 be08");
     ab3.add_row({"run-to-completion (be08_arb_color)",
                  Table::num(base.metrics.vertex_averaged()),
@@ -86,7 +91,8 @@ int run() {
                            static_cast<double>(
                                base.metrics.worst_case()))});
     const Graph stars = gen::star_union(n, 8);
-    const auto wc = compute_wc_delta_plus1(stars);
+    const auto wc =
+        labelled("wc_delta", [&] { return compute_wc_delta_plus1(stars); });
     tracker.expect(is_proper_coloring(stars, wc.color), "AB3 wc");
     ab3.add_row({"run-to-completion (wc_delta_plus1, star union)",
                  Table::num(wc.metrics.vertex_averaged()),
@@ -102,10 +108,12 @@ int run() {
              "unknown: WC", "estimate"});
   for (std::size_t a : {2u, 8u, 32u}) {
     const Graph gf = gen::forest_union(1 << 13, a, a + 3);
-    const auto known = compute_h_partition(gf, {.arboricity = a});
+    const auto known = labelled(
+        "partition", [&] { return compute_h_partition(gf, {.arboricity = a}); });
     tracker.expect(is_h_partition(gf, known.hset, known.threshold),
                    "AB4 known");
-    const auto unknown = compute_general_partition(gf);
+    const auto unknown = labelled(
+        "general_partition", [&] { return compute_general_partition(gf); });
     tracker.expect(
         is_h_partition(gf, unknown.hset, unknown.effective_threshold),
         "AB4 unknown");

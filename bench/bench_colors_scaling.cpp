@@ -28,18 +28,22 @@ int run() {
   for (std::size_t a : {1u, 2u, 4u, 8u, 16u}) {
     const Graph g = gen::forest_union(n, a, 1000 + a);
     const PartitionParams params{.arboricity = a, .epsilon = 1.0};
-    auto colors = [&](const ColoringResult& r, const char* tag) {
-      tracker.expect(is_proper_coloring(g, r.color), tag);
+    // Each column runs under its registry name (`entry`).
+    auto colors = [&](const char* entry, auto compute) {
+      const ColoringResult r = labelled(entry, compute);
+      tracker.expect(is_proper_coloring(g, r.color), entry);
       return Table::num(static_cast<std::uint64_t>(r.num_colors));
     };
-    t.add_row({Table::num(static_cast<std::uint64_t>(a)),
-               colors(compute_coloring_oa(g, params), "oa"),
-               colors(compute_coloring_ka(g, params, 2), "ka"),
-               colors(compute_coloring_a2(g, params), "a2"),
-               colors(compute_coloring_a2logn(g, params), "a2logn"),
-               colors(compute_coloring_ka2(g, params, 2), "ka2"),
-               colors(compute_delta_plus1(g, params), "d+1"),
-               colors(compute_rand_a_loglog(g, params, a), "rand")});
+    t.add_row(
+        {Table::num(static_cast<std::uint64_t>(a)),
+         colors("oa", [&] { return compute_coloring_oa(g, params); }),
+         colors("ka", [&] { return compute_coloring_ka(g, params, 2); }),
+         colors("a2", [&] { return compute_coloring_a2(g, params); }),
+         colors("a2logn", [&] { return compute_coloring_a2logn(g, params); }),
+         colors("ka2", [&] { return compute_coloring_ka2(g, params, 2); }),
+         colors("delta_plus1", [&] { return compute_delta_plus1(g, params); }),
+         colors("rand_a_loglog",
+                [&] { return compute_rand_a_loglog(g, params, a); })});
   }
   t.print(std::cout);
 

@@ -49,6 +49,17 @@ inline void configure_tracing() {
   std::cout << "[trace: collecting run records]\n";
 }
 
+/// Runs `compute` inside a trace span named `entry`, the registry name
+/// of the algorithm it runs. The registry opens that span around every
+/// run it dispatches; a bench that calls a compute_* function directly
+/// opens it here, so its run records under VALOCAL_TRACE carry the
+/// entry's name too.
+template <class Compute>
+auto labelled(const char* entry, Compute&& compute) {
+  VALOCAL_TRACE_PHASE(entry);
+  return compute();
+}
+
 /// Installs the engine-wide worker-thread default from VALOCAL_THREADS
 /// (unset/0 = 1, serial; a malformed or negative value aborts naming
 /// the variable) and returns it. Benches call this first thing in

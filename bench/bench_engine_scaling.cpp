@@ -163,7 +163,9 @@ int run() {
       bool identical = true;
       if (std::string(algo) == "luby_mis") {
         const auto r =
-            timed_best_of(2, [&] { return compute_luby_mis(g, 7); }, ms);
+            timed_best_of(2, [&] {
+              return labelled("luby", [&] { return compute_luby_mis(g, 7); });
+            }, ms);
         std::vector<std::int8_t> flat(n);
         for (Vertex v = 0; v < n; ++v) flat[v] = r.in_set[v] ? 1 : 0;
         if (threads == 1) {
@@ -177,7 +179,12 @@ int run() {
                         ref_metrics.active_per_round;
       } else {
         const auto r = timed_best_of(
-            2, [&] { return compute_rand_delta_plus1(g, 7); }, ms);
+            2,
+            [&] {
+              return labelled("rand_delta_plus1",
+                              [&] { return compute_rand_delta_plus1(g, 7); });
+            },
+            ms);
         if (threads == 1) {
           ref_colors = r.color;
           ref_metrics = r.metrics;
@@ -215,7 +222,8 @@ int run() {
   const Graph bg = gen::erdos_renyi(bn, 8.0, 7);
   const std::size_t num_trials = 32;
   auto trial = [&](std::size_t i) {
-    return compute_rand_delta_plus1(bg, 1000 + i);
+    return labelled("rand_delta_plus1",
+                    [&] { return compute_rand_delta_plus1(bg, 1000 + i); });
   };
 
   std::vector<std::vector<int>> ref_batch_colors;
@@ -425,7 +433,7 @@ int run() {
     double solve_ms = 0.0;
     bool mis_ok = false;
     solve_ms = timed_ms([&] {
-      const auto r = compute_luby_mis(g, 7);
+      const auto r = labelled("luby", [&] { return compute_luby_mis(g, 7); });
       mis_ok = is_mis(g, r.in_set);
     });
     tracker.expect(mis_ok, "luby MIS validity on " + tag);

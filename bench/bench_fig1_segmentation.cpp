@@ -27,7 +27,8 @@ int run() {
             << ", k = rho(n) = " << k << ", adversarial (A+1)-ary tree\n";
 
   ColoringKaAlgo algo(n, params, k);
-  const auto result = compute_coloring_ka(g, params, k);
+  const auto result =
+      labelled("ka", [&] { return compute_coloring_ka(g, params, k); });
   tracker.expect(is_proper_coloring(g, result.color), "fig1 coloring");
 
   // Population per H-set, measured from the run: recover each vertex's

@@ -23,6 +23,7 @@
 #include "baseline/wc_delta_plus1.hpp"
 #include "bench_common.hpp"
 #include "coverfree/coverfree.hpp"
+#include "graph/arboricity.hpp"
 #include "graph/generators.hpp"
 #include "graph/rmat.hpp"
 #include "sim/network.hpp"
@@ -263,6 +264,38 @@ void BM_GraphBuilderEr(benchmark::State& state) {
                           static_cast<std::int64_t>(edges));
 }
 BENCHMARK(BM_GraphBuilderEr)->Arg(1 << 16)->Unit(benchmark::kMillisecond);
+
+// The exact degeneracy (graph/arboricity.hpp), one row per search
+// path: RMAT s18x16 peels only the hub subgraphs (kRestricted), ER 2^17
+// of average degree 16 falls back to the whole-graph peel (kFullPeel).
+// Each row fails if its graph takes another path. items = half-edges
+// (2m) per second.
+void degeneracy_row(benchmark::State& state, const Graph& g,
+                    detail::DegeneracyPath path) {
+  if (detail::degeneracy_search(g).path != path) {
+    state.SkipWithError("graph took another degeneracy path");
+    return;
+  }
+  for (auto _ : state) benchmark::DoNotOptimize(degeneracy(g));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(2 * g.num_edges()));
+}
+
+void BM_GraphDegeneracyRmat(benchmark::State& state) {
+  const Graph g = gen::rmat(
+      {.scale = static_cast<std::uint32_t>(state.range(0)),
+       .edge_factor = 16,
+       .seed = 1});
+  degeneracy_row(state, g, detail::DegeneracyPath::kRestricted);
+}
+BENCHMARK(BM_GraphDegeneracyRmat)->Arg(18)->Unit(benchmark::kMillisecond);
+
+void BM_GraphDegeneracyEr(benchmark::State& state) {
+  const Graph g =
+      gen::erdos_renyi(static_cast<std::size_t>(state.range(0)), 16.0, 1);
+  degeneracy_row(state, g, detail::DegeneracyPath::kFullPeel);
+}
+BENCHMARK(BM_GraphDegeneracyEr)->Arg(1 << 17)->Unit(benchmark::kMillisecond);
 
 void BM_Partition(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

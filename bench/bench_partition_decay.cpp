@@ -26,7 +26,8 @@ int run() {
     const PartitionParams params{.arboricity = 1, .epsilon = eps};
     const std::size_t n = 1 << 16;
     const Graph g = adversarial_tree(n, params);
-    const auto result = compute_h_partition(g, params);
+    const auto result =
+        labelled("partition", [&] { return compute_h_partition(g, params); });
     tracker.expect(is_h_partition(g, result.hset, result.threshold),
                    "L6.1 partition validity");
     double bound = static_cast<double>(n);
@@ -52,10 +53,13 @@ int run() {
   const PartitionParams params{.arboricity = 1, .epsilon = 1.0};
   for (std::size_t n : {1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18}) {
     const Graph g = adversarial_tree(n, params);
-    const auto part = compute_h_partition(g, params);
+    const auto part =
+        labelled("partition", [&] { return compute_h_partition(g, params); });
     tracker.expect(is_h_partition(g, part.hset, part.threshold),
                    "Thm6.3 partition");
-    const auto fd = compute_forest_decomposition(g, params);
+    const auto fd = labelled("forest_decomp", [&] {
+      return compute_forest_decomposition(g, params);
+    });
     tracker.expect(
         is_forest_decomposition(g, fd.decomposition.orientation,
                                 fd.decomposition.label,

@@ -41,7 +41,8 @@ int run() {
     for (int adversarial : {0, 1}) {
       const Graph ring =
           adversarial ? bit_reversal_ring(logn) : gen::ring(n);
-      const auto result = compute_ring_leader_election(ring);
+      const auto result = labelled(
+          "leader", [&] { return compute_ring_leader_election(ring); });
       tracker.expect(result.leader == 0, "leader must be the minimum id");
       t.add_row({adversarial ? "bit-reversal" : "sequential",
                  Table::num(static_cast<std::uint64_t>(n)),
@@ -61,7 +62,8 @@ int run() {
   Table c({"n", "colors", "VA", "WC", "log* n"});
   for (std::size_t n : {1 << 8, 1 << 12, 1 << 16, 1 << 18}) {
     const Graph g = gen::ring(n);
-    const auto result = compute_ring_3coloring(g);
+    const auto result =
+        labelled("ring3", [&] { return compute_ring_3coloring(g); });
     tracker.expect(is_proper_coloring(g, result.color), "ring coloring");
     tracker.expect(result.num_colors <= 3, "3 colors");
     tracker.expect(result.metrics.vertex_averaged() ==

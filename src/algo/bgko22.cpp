@@ -64,17 +64,22 @@ bool BgkoMatchingAlgo::step(Vertex v, std::size_t round,
     // Propose phase: pick a uniformly random still-available neighbor;
     // with none left, terminate unmatched (every neighbor is already
     // matched or retired, so no edge at v can ever be added).
+    // Branch-free gather: every neighbor id is written, and the count
+    // advances only past the available ones.
     std::vector<std::uint32_t>& avail =
         thread_scratch<BgkoMatchingAlgo, std::uint32_t>();
-    for (std::size_t i = 0; i < view.degree(); ++i)
-      if (view.neighbor_state(i).status == 0)
-        avail.push_back(view.neighbor(i));
-    if (avail.empty()) {
+    avail.resize(view.degree());
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < view.degree(); ++i) {
+      avail[k] = view.neighbor(i);
+      k += view.neighbor_state(i).status == 0;
+    }
+    if (k == 0) {
       next.status = -1;
       next.proposal = kNoProposal;
       return true;
     }
-    next.proposal = avail[rng() % avail.size()];
+    next.proposal = avail[rng() % k];
     return false;
   }
 
@@ -91,12 +96,10 @@ bool BgkoMatchingAlgo::step(Vertex v, std::size_t round,
 }
 
 MisResult compute_bgko_mis(const Graph& g, std::uint64_t seed) {
-  VALOCAL_TRACE_PHASE("bgko_mis");
   return run_mis(g, BgkoMisAlgo{}, "bgko_mis", {.seed = seed});
 }
 
 MatchingResult compute_bgko_matching(const Graph& g, std::uint64_t seed) {
-  VALOCAL_TRACE_PHASE("bgko_matching");
   BgkoMatchingAlgo algo;
   auto run = run_local(g, algo, {.seed = seed});
 

@@ -41,7 +41,6 @@ bool ColoringA2LogNAlgo::step(Vertex v, std::size_t round,
 
 ColoringResult compute_coloring_a2logn(const Graph& g,
                                        PartitionParams params) {
-  VALOCAL_TRACE_PHASE("a2logn");
   return run_coloring(g, ColoringA2LogNAlgo(g.num_vertices(), params));
 }
 

@@ -149,7 +149,6 @@ ColoringResult compute_coloring_oa(const Graph& g,
 
 ColoringResult compute_coloring_ka(const Graph& g, PartitionParams params,
                                    int k) {
-  VALOCAL_TRACE_PHASE("ka");
   return run_coloring(g, ColoringKaAlgo(g.num_vertices(), params, k));
 }
 

@@ -111,7 +111,6 @@ std::size_t ColoringKa2Algo::next_wake(Vertex, std::size_t round,
 
 ColoringResult compute_coloring_a2(const Graph& g,
                                    PartitionParams params) {
-  VALOCAL_TRACE_PHASE("a2");
   return run_coloring(
       g, ColoringKa2Algo(g.num_vertices(), params,
                          two_phase_segments(g.num_vertices(),
@@ -121,7 +120,6 @@ ColoringResult compute_coloring_a2(const Graph& g,
 
 ColoringResult compute_coloring_ka2(const Graph& g,
                                     PartitionParams params, int k) {
-  VALOCAL_TRACE_PHASE("ka2");
   return run_coloring(g, ColoringKa2Algo(g.num_vertices(), params, k));
 }
 

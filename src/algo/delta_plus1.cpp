@@ -13,7 +13,7 @@ DeltaPlusOneAlgo::DeltaPlusOneAlgo(std::size_t num_vertices,
                                    std::size_t max_degree,
                                    PartitionParams params)
     : params_(params),
-      max_degree_(std::max<std::size_t>(1, max_degree)),
+      max_degree_(max_degree),
       plan_(std::make_shared<DegPlusOnePlan>(
           std::max<std::uint64_t>(1, num_vertices), params.threshold())),
       schedule_(num_vertices, params.epsilon,
@@ -40,7 +40,6 @@ ColoringResult extend_delta_plus1(const Graph& g, PartitionParams params,
 
 ColoringResult compute_delta_plus1(const Graph& g,
                                    PartitionParams params) {
-  VALOCAL_TRACE_PHASE("delta_plus1");
   DeltaPlusOneAlgo algo(g.num_vertices(), g.max_degree(), params);
   return run_coloring(g, algo);
 }

@@ -86,9 +86,8 @@ bool EdgeColoringAlgo::step(Vertex, std::size_t round,
 
 EdgeColoringResult compute_edge_coloring(const Graph& g,
                                          PartitionParams params) {
-  VALOCAL_TRACE_PHASE("edge_coloring");
   const EdgeColoringAlgo algo(g.num_vertices(), g.num_edges(), params);
-  return run_edge_coloring(g, algo, algo.palette_bound(g.max_degree()));
+  return run_edge_coloring(g, algo);
 }
 
 

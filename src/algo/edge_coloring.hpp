@@ -56,10 +56,6 @@ class EdgeColoringAlgo {
 
   static constexpr bool uses_rng = false;
 
-  std::size_t palette_bound(std::size_t max_degree) const {
-    return std::max<std::size_t>(1, 2 * max_degree - 1);
-  }
-
   // Trace phases (trace::PhaseTraced): the edge frame's stages, with
   // the sweep resolving final intra-set colors.
   std::span<const char* const> trace_phases() const {

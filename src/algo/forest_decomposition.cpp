@@ -51,7 +51,6 @@ ForestDecomposition assemble_forest_decomposition(
 
 ForestDecompositionResult compute_forest_decomposition(
     const Graph& g, PartitionParams params) {
-  VALOCAL_TRACE_PHASE("forest_decomposition");
   ForestDecompositionAlgo algo(params);
   auto run = run_local(g, algo);
 

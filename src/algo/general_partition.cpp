@@ -38,7 +38,6 @@ bool GeneralPartitionAlgo::step(Vertex, std::size_t round,
 
 GeneralPartitionResult compute_general_partition(const Graph& g,
                                                  double epsilon) {
-  VALOCAL_TRACE_PHASE("general_partition");
   GeneralPartitionAlgo algo(g.num_vertices(), epsilon);
   auto run = run_local(g, algo);
 

@@ -5,7 +5,6 @@
 namespace valocal {
 
 MatchingResult compute_matching(const Graph& g, PartitionParams params) {
-  VALOCAL_TRACE_PHASE("matching");
   MatchingAlgo algo(g.num_vertices(), g.num_edges(), params);
   auto run = run_local(g, algo);
 

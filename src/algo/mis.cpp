@@ -16,7 +16,6 @@ MisAlgo::MisAlgo(std::size_t num_vertices, PartitionParams params)
 }
 
 MisResult compute_mis(const Graph& g, PartitionParams params) {
-  VALOCAL_TRACE_PHASE("mis");
   return run_mis(g, MisAlgo(g.num_vertices(), params), "mis");
 }
 

@@ -7,7 +7,6 @@ namespace valocal {
 
 HPartitionResult compute_h_partition(const Graph& g,
                                      PartitionParams params) {
-  VALOCAL_TRACE_PHASE("partition");
   PartitionAlgo algo(params);
   auto run = run_local(g, algo);
 

@@ -27,7 +27,7 @@ class RandDeltaPlusOneAlgo {
   using Output = int;
 
   explicit RandDeltaPlusOneAlgo(std::size_t max_degree)
-      : max_degree_(max_degree < 1 ? 1 : max_degree) {}
+      : max_degree_(max_degree) {}
 
   void init(Vertex, const Graph&, State&) const {}
 

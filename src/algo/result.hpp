@@ -5,6 +5,7 @@
 // (registry/spec_util.hpp) read each problem's solution in one place.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -97,18 +98,23 @@ std::vector<int> per_edge_colors(const Graph& g,
   return color;
 }
 
-/// Runs an edge-coloring LOCAL algorithm (outputs are per-port colors)
-/// and assembles its per-edge result; `palette_bound` is the palette
-/// the algorithm drew from.
+/// The (2Delta-1)-edge-coloring palette, floored at 1: at Delta <= 1
+/// no two edges touch, so one color suffices.
+inline std::size_t edge_palette_bound(std::size_t max_degree) {
+  return std::max<std::size_t>(2, 2 * max_degree) - 1;
+}
+
+/// Runs a (2Delta-1)-edge-coloring LOCAL algorithm (outputs are
+/// per-port colors, each below edge_palette_bound) and assembles its
+/// per-edge result.
 template <class A>
 EdgeColoringResult run_edge_coloring(const Graph& g, const A& algo,
-                                     std::size_t palette_bound,
                                      RunOptions opt = {}) {
   auto run = run_local(g, algo, opt);
   EdgeColoringResult result;
   result.color = per_edge_colors(g, run.outputs);
   result.num_colors = count_colors(result.color);
-  result.palette_bound = palette_bound;
+  result.palette_bound = edge_palette_bound(g.max_degree());
   result.metrics = std::move(run.metrics);
   return result;
 }

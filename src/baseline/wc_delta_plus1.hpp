@@ -28,17 +28,22 @@ class WorstCaseDeltaPlusOneAlgo {
   };
   using Output = int;
 
+  /// No plan at Delta = 0: every vertex takes color 0 at once.
   WorstCaseDeltaPlusOneAlgo(std::size_t num_vertices,
                             std::size_t max_degree)
-      : plan_(std::make_shared<DegPlusOnePlan>(
-            std::max<std::size_t>(1, num_vertices),
-            std::max<std::size_t>(1, max_degree))) {}
+      : plan_(max_degree == 0
+                  ? nullptr
+                  : std::make_shared<DegPlusOnePlan>(
+                        std::max<std::size_t>(1, num_vertices),
+                        max_degree)) {}
 
-  void init(Vertex v, const Graph&, State& s) const { s.color = v; }
+  void init(Vertex v, const Graph&, State& s) const {
+    s.color = plan_ ? v : 0;
+  }
 
   bool step(Vertex, std::size_t round, const RoundView<State>& view,
             State& next, Xoshiro256&) const {
-    if (plan_->num_rounds() == 0) return true;  // n == 1 corner case
+    if (!plan_ || plan_->num_rounds() == 0) return true;  // nothing to do
     next.color = graph_plan_round(*plan_, round - 1, view,
                                   [](const State& s) { return s.color; });
     return round >= plan_->num_rounds();
@@ -60,7 +65,7 @@ class WorstCaseDeltaPlusOneAlgo {
   static constexpr bool uses_rng = false;
 
   std::size_t palette_bound() const {
-    return static_cast<std::size_t>(plan_->palette());
+    return plan_ ? static_cast<std::size_t>(plan_->palette()) : 1;
   }
 
  private:

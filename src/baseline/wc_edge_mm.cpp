@@ -9,14 +9,17 @@ namespace valocal {
 
 WcEdgeColoringAlgo::WcEdgeColoringAlgo(std::size_t num_edges,
                                        std::size_t max_degree)
-    : line_bound_(std::max<std::size_t>(
-          1, 2 * std::max<std::size_t>(1, max_degree) - 2)),
-      plan_(std::make_shared<DegPlusOnePlan>(
-          std::max<std::size_t>(1, num_edges), line_bound_)) {}
+    : plan_(max_degree <= 1
+                ? nullptr
+                : std::make_shared<DegPlusOnePlan>(
+                      std::max<std::size_t>(1, num_edges),
+                      edge_palette_bound(max_degree) - 1)) {}
 
 void WcEdgeColoringAlgo::init(Vertex v, const Graph& g, State& s) const {
   const auto edges = g.incident_edges(v);
   s.lcolor.assign(edges.size(), 0);
+  // At Delta <= 1 the line graph is edgeless: every edge keeps color 0.
+  if (!plan_) return;
   for (std::size_t i = 0; i < edges.size(); ++i)
     s.lcolor[i] = static_cast<std::int64_t>(edges[i]);
 }
@@ -24,7 +27,7 @@ void WcEdgeColoringAlgo::init(Vertex v, const Graph& g, State& s) const {
 bool WcEdgeColoringAlgo::step(Vertex, std::size_t round,
                               const RoundView<State>& view, State& next,
                               Xoshiro256&) const {
-  const std::size_t total = plan_->num_rounds();
+  const std::size_t total = plan_ ? plan_->num_rounds() : 0;
   if (total == 0) return true;
   // Every port is a line vertex: the line graph of all of G.
   line_plan_round(*plan_, round - 1, view, next,
@@ -34,7 +37,7 @@ bool WcEdgeColoringAlgo::step(Vertex, std::size_t round,
 
 EdgeColoringResult compute_wc_edge_coloring(const Graph& g) {
   const WcEdgeColoringAlgo algo(g.num_edges(), g.max_degree());
-  return run_edge_coloring(g, algo, algo.palette_bound());
+  return run_edge_coloring(g, algo);
 }
 
 MatchingResult compute_wc_matching(const Graph& g) {

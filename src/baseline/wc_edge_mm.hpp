@@ -41,10 +41,9 @@ class WcEdgeColoringAlgo {
 
   static constexpr bool uses_rng = false;
 
-  std::size_t palette_bound() const { return line_bound_ + 1; }
-
  private:
-  std::size_t line_bound_;
+  /// The (line degree + 1)-plan over all of G's edges; none at
+  /// Delta <= 1.
   std::shared_ptr<const DegPlusOnePlan> plan_;
 };
 

@@ -2,8 +2,9 @@
 // a single O(n) sweep over the CSR offsets yields the degree
 // distribution, extremes, and the Nash-Williams density bound — the
 // cheap "what did I just build/load" summary for scale 24-28
-// instances, where the exact O(m) degeneracy peel (arboricity.hpp) is
-// worth invoking only deliberately.
+// instances. The exact degeneracy (arboricity.hpp) is a separate call:
+// it peels only the hub subgraph on skewed graphs, but the whole graph
+// on near-regular ones.
 #pragma once
 
 #include <cstddef>

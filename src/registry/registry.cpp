@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "sim/batch.hpp"
+#include "trace/trace.hpp"
 #include "util/assertx.hpp"
 #include "util/table.hpp"
 
@@ -76,6 +77,13 @@ Registry::Registry(std::vector<AlgoSpec> specs) : specs_(std::move(specs)) {
     for (std::size_t j = i + 1; j < specs_.size(); ++j)
       VALOCAL_REQUIRE(specs_[i].name != specs_[j].name,
                       "duplicate algorithm name in the registry");
+    // Every run of a spec opens one trace span named after it, so the
+    // run records carry the registry name whoever dispatches the run.
+    specs_[i].run = [run = std::move(specs_[i].run), name = specs_[i].name](
+                        const Graph& g, const AlgoParams& p) {
+      VALOCAL_TRACE_PHASE(name.c_str());
+      return run(g, p);
+    };
   }
 }
 

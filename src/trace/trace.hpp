@@ -30,8 +30,9 @@
 // Phase attribution has two cooperating mechanisms:
 //
 //   - Code spans: VALOCAL_TRACE_PHASE("a2logn") is an RAII scope
-//     (nestable) wrapped around entry points; runs started inside it
-//     are attributed to the span path ("mis", "seg/partition", ...).
+//     (nestable); runs started inside it are attributed to the span
+//     path ("mis", "seg/partition", ...). The registry opens one per
+//     dispatched spec run, named after the spec.
 //   - Per-vertex classifiers: an algorithm satisfying PhaseTraced
 //     names its internal phases ("partition", "color", ...) and maps
 //     each charged (vertex, round, previous state) to one of them, so

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "algo/edge_coloring.hpp"
 #include "algo/matching.hpp"
@@ -17,6 +19,8 @@
 #include "registry/registry.hpp"
 #include "registry/spec_util.hpp"
 #include "sim/network.hpp"
+#include "trace/collector.hpp"
+#include "trace/trace.hpp"
 #include "validate/validate.hpp"
 
 namespace valocal {
@@ -121,6 +125,63 @@ TEST(Registry, EverySpecSolvesAndValidatesOnASmallGraph) {
       EXPECT_EQ(o.labels.size(), g.num_vertices());
     }
     EXPECT_EQ(o.metrics.rounds.size(), g.num_vertices());
+  }
+}
+
+// The registry opens one trace span per dispatched run, named after the
+// spec, so every engine run an entry makes (nested base cases included)
+// is labelled with the entry's registry name.
+TEST(Registry, EveryRunRecordCarriesItsRegistryName) {
+  for (const AlgoSpec& spec : Registry::instance().all()) {
+    SCOPED_TRACE(spec.name);
+    const Graph g = compatible_graph(spec);
+    trace::TraceCollector collector;
+    {
+      trace::ScopedSink sink(&collector);
+      ASSERT_TRUE(spec.run(g, default_params()).ok());
+    }
+    ASSERT_FALSE(collector.runs().empty());
+    for (const trace::RunRecord& run : collector.runs())
+      EXPECT_EQ(run.span.substr(0, run.span.find('/')), spec.name)
+          << run.span;
+  }
+}
+
+// At Delta <= 2 every coloring entry reports a palette its colors fit
+// in, and the entries whose palette is a function of Delta alone report
+// exactly the problem's bound: 2Delta-1 floored at 1 for edge coloring,
+// Delta+1 for the (Delta+1)-coloring entries, 3 for ring3. The other
+// vertex-coloring palettes depend on a, n and the entry's parameters.
+TEST(Registry, ColoringPalettesMeetTheProblemBoundAtSmallDelta) {
+  const std::vector<Graph> graphs = {
+      Graph(5, {}),                                  // Delta = 0
+      Graph(8, {{0, 1}, {2, 3}, {4, 5}, {6, 7}}),    // Delta = 1
+      gen::path(9),                                  // Delta = 2
+      gen::ring(12)};                                // Delta = 2, ring3
+  const std::set<std::string> delta_plus_one = {"delta_plus1",
+                                                "rand_delta_plus1",
+                                                "wc_delta"};
+  for (const AlgoSpec& spec : Registry::instance().all()) {
+    const bool edge = spec.problem == registry::Problem::kEdgeColoring;
+    if (!edge && spec.problem != registry::Problem::kVertexColoring)
+      continue;
+    for (const Graph& g : graphs) {
+      if (!registry::family_ok(spec.family, g)) continue;
+      const std::size_t delta = g.max_degree();
+      SCOPED_TRACE(spec.name + " at Delta " + std::to_string(delta) +
+                   ", n " + std::to_string(g.num_vertices()));
+      const SolveOutcome o = spec.run(g, default_params());
+      EXPECT_TRUE(o.ok()) << o.summary;
+      EXPECT_GE(o.palette_bound, 1u);
+      EXPECT_LE(o.num_colors, o.palette_bound) << o.summary;
+      if (edge) {
+        EXPECT_EQ(o.palette_bound, delta <= 1 ? 1 : 2 * delta - 1);
+      } else if (delta_plus_one.count(spec.name)) {
+        EXPECT_EQ(o.palette_bound, delta + 1);
+      } else if (spec.name == "ring3") {
+        EXPECT_EQ(o.palette_bound, 3u);
+      }
+    }
   }
 }
 

@@ -23,13 +23,11 @@
 
 #include "algo/coloring_a2logn.hpp"
 #include "algo/coloring_ka.hpp"
-#include "algo/coloring_ka2.hpp"
 #include "algo/delta_plus1.hpp"
-#include "algo/edge_coloring.hpp"
-#include "algo/matching.hpp"
 #include "algo/mis.hpp"
 #include "algo/partition.hpp"
 #include "graph/generators.hpp"
+#include "registry/registry.hpp"
 #include "sim/mailbox.hpp"
 #include "sim/network.hpp"
 #include "trace/collector.hpp"
@@ -235,27 +233,17 @@ TEST(Trace, SemanticRecordsIdenticalAcrossThreadsAndGrains) {
 
 TEST(Trace, PhaseRoundSumsPartitionRoundSumAcrossAlgorithms) {
   const Graph g = gen::forest_union(500, 2, 5);
-  const PartitionParams params{.arboricity = 2};
+  const registry::AlgoParams params{.arboricity = 2, .k = 2};
 
   trace::TraceCollector collector;
   trace::ScopedSink sink(&collector);
   std::vector<std::pair<std::string, Metrics>> expected;
 
-  expected.emplace_back("a2logn",
-                        compute_coloring_a2logn(g, params).metrics);
-  expected.emplace_back("mis", compute_mis(g, params).metrics);
-  expected.emplace_back("delta_plus1",
-                        compute_delta_plus1(g, params).metrics);
-  expected.emplace_back("edge_coloring",
-                        compute_edge_coloring(g, params).metrics);
-  expected.emplace_back("matching", compute_matching(g, params).metrics);
-  expected.emplace_back("ka",
-                        compute_coloring_ka(g, params, 2).metrics);
-  expected.emplace_back("ka2",
-                        compute_coloring_ka2(g, params, 2).metrics);
-  expected.emplace_back("a2", compute_coloring_a2(g, params).metrics);
-  expected.emplace_back("partition",
-                        compute_h_partition(g, params).metrics);
+  // Each run goes through its registry spec, which opens the span.
+  for (const char* name : {"a2logn", "mis", "delta_plus1", "edge_coloring",
+                           "matching", "ka", "ka2", "a2", "partition"})
+    expected.emplace_back(
+        name, registry::Registry::instance().at(name).run(g, params).metrics);
 
   ASSERT_EQ(collector.runs().size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -431,7 +419,7 @@ TEST(Trace, PhaseSpansNestIntoPaths) {
   const Graph g = gen::forest_union(200, 1, 3);
   {
     VALOCAL_TRACE_PHASE("outer");
-    compute_h_partition(g, {.arboricity = 1});
+    registry::Registry::instance().at("partition").run(g, {.arboricity = 1});
   }
   ASSERT_EQ(collector.runs().size(), 1u);
   EXPECT_EQ(collector.runs().front().span, "outer/partition");
