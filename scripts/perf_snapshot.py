@@ -29,12 +29,17 @@ scripts/run_all.sh (check). See docs/BENCHMARKS.md.
 """
 import datetime
 import json
+import statistics
 import sys
 
 BENCH_FILE = "BENCH_engine.json"
 
 # bench_micro rows the snapshots record and the check gates.
 GATED_PREFIXES = ("BM_Engine", "BM_PickEscaping", "BM_Graph")
+
+# Lowest median items/s ratio to the latest snapshot an appended one
+# may show (see the append subcommand above).
+APPEND_FLOOR = 0.85
 
 
 def trim_micro(raw):
@@ -66,6 +71,16 @@ def load_doc():
         return {"snapshots": []}
 
 
+def ratios_to(snapshot, rows):
+    """(items/s ratio, name) of every row `snapshot` also records with a
+    throughput, slowest first."""
+    base = {b["name"]: b.get("items_per_second")
+            for b in snapshot.get("bench_micro", [])}
+    return sorted((b["items_per_second"] / base[b["name"]], b["name"])
+                  for b in rows
+                  if base.get(b["name"]) and b.get("items_per_second"))
+
+
 def cmd_append(label, micro_path, scaling_path, crosspaper_path=None):
     with open(micro_path) as f:
         raw = json.load(f)
@@ -76,6 +91,20 @@ def cmd_append(label, micro_path, scaling_path, crosspaper_path=None):
         with open(crosspaper_path) as f:
             crosspaper = json.load(f)
     doc = load_doc()
+    rows = trim_micro(raw)
+    if doc.get("snapshots"):
+        latest = doc["snapshots"][-1]
+        ratios = ratios_to(latest, rows)
+        drift = statistics.median(r for r, _ in ratios) if ratios else None
+        if drift is not None and drift < APPEND_FLOOR:
+            print(f"APPEND REFUSED: median items/s ratio {drift:.2f}x "
+                  f"against snapshot '{latest['label']}' over "
+                  f"{len(ratios)} shared rows is below {APPEND_FLOOR:.2f}x; "
+                  "the host ran slow. Slowest rows:")
+            for ratio, name in ratios[:5]:
+                print(f"  {name}: {ratio:.2f}x")
+            print("Re-run scripts/bench_baseline.sh on a quiet host.")
+            sys.exit(1)
     ctx = raw.get("context", {})
     snapshot = {
         "label": label,
@@ -88,7 +117,7 @@ def cmd_append(label, micro_path, scaling_path, crosspaper_path=None):
             # comparable within one compiler + optimization-flag set.
             "compiler": scaling.get("compiler"),
         },
-        "bench_micro": trim_micro(raw),
+        "bench_micro": rows,
         "engine_scaling": scaling.get("rows", []),
     }
     if crosspaper is not None:

@@ -108,6 +108,7 @@ VALOCAL_ALGO_SPEC(edge_coloring) {
             {.section = BenchSection::kTable2Families,
              .order = 1,
              .row = "EC"}};
+  s.max_threshold = EdgeStages::kMaxThreshold;
   s.run = [](const Graph& g, const AlgoParams& p) {
     return edge_coloring_outcome(g, "edge coloring",
                                  compute_edge_coloring(g, p.partition()));

@@ -17,7 +17,7 @@ EdgeStages::EdgeStages(std::size_t num_vertices, std::size_t num_edges,
                     2 * params.threshold()),
       cross_begin_(2 + plan_->num_rounds() + (2 * params.threshold() - 1)) {
   params_.check();
-  VALOCAL_REQUIRE(params_.threshold() <= 120,
+  VALOCAL_REQUIRE(params_.threshold() <= kMaxThreshold,
                   "edge labels are stored as int8: threshold too large");
 }
 

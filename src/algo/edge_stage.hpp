@@ -84,6 +84,10 @@ class EdgeStages {
     bool assign = false;    // cross stage: assign sub-round, else ingest
   };
 
+  /// Largest threshold() the edge entries support: cross labels are
+  /// stored as int8 (EdgePortState::out_label).
+  static constexpr std::size_t kMaxThreshold = 120;
+
   EdgeStages(std::size_t num_vertices, std::size_t num_edges,
              PartitionParams params);
 

@@ -39,6 +39,7 @@ VALOCAL_ALGO_SPEC(matching) {
              .row = "MM",
              .algo_label = "matching (SPAA'18, det)",
              .check = "XP MM 2018"}};
+  s.max_threshold = EdgeStages::kMaxThreshold;
   s.run = [](const Graph& g, const AlgoParams& p) {
     return matching_outcome(g, "matching",
                             compute_matching(g, p.partition()));

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <numeric>
 #include <utility>
+
+#include <sys/mman.h>
 
 #include "util/assertx.hpp"
 #include "util/thread_pool.hpp"
@@ -34,16 +37,14 @@ void sweep_edge_slots(std::size_t n, const std::vector<std::size_t>& offsets,
     }
 }
 
-// Slices at least this long take the radix sort; std::sort keeps the
-// short ones, where zeroing 3 × 2048 histogram buckets would dominate.
-constexpr std::size_t kRadixMinSlice = 256;
-
-/// LSD radix sort of `keys` over three 11-bit digits (all 32 bits of
-/// a Vertex), ping-ponging through `scratch` (>= keys.size()). One
-/// read pass fills every digit's histogram; a digit on which all keys
-/// agree is skipped, so ids below 2^22 cost two scatter passes.
+/// LSD radix sort of `keys` over ceil(32 / kBits) digits of kBits bits
+/// (all 32 bits of a Vertex), ping-ponging through `scratch` (>=
+/// keys.size()). One read pass fills every digit's histogram; a digit
+/// on which all keys agree is skipped, so with 11-bit digits ids below
+/// 2^22 cost two scatter passes.
+template <unsigned kBits>
 void radix_sort(std::span<Vertex> keys, Vertex* scratch) {
-  constexpr unsigned kBits = 11, kDigits = 3;
+  constexpr unsigned kDigits = (32 + kBits - 1) / kBits;
   constexpr Vertex kMask = (Vertex{1} << kBits) - 1;
   std::array<std::array<std::uint32_t, kMask + 1>, kDigits> count{};
   for (const Vertex x : keys)
@@ -62,6 +63,48 @@ void radix_sort(std::span<Vertex> keys, Vertex* scratch) {
     std::swap(from, to);
   }
   if (from != keys.data()) std::copy_n(from, keys.size(), keys.data());
+}
+
+/// Sorts one adjacency slice by size tier: std::sort below 32 keys;
+/// 8-bit digits up to 1023, where zeroing the 11-bit sort's 3 × 2048
+/// histogram buckets would dominate; 11-bit digits (three passes at
+/// most) from 1024. `scratch` grows to the longest radix slice.
+void sort_slice(std::span<Vertex> slice, std::vector<Vertex>& scratch) {
+  if (slice.size() < 32) {
+    std::sort(slice.begin(), slice.end());
+    return;
+  }
+  if (scratch.size() < slice.size()) scratch.resize(slice.size());
+  if (slice.size() < 1024)
+    radix_sort<8>(slice, scratch.data());
+  else
+    radix_sort<11>(slice, scratch.data());
+}
+
+// Pairs the streaming passes look ahead when they prefetch: a miss
+// issued this far ahead has landed by the time its pair is reached.
+// The scatter prefetches a pair's cursors twice this far ahead and its
+// target slots (read through those cursors) this far ahead.
+constexpr std::size_t kPrefetchPairs = 16;
+
+/// Id `x` of a pair not yet range-checked, clamped into [0, n) so that
+/// a prefetch address formed from it stays inside its array.
+std::size_t clamp_id(Vertex x, std::size_t n) { return x < n ? x : 0; }
+
+/// Advises transparent huge pages for the 2 MiB-aligned interior of
+/// [p, p + bytes). The scatter's random stores then miss the TLB far
+/// less often. Only advice: a no-op where huge pages are off.
+void advise_huge_pages([[maybe_unused]] void* p,
+                       [[maybe_unused]] std::size_t bytes) {
+#ifdef MADV_HUGEPAGE
+  constexpr std::uintptr_t kHuge = std::uintptr_t{1} << 21;
+  const auto lo = reinterpret_cast<std::uintptr_t>(p);
+  const std::uintptr_t begin = (lo + kHuge - 1) & ~(kHuge - 1);
+  const std::uintptr_t end = (lo + bytes) & ~(kHuge - 1);
+  if (begin < end)
+    (void)::madvise(reinterpret_cast<void*>(begin), end - begin,
+                    MADV_HUGEPAGE);
+#endif
 }
 
 }  // namespace
@@ -119,12 +162,18 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
   // Pass 1: degree counting (duplicates counted, removed after the
   // per-slice sort; self-loops dropped). stream() hands blocks over
   // serially, so plain counters suffice. Duplicates count too, so a
-  // hub can in principle wrap its 32-bit counter; that dies here.
+  // hub can in principle wrap its 32-bit counter; that dies here. The
+  // counters of the pair kPrefetchPairs ahead are prefetched.
   std::vector<Vertex> degree(n);
+  Vertex* const deg = degree.data();
   src.stream(num_threads, [&](EdgeBlockSource::Block block) {
     VALOCAL_REQUIRE(block.size() % 2 == 0,
                     "edge source yielded a half pair");
     for (std::size_t i = 0; i < block.size(); i += 2) {
+      if (const std::size_t j = i + 2 * kPrefetchPairs; j < block.size()) {
+        __builtin_prefetch(deg + clamp_id(block[j], n), 1);
+        __builtin_prefetch(deg + clamp_id(block[j + 1], n), 1);
+      }
       const Vertex u = block[i], v = block[i + 1];
       VALOCAL_REQUIRE(u < n && v < n,
                       "edge endpoint out of range (vertex id >= n)");
@@ -143,7 +192,12 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
   // The bound check keeps a source that yields more endpoints than in
   // pass 1 from writing past its slice (or past the array); the sweep
   // after it catches one that yields fewer. Slot order within a slice
-  // is block-order-dependent; the sort below canonicalizes it.
+  // is block-order-dependent; the sort below canonicalizes it. Every
+  // store lands behind a dependent cursor load at a random place, so
+  // the array gets huge pages (before the zero-fill first touches it)
+  // and the loop prefetches cursors and target slots ahead.
+  g.adjacency_.reserve(slots);
+  advise_huge_pages(g.adjacency_.data(), slots * sizeof(Vertex));
   g.adjacency_.resize(slots);
   {
     struct Cursor {
@@ -152,8 +206,19 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
     std::vector<Cursor> cursor(n);
     for (std::size_t v = 0; v < n; ++v)
       cursor[v] = {g.offsets_[v], g.offsets_[v + 1]};
+    // A cursor never passes its end, so adj + next stays in the array.
+    Cursor* const cur = cursor.data();
+    Vertex* const adj = g.adjacency_.data();
     src.stream(num_threads, [&](EdgeBlockSource::Block block) {
       for (std::size_t i = 0; i < block.size(); i += 2) {
+        if (const std::size_t j = i + 4 * kPrefetchPairs; j < block.size()) {
+          __builtin_prefetch(cur + clamp_id(block[j], n), 1);
+          __builtin_prefetch(cur + clamp_id(block[j + 1], n), 1);
+        }
+        if (const std::size_t j = i + 2 * kPrefetchPairs; j < block.size()) {
+          __builtin_prefetch(adj + cur[clamp_id(block[j], n)].next, 1);
+          __builtin_prefetch(adj + cur[clamp_id(block[j + 1], n)].next, 1);
+        }
         const Vertex u = block[i], v = block[i + 1];
         VALOCAL_REQUIRE(u < n && v < n,
                         "edge source changed between passes");
@@ -171,9 +236,8 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
   }
 
   // Sort + dedup every slice in place (parallel over vertex ranges;
-  // slices are disjoint). Long slices take the radix path through one
-  // scratch per chunk, sized to the chunk's longest slice. The deduped
-  // degree lands in `degree`.
+  // slices are disjoint), by size tier (sort_slice) through one radix
+  // scratch per chunk. The deduped degree lands in `degree`.
   {
     ThreadPool pool(num_threads);
     pool.parallel_for_chunks(
@@ -183,12 +247,7 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
           for (std::size_t v = begin; v < end; ++v) {
             const std::span<Vertex> slice(
                 g.adjacency_.data() + g.offsets_[v], degree[v]);
-            if (slice.size() >= kRadixMinSlice) {
-              if (scratch.size() < slice.size()) scratch.resize(slice.size());
-              radix_sort(slice, scratch.data());
-            } else {
-              std::sort(slice.begin(), slice.end());
-            }
+            sort_slice(slice, scratch);
             degree[v] = static_cast<Vertex>(
                 std::unique(slice.begin(), slice.end()) - slice.begin());
           }

@@ -152,12 +152,15 @@ class Graph {
 
   /// Memory-lean streaming build: two serial passes over `src`
   /// (degree count, then scatter straight into CSR), then a
-  /// per-vertex sort + dedup in place. It stops at the CSR: edge ids,
-  /// incident lists and reciprocal ports are built on the first
-  /// edge-id query (edge_index). No edge-pair staging vector, no
-  /// hash-set dedup and no atomics: peak transient memory is
-  /// ~2·pairs·sizeof(Vertex) for the adjacency scatter plus the n+1
-  /// offsets and one max-degree radix scratch per sort chunk.
+  /// per-vertex sort + dedup in place. The passes are bound by memory
+  /// latency, so they prefetch ahead of the pair they are at, and the
+  /// adjacency array alone gets huge-page advice; slices sort by size
+  /// tier (std::sort, then 8-bit, then 11-bit LSD radix digits). It
+  /// stops at the CSR: edge ids, incident lists and reciprocal ports
+  /// are built on the first edge-id query (edge_index). No edge-pair
+  /// staging vector, no hash-set dedup and no atomics: peak transient
+  /// memory is ~2·pairs·sizeof(Vertex) for the adjacency scatter plus
+  /// the n+1 offsets and one max-degree radix scratch per sort chunk.
   /// `num_threads` parallelizes the source's block production and the
   /// per-slice sort over disjoint vertex ranges. Unlike the vector
   /// constructor, self-loops and duplicate pairs are silently dropped

@@ -159,6 +159,9 @@ struct AlgoSpec {
   std::string paper_ref;      // theorem / table row in the paper
   std::vector<BenchRow> rows;
   std::function<SolveOutcome(const Graph&, const AlgoParams&)> run;
+  /// Largest PartitionParams::threshold() the entry supports, 0 for no
+  /// limit; the CLI refuses a larger --a before dispatch.
+  std::size_t max_threshold = 0;
 
   /// First declared bound for `m`, or nullptr if the spec claims none.
   const Bound* bound_for(Measure m) const {

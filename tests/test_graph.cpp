@@ -163,7 +163,7 @@ std::vector<Vertex> noisy_pairs(const Graph& g, std::uint64_t seed) {
   return pairs;
 }
 
-// Two hubs that take the build's radix-sort path: vertex 0 is adjacent
+// Two hubs that take the build's 11-bit radix tier: vertex 0 is adjacent
 // to all 4999 others (ids past 2^11, so two radix digits), vertex 1 to
 // every id below 1200 (one digit); a ring over the rest adds
 // low-degree slices for the std::sort path.
@@ -406,36 +406,125 @@ TEST(GraphFromSource, OutOfRangeEndpointDies) {
                "out of range");
 }
 
-// A source whose second stream() differs from its first by `delta`
-// pairs (+1: one extra {2, 0} pair; -1: the last pair dropped) — what
-// an mmap'd file rewritten between the build's two passes looks like.
+// A source whose second stream() yields `second` where its first
+// yielded `first` (both one block) — what an mmap'd file rewritten
+// between the build's two passes looks like.
 class ChangingSource final : public EdgeBlockSource {
  public:
-  explicit ChangingSource(int delta) : delta_(delta) {}
-  std::uint64_t num_pairs() const override { return 3; }
+  ChangingSource(std::vector<Vertex> first, std::vector<Vertex> second)
+      : first_(std::move(first)), second_(std::move(second)) {}
+  std::uint64_t num_pairs() const override { return first_.size() / 2; }
   void stream(std::size_t, const BlockFn& fn) const override {
-    std::vector<Vertex> pairs = {0, 1, 1, 2, 0, 2};
-    if (calls_++ > 0) {
-      if (delta_ > 0) pairs.insert(pairs.end(), {2, 0});
-      if (delta_ < 0) pairs.resize(pairs.size() - 2);
-    }
+    const std::vector<Vertex>& pairs = calls_++ > 0 ? second_ : first_;
     fn(Block(pairs.data(), pairs.size()));
   }
 
  private:
-  int delta_;
+  std::vector<Vertex> first_, second_;
   mutable int calls_ = 0;
 };
 
 TEST(GraphFromSource, SourceChangingBetweenPassesDies) {
   // An extra endpoint for the last vertex (2) would land past the end
   // of the adjacency array; one missing leaves a slice slot unwritten.
-  EXPECT_DEATH((void)Graph::from_source(3, ChangingSource(+1)),
+  const std::vector<Vertex> triangle = {0, 1, 1, 2, 0, 2};
+  EXPECT_DEATH((void)Graph::from_source(
+                   3, ChangingSource(triangle, {0, 1, 1, 2, 0, 2, 2, 0})),
                "edge source changed between passes");
-  EXPECT_DEATH((void)Graph::from_source(3, ChangingSource(-1)),
+  EXPECT_DEATH((void)Graph::from_source(
+                   3, ChangingSource(triangle, {0, 1, 1, 2})),
                "edge source changed between passes");
-  const Graph g = Graph::from_source(3, ChangingSource(0));
+  const Graph g = Graph::from_source(3, ChangingSource(triangle, triangle));
   EXPECT_EQ(g.num_edges(), 3u);
+}
+
+TEST(GraphFromSource, OutOfRangeIdsInsideThePrefetchWindowDie) {
+  // Both streaming passes prefetch through ids of pairs up to 32 pairs
+  // ahead, before those pairs are range-checked. With n = 1 every id
+  // but 0 is out of range (and every valid pair a self-loop, so the
+  // adjacency array is empty); a bad id placed within that window of a
+  // block start must still die with the range check's message. Run
+  // under ASan in CI, which flags the scatter's cursor read if an id
+  // ahead is used unclamped.
+  const std::size_t block = EdgeBlockSource::kBlockPairs;
+  for (const std::size_t at : {std::size_t{3}, std::size_t{20},
+                               block + 20, block + 31}) {
+    SCOPED_TRACE(at);
+    std::vector<Vertex> pairs(2 * (block + 64), 0);
+    pairs[2 * at + at % 2] = 7;
+    EXPECT_DEATH((void)Graph::from_source(1, SpanEdgeSource(pairs)),
+                 "edge endpoint out of range");
+    // The degree pass saw only self-loops; the scatter's lookahead
+    // meets the bad id first.
+    const std::vector<Vertex> clean(pairs.size(), 0);
+    EXPECT_DEATH((void)Graph::from_source(1, ChangingSource(clean, pairs)),
+                 "edge source changed between passes");
+  }
+}
+
+TEST(GraphFromSource, SortTiersAgreeAtTheirBoundaries) {
+  // Slices sort by raw length (duplicates counted, self-loops dropped):
+  // std::sort below 32, 8-bit radix digits from 32, 11-bit from 1024.
+  // Each hub's raw slice sits at a tier boundary, with and without
+  // duplicate pairs. "Spread" hubs draw neighbor ids from every range
+  // [32, 2^11), [2^11, 2^16), [2^16, 2^24) and [2^24, n), so every
+  // digit of both widths sorts; "narrow" hubs draw them from one window
+  // above 2^24, where the upper digits all agree and are skipped.
+  constexpr Vertex kWindow = 4096;
+  constexpr Vertex kN = (Vertex{1} << 24) + kWindow;
+  constexpr std::array<std::pair<Vertex, Vertex>, 4> kRanges = {
+      {{32, 1u << 11}, {1u << 11, 1u << 16}, {1u << 16, 1u << 24},
+       {1u << 24, kN}}};
+  std::mt19937_64 rng(41);
+  std::vector<std::pair<Vertex, Vertex>> raw;
+  const auto orient = [&](Vertex u, Vertex v) {
+    raw.push_back(rng() % 2 == 0 ? std::pair{u, v} : std::pair{v, u});
+  };
+  Vertex hub = 0;
+  std::vector<std::pair<Vertex, std::size_t>> hubs;
+  for (const std::size_t len : {31, 32, 33, 1023, 1024, 1025})
+    for (const bool narrow : {false, true})
+      for (const bool duplicates : {false, true}) {
+        const std::size_t repeats = duplicates ? len / 4 : 0;
+        std::set<Vertex> picked;
+        std::vector<Vertex> nbrs;
+        while (nbrs.size() < len - repeats) {
+          const auto [lo, hi] =
+              narrow ? kRanges.back() : kRanges[nbrs.size() % 4];
+          const auto w = static_cast<Vertex>(lo + rng() % (hi - lo));
+          if (picked.insert(w).second) nbrs.push_back(w);
+        }
+        for (const Vertex w : nbrs) orient(hub, w);
+        for (std::size_t i = 0; i < repeats; ++i)
+          orient(hub, nbrs[rng() % nbrs.size()]);
+        for (int i = 0; i < 3; ++i) raw.emplace_back(hub, hub);
+        hubs.emplace_back(hub++, len);
+      }
+  ASSERT_LT(hub, 32u);  // hubs sit below every neighbor id
+
+  GraphBuilder builder(kN);
+  for (const auto& [u, v] : raw) builder.add_edge(u, v);
+  const Graph want = std::move(builder).build();
+  for (const auto& [h, len] : hubs) {
+    const auto endpoints = std::count_if(
+        raw.begin(), raw.end(), [h = h](const auto& p) {
+          return p.first != p.second && (p.first == h || p.second == h);
+        });
+    ASSERT_EQ(static_cast<std::size_t>(endpoints), len) << "hub " << h;
+  }
+  for (const std::uint64_t seed : {1, 2}) {
+    std::shuffle(raw.begin(), raw.end(), std::mt19937_64(seed));
+    std::vector<Vertex> pairs;
+    for (const auto& [u, v] : raw) pairs.insert(pairs.end(), {u, v});
+    const SpanEdgeSource src(pairs);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << ", threads "
+                                      << threads);
+      const Graph got = Graph::from_source(kN, src, threads);
+      EXPECT_EQ(got.max_degree(), want.max_degree());
+      expect_same_structure(got, want);
+    }
+  }
 }
 
 TEST(GraphFromSource, SpanSourceHandsBlocksOverSerially) {

@@ -195,6 +195,25 @@ TEST(Cli, ArboricityBelowTheDegeneracyBoundDies) {
   EXPECT_EQ(run_cli("--gen hypercube --n 100 --a 4 --algo mis"), 0);
 }
 
+TEST(Cli, EdgeEntriesRefuseAnArboricityPastTheirThresholdLimit) {
+  // RMAT s14x16 has degeneracy 121, so its --a floor is 61; at --eps 1
+  // that is threshold 183, past the edge entries' int8 label limit of
+  // 120. The refusal comes before dispatch (exit 2, no SIGABRT) and
+  // names the largest --a that fits: 40 at --eps 1, 48 at --eps 0.5.
+  for (const char* algo : {"edge_coloring", "matching"})
+    EXPECT_EXIT(exec_cli({"--graph", "rmat:14x16", "--a", "61", "--algo",
+                          algo}),
+                ::testing::ExitedWithCode(2),
+                "--a 61 gives threshold 183, above the 120 .*largest "
+                "admissible --a at --eps 1 is 40");
+  EXPECT_EXIT(exec_cli({"--gen", "forest", "--n", "64", "--a", "49",
+                        "--eps", "0.5", "--algo", "matching"}),
+              ::testing::ExitedWithCode(2), "--eps 0.5 is 48");
+  // At the limit the entries run; entries without one are not limited.
+  EXPECT_EQ(run_cli("--gen forest --n 64 --a 40 --algo edge_coloring"), 0);
+  EXPECT_EQ(run_cli("--gen forest --n 64 --a 41 --algo mis"), 0);
+}
+
 TEST(Cli, ThreadCountAboveTheCeilingDies) {
   // Dies in the engine pool's constructor, before any worker starts.
   EXPECT_DEATH(exec_cli({"--gen", "ring", "--n", "16", "--algo", "mis",

@@ -24,7 +24,9 @@
 //   --n        vertex count                    (default 4096)
 //   --a        declared arboricity             (default 2); an entry
 //              that reads it refuses a value below
-//              ceil((degeneracy + 1) / 2), a bound every graph meets
+//              ceil((degeneracy + 1) / 2), a bound every graph meets;
+//              edge_coloring and matching also refuse one whose
+//              threshold passes their limit, naming the largest --a
 //   --k        segmentation parameter, 0=rho(n)
 //   --eps      Procedure Partition epsilon     (default 1.0)
 //   --seed     generator / algorithm seed      (default 1)
@@ -363,6 +365,22 @@ int main(int argc, char** argv) {
               << " means a(G) is at least " << a_floor
               << " = ceil((degeneracy + 1) / 2); rerun with --a "
               << a_floor << " or more\n";
+    return 2;
+  }
+  // An entry with a threshold limit would die mid-construction; name
+  // the largest --a that stays within it at this --eps instead.
+  const std::size_t a_threshold = flags.params.partition().threshold();
+  if (spec->max_threshold != 0 && a_threshold > spec->max_threshold) {
+    std::size_t a_max = 0;
+    while (PartitionParams{.arboricity = a_max + 1,
+                           .epsilon = flags.params.epsilon}
+               .threshold() <= spec->max_threshold)
+      ++a_max;
+    std::cerr << "--a " << flags.params.arboricity << " gives threshold "
+              << a_threshold << ", above the " << spec->max_threshold
+              << " that '" << spec->name
+              << "' supports; the largest admissible --a at --eps "
+              << flags.params.epsilon << " is " << a_max << "\n";
     return 2;
   }
 
