@@ -7,7 +7,6 @@
 #include "algo/partition.hpp"
 #include "baseline/be08_arb_color.hpp"
 #include "graph/arboricity.hpp"
-#include "graph/subgraph.hpp"
 #include "util/assertx.hpp"
 
 namespace valocal {
@@ -162,9 +161,9 @@ SubColoring legal_coloring(const Graph& g, std::size_t arboricity,
       for (Vertex v = 0; v < n; ++v)
         if (part[v] == q) members.push_back(v);
       if (members.empty()) continue;
-      const InducedSubgraph sub = induced_subgraph(g, members);
+      const Graph sub = Graph::induced(g, members);
       const ArbdefectiveResult refined =
-          arbdefective_coloring(sub.graph, alpha, p, p);
+          arbdefective_coloring(sub, alpha, p, p);
       stage_duration = std::max(stage_duration, refined.duration);
       for (std::size_t i = 0; i < members.size(); ++i)
         next_part[members[i]] = q * p + refined.color[i];
@@ -188,13 +187,13 @@ SubColoring legal_coloring(const Graph& g, std::size_t arboricity,
       if (part[v] == q) members.push_back(v);
     if (members.empty()) continue;
     live_parts.push_back(q);
-    const InducedSubgraph sub = induced_subgraph(g, members);
+    const Graph sub = Graph::induced(g, members);
     // Defensive arboricity bound for the leaf run: alpha by the paper's
     // invariant, bumped if the measured degeneracy contradicts it.
     const std::size_t leaf_a =
-        std::max<std::size_t>({alpha, std::size_t{1}, degeneracy(sub.graph)});
+        std::max<std::size_t>({alpha, std::size_t{1}, degeneracy(sub)});
     const auto colored =
-        compute_be08_arb_color(sub.graph, {.arboricity = leaf_a});
+        compute_be08_arb_color(sub, {.arboricity = leaf_a});
     leaf_palette = std::max(leaf_palette, colored.palette_bound);
     stage_duration =
         std::max(stage_duration, colored.metrics.worst_case());

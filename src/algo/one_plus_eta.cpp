@@ -7,7 +7,6 @@
 #include "algo/coloring_ka2.hpp"
 #include "algo/partition.hpp"
 #include "graph/arboricity.hpp"
-#include "graph/subgraph.hpp"
 #include "util/assertx.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
@@ -69,8 +68,7 @@ SubColoring one_plus_eta_rec(const Graph& g, std::size_t arboricity,
   // Branch 1: Legal-Coloring on G(V \ H), prefix 1.
   SubColoring legal;
   if (!rest.empty()) {
-    const InducedSubgraph sub = induced_subgraph(g, rest);
-    legal = legal_coloring(sub.graph, arboricity, big_c);
+    legal = legal_coloring(Graph::induced(g, rest), arboricity, big_c);
   }
 
   // Branch 2: H-Arbdefective O(C)-coloring of H with k = t = (3+eps)C,
@@ -85,12 +83,12 @@ SubColoring one_plus_eta_rec(const Graph& g, std::size_t arboricity,
   std::vector<SubColoring> class_results(kt);
   std::vector<std::vector<Vertex>> class_members(kt);
   if (!in_h.empty()) {
-    const InducedSubgraph sub = induced_subgraph(g, in_h);
+    const Graph sub = Graph::induced(g, in_h);
     std::vector<std::int32_t> sub_hset(in_h.size());
     for (std::size_t i = 0; i < in_h.size(); ++i)
       sub_hset[i] = hset[in_h[i]];
     const ArbdefectiveResult arb =
-        h_arbdefective_coloring(sub.graph, sub_hset, threshold, kt, kt);
+        h_arbdefective_coloring(sub, sub_hset, threshold, kt, kt);
     for (std::size_t i = 0; i < in_h.size(); ++i) {
       h_class[in_h[i]] = arb.color[i];
       class_members[arb.color[i]].push_back(in_h[i]);
@@ -101,13 +99,13 @@ SubColoring one_plus_eta_rec(const Graph& g, std::size_t arboricity,
         1, arboricity / big_c);
     for (std::size_t j = 0; j < kt; ++j) {
       if (class_members[j].empty()) continue;
-      const InducedSubgraph cls = induced_subgraph(g, class_members[j]);
+      const Graph cls = Graph::induced(g, class_members[j]);
       // Defensive bound: the arbdefect promise is verified against the
       // measured degeneracy so the recursion can never stall.
       const std::size_t safe_a = std::max<std::size_t>(
-          child_a, (degeneracy(cls.graph) + 1) / 2);
+          child_a, (degeneracy(cls) + 1) / 2);
       class_results[j] =
-          one_plus_eta_rec(cls.graph, safe_a, big_c, n_global, depth + 1);
+          one_plus_eta_rec(cls, safe_a, big_c, n_global, depth + 1);
     }
   }
 

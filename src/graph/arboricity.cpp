@@ -1,9 +1,7 @@
 #include "graph/arboricity.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <span>
 
 #include "util/assertx.hpp"
 #include "util/mathx.hpp"
@@ -12,84 +10,13 @@ namespace valocal {
 
 namespace {
 
-/// Population count as the SWAR bit-slice sum: std::popcount compiles to
-/// a libgcc call on a build without the POPCNT instruction, and the
-/// subgraph build below counts once per neighbor.
-constexpr Vertex popcount64(std::uint64_t x) {
-  x -= (x >> 1) & 0x5555555555555555;
-  x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333);
-  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f;
-  return static_cast<Vertex>((x * 0x0101010101010101) >> 56);
-}
-
-/// An induced subgraph G[S] in CSR form over the compact ids
-/// 0..|S|-1 (S's members in increasing order). It offers the three
-/// calls peel() reads from a Graph.
-class InducedCsr {
- public:
-  /// G[S_t] for S_t = {v : deg(v) >= t}. A membership bitset with a
-  /// popcount rank per 64-bit word maps a member to its compact id, so
-  /// the build is one pass over the degrees plus one pass over the
-  /// members' adjacency lists.
-  InducedCsr(const Graph& g, std::size_t t) {
-    const std::size_t n = g.num_vertices();
-    std::vector<std::uint64_t> member((n + 63) / 64, 0);
-    std::size_t half_edges = 0;  // the members' degree sum bounds G[S]
-    for (Vertex v = 0; v < n; ++v)
-      if (g.degree(v) >= t) {
-        member[v >> 6] |= std::uint64_t{1} << (v & 63);
-        half_edges += g.degree(v);
-      }
-    std::vector<std::uint32_t> rank(member.size());
-    std::uint32_t members = 0;
-    for (std::size_t w = 0; w < member.size(); ++w) {
-      rank[w] = members;
-      members += popcount64(member[w]);
-    }
-    offsets_.reserve(std::size_t{members} + 1);
-    offsets_.push_back(0);
-    adjacency_.resize(half_edges);
-    // Branch-free gather (membership follows no pattern along a hub's
-    // list, so a branch per neighbor mispredicts): every neighbor's
-    // compact id is written, and the cursor advances only past members.
-    std::size_t end = 0;
-    for (std::size_t w = 0; w < member.size(); ++w)
-      for (std::uint64_t bits = member[w]; bits != 0; bits &= bits - 1) {
-        const auto v = static_cast<Vertex>(w * 64 + std::countr_zero(bits));
-        for (const Vertex u : g.neighbors(v)) {
-          const std::uint64_t word = member[u >> 6];
-          const std::uint64_t below = (std::uint64_t{1} << (u & 63)) - 1;
-          adjacency_[end] = rank[u >> 6] + popcount64(word & below);
-          end += (word >> (u & 63)) & 1;
-        }
-        offsets_.push_back(end);
-      }
-    adjacency_.resize(end);
-  }
-
-  std::size_t num_vertices() const { return offsets_.size() - 1; }
-  std::size_t degree(Vertex v) const {
-    return offsets_[v + 1] - offsets_[v];
-  }
-  std::span<const Vertex> neighbors(Vertex v) const {
-    return {adjacency_.data() + offsets_[v],
-            adjacency_.data() + offsets_[v + 1]};
-  }
-
- private:
-  std::vector<std::size_t> offsets_;
-  std::vector<Vertex> adjacency_;
-};
-
 struct PeelResult {
   std::size_t degeneracy = 0;
   std::vector<Vertex> order;
 };
 
-/// The classic peel-min-degree bucket scheme over a CSR view (a Graph
-/// or an InducedCsr): O(n + m).
-template <class Csr>
-PeelResult peel(const Csr& g) {
+/// The classic peel-min-degree bucket scheme: O(n + m).
+PeelResult peel(const Graph& g) {
   const std::size_t n = g.num_vertices();
   PeelResult result;
   result.order.reserve(n);
@@ -132,6 +59,14 @@ PeelResult peel(const Csr& g) {
   return result;
 }
 
+/// H_t = G[S_t], S_t = {v : deg(v) >= t}.
+Graph hub_subgraph(const Graph& g, std::size_t t) {
+  std::vector<Vertex> members;
+  for (Vertex v = 0; v < g.num_vertices(); ++v)
+    if (g.degree(v) >= t) members.push_back(v);
+  return Graph::induced(g, members);
+}
+
 }  // namespace
 
 detail::DegeneracySearch detail::degeneracy_search(const Graph& g) {
@@ -156,12 +91,12 @@ detail::DegeneracySearch detail::degeneracy_search(const Graph& g) {
   // degeneracy(G) >= t: the top core's vertices all have degree >= t.
   std::size_t bound = lo;
   if (small(hi)) {
-    const std::size_t core = peel(InducedCsr(g, hi)).degeneracy;
+    const std::size_t core = peel(hub_subgraph(g, hi)).degeneracy;
     if (core >= hi) return {core, DegeneracyPath::kHubCore};
     bound = std::max(bound, core);
   }
   if (small(bound))
-    return {peel(InducedCsr(g, bound)).degeneracy,
+    return {peel(hub_subgraph(g, bound)).degeneracy,
             DegeneracyPath::kRestricted};
   return {peel(g).degeneracy, DegeneracyPath::kFullPeel};
 }

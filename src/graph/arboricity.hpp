@@ -23,7 +23,9 @@
 // O(n + m). On hub-heavy graphs (RMAT) the restricted peels touch a
 // few percent of the edges; on near-regular graphs the histogram and
 // at most one small H_hi are all the overhead over the full peel.
-// One bucket peel serves the whole graph, H_t and degeneracy_order.
+// H_t comes from Graph::induced, the library's one induced-subgraph
+// builder, and one bucket peel over a Graph serves the whole graph,
+// H_t and degeneracy_order.
 #pragma once
 
 #include <cstdint>

@@ -91,6 +91,16 @@ constexpr std::size_t kPrefetchPairs = 16;
 /// a prefetch address formed from it stays inside its array.
 std::size_t clamp_id(Vertex x, std::size_t n) { return x < n ? x : 0; }
 
+/// Population count as the SWAR bit-slice sum: std::popcount compiles to
+/// a libgcc call on a build without the POPCNT instruction, and
+/// Graph::induced counts once per neighbor.
+constexpr Vertex popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555;
+  x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f;
+  return static_cast<Vertex>((x * 0x0101010101010101) >> 56);
+}
+
 /// Advises transparent huge pages for the 2 MiB-aligned interior of
 /// [p, p + bytes). The scatter's random stores then miss the TLB far
 /// less often. Only advice: a no-op where huge pages are off.
@@ -284,6 +294,50 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
   return g;
 }
 
+Graph Graph::induced(const Graph& g, std::span<const Vertex> members) {
+  const std::size_t n = g.num_vertices();
+  std::vector<std::uint64_t> member((n + 63) / 64, 0);
+  std::size_t slots = 0;  // the members' degree sum bounds G[S]'s
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    const Vertex v = members[i];
+    VALOCAL_REQUIRE(v < n, "induced subgraph member out of range");
+    VALOCAL_REQUIRE(i == 0 || members[i - 1] < v,
+                    "induced subgraph members must be strictly increasing");
+    member[v >> 6] |= std::uint64_t{1} << (v & 63);
+    slots += g.degree(v);
+  }
+  std::vector<Vertex> rank(member.size());
+  Vertex below_word = 0;
+  for (std::size_t w = 0; w < member.size(); ++w) {
+    rank[w] = below_word;
+    below_word += popcount64(member[w]);
+  }
+
+  Graph h;
+  h.n_ = members.size();
+  h.offsets_.reserve(members.size() + 1);
+  h.offsets_.push_back(0);
+  h.adjacency_.resize(slots);
+  h.edge_tables_ = std::make_shared<LazyEdgeTables>();
+  // Branch-free gather (membership follows no pattern along a hub's
+  // list, so a branch per neighbor mispredicts): every neighbor's new
+  // id is written, and the cursor advances only past members.
+  std::size_t end = 0;
+  for (const Vertex v : members) {
+    for (const Vertex u : g.neighbors(v)) {
+      const std::uint64_t word = member[u >> 6];
+      const std::uint64_t below = (std::uint64_t{1} << (u & 63)) - 1;
+      h.adjacency_[end] = rank[u >> 6] + popcount64(word & below);
+      end += (word >> (u & 63)) & 1;
+    }
+    h.max_degree_ = std::max(h.max_degree_, end - h.offsets_.back());
+    h.offsets_.push_back(end);
+  }
+  h.adjacency_.resize(end);
+  h.m_ = end / 2;
+  return h;
+}
+
 const Graph::EdgeTables& Graph::build_edge_tables() const {
   static const EdgeTables kNoEdges;
   if (!edge_tables_) return kNoEdges;  // default-constructed graph
@@ -455,11 +509,6 @@ bool GraphBuilder::add_edge(Vertex u, Vertex v) {
   slot = k;
   edges_.emplace_back(u, v);
   return true;
-}
-
-bool GraphBuilder::has_edge(Vertex u, Vertex v) const {
-  if (u == v || slots_.empty()) return false;
-  return slots_[probe(key(u, v))] != kEmptyKey;
 }
 
 Graph GraphBuilder::build() && {

@@ -173,6 +173,15 @@ class Graph {
   static Graph from_source(std::size_t n, const EdgeBlockSource& src,
                            std::size_t num_threads = 1);
 
+  /// The induced subgraph G[S] of `g` on `members` (strictly increasing
+  /// ids below g.num_vertices(); anything else dies), with member i as
+  /// vertex i. A membership bitset with a popcount rank per 64-bit word
+  /// maps a member to its new id; ranks are monotone, so each member's
+  /// neighbor list comes out sorted and needs no sort, dedup or hash
+  /// set. Like from_source, it stops at the CSR: edge ids are canonical
+  /// and built on the first edge-id query.
+  static Graph induced(const Graph& g, std::span<const Vertex> members);
+
   std::size_t num_vertices() const { return n_; }
   std::size_t num_edges() const { return m_; }
 
@@ -302,8 +311,6 @@ class GraphBuilder {
   /// Adds edge {u, v} unless it is a self-loop or already present.
   /// Returns true if the edge was added.
   bool add_edge(Vertex u, Vertex v);
-
-  bool has_edge(Vertex u, Vertex v) const;
 
   std::size_t num_vertices() const { return n_; }
   std::size_t num_edges() const { return edges_.size(); }

@@ -1,6 +1,7 @@
 #include "graph/relabel.hpp"
 
 #include <numeric>
+#include <utility>
 
 #include "util/assertx.hpp"
 #include "util/rng.hpp"
@@ -16,11 +17,14 @@ Graph relabel(const Graph& g, const std::vector<Vertex>& perm) {
                     "relabel needs a permutation");
     seen[p] = 1;
   }
-  GraphBuilder builder(g.num_vertices());
+  // A permutation of a simple graph is simple: no dedup needed, and
+  // the edges keep g's ids.
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  edges.reserve(g.num_edges());
   const EdgeIndex ix = g.edge_index();
   for (EdgeId e = 0; e < g.num_edges(); ++e)
-    builder.add_edge(perm[ix.edge_u(e)], perm[ix.edge_v(e)]);
-  return std::move(builder).build();
+    edges.emplace_back(perm[ix.edge_u(e)], perm[ix.edge_v(e)]);
+  return Graph(g.num_vertices(), std::move(edges));
 }
 
 std::vector<Vertex> random_permutation(std::size_t n,

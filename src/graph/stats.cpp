@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <ostream>
 
+#include "graph/arboricity.hpp"
+
 namespace valocal {
 namespace {
 
@@ -32,8 +34,7 @@ GraphStats compute_graph_stats(const Graph& g) {
   s.avg_degree =
       s.n == 0 ? 0.0
                : 2.0 * static_cast<double>(s.m) / static_cast<double>(s.n);
-  s.arboricity_estimate =
-      s.n >= 2 ? (s.m + s.n - 2) / (s.n - 1) : (s.m > 0 ? 1 : 0);
+  s.arboricity_estimate = nash_williams_lb(g);
   return s;
 }
 

@@ -89,7 +89,7 @@ struct Metrics {
   // byte-identity contract). Empty on unfinalized metrics.
   std::vector<std::size_t> edge_active_per_round;
   // The one-pass rollup finalize computed; every producer (run_local,
-  // run_mailbox, and code that edits metrics after a run, such as sweep
+  // the tests' run_mailbox, and code that edits metrics after a run, such as sweep
   // appends and sub-run splices) calls finalize, and metrics that were
   // never finalized read 0 everywhere below. `rounds` stays the ground
   // truth: an edit without a fresh finalize leaves the accessors stale.

@@ -572,8 +572,7 @@ RunResult<A> run_local(const Graph& g, const A& algo,
   const std::size_t num_phases = sink != nullptr ? phase_names.size() : 0;
   if (sink != nullptr)
     sink->on_run_begin(
-        trace::RunInfo{.engine = "local",
-                       .num_vertices = n,
+        trace::RunInfo{.num_vertices = n,
                        .num_edges = g.num_edges(),
                        .num_threads = num_threads,
                        .grain = grain,

@@ -42,6 +42,11 @@ std::string json_num(double v) {
   return buf;
 }
 
+/// A run's name in every rendering: its span path, or "(run)".
+std::string run_label(const RunRecord& run) {
+  return run.span.empty() ? "(run)" : run.span;
+}
+
 }  // namespace
 
 TraceCollector::TraceCollector() {
@@ -81,7 +86,6 @@ void TraceCollector::set_context(const std::string& key,
 void TraceCollector::on_run_begin(const RunInfo& info,
                                   std::span<const char* const> phases) {
   RunRecord run;
-  run.engine = info.engine;
   run.span = span_path();
   run.num_vertices = info.num_vertices;
   run.num_edges = info.num_edges;
@@ -105,7 +109,6 @@ void TraceCollector::on_round(const RoundEvent& event) {
   sample.committed = event.committed;
   sample.terminated = event.terminated;
   sample.volume_bytes = event.volume_bytes;
-  sample.messages = event.messages;
   sample.wall_ns = event.wall_ns;
   sample.phase_charged.assign(event.phase_charged.begin(),
                               event.phase_charged.end());
@@ -119,7 +122,6 @@ void TraceCollector::on_run_end(const RunEndEvent& event) {
   run.worst_case = event.worst_case;
   run.edge_round_sum = event.edge_round_sum;
   run.wall_ns = event.wall_ns;
-  run.messages = event.messages;
   run.skipped_steps = event.skipped_steps;
   run.worker_chunks.clear();
   run.worker_indices.clear();
@@ -151,7 +153,7 @@ std::vector<PhaseStats> TraceCollector::phase_breakdown(
   std::vector<PhaseStats> stats;
   if (run.phase_names.empty()) {
     PhaseStats s;
-    s.name = run.span.empty() ? "(run)" : run.span;
+    s.name = run_label(run);
     for (const auto& r : run.rounds) {
       if (r.charged > 0) ++s.rounds;
       s.round_sum += r.charged;
@@ -192,8 +194,8 @@ void TraceCollector::print_phase_table(std::ostream& os) const {
   for (const RunRecord& run : runs_) {
     std::uint64_t volume = 0;
     for (const auto& r : run.rounds) volume += r.volume_bytes;
-    os << "trace: " << (run.span.empty() ? run.engine : run.span)
-       << " — engine=" << run.engine << " n=" << run.num_vertices
+    os << "trace: " << run_label(run)
+       << " — n=" << run.num_vertices
        << " m=" << run.num_edges << " threads=" << run.num_threads;
     os << " rounds=" << run.rounds.size() << "\n";
     Table table({"phase", "rounds", "round-sum", "vertex-avg",
@@ -216,7 +218,6 @@ void TraceCollector::print_phase_table(std::ostream& os) const {
          Table::num(static_cast<double>(run.wall_ns) / 1e6, 3)});
     table.print(os);
     os << "volume: " << volume << " bytes published";
-    if (run.messages > 0) os << ", " << run.messages << " messages";
     if (run.skipped_steps > 0)
       os << "; wake scheduling skipped " << run.skipped_steps
          << " sleeping vertex-rounds";
@@ -228,13 +229,8 @@ void TraceCollector::write_run_records_jsonl(std::ostream& os,
                                              bool include_timing) const {
   for (const RunRecord& run : runs_) {
     std::uint64_t volume = 0;
-    std::uint64_t round_messages = 0;
-    for (const auto& r : run.rounds) {
-      volume += r.volume_bytes;
-      round_messages += r.messages;
-    }
-    os << "{\"engine\":\"" << json_escape(run.engine) << "\"";
-    os << ",\"span\":\"" << json_escape(run.span) << "\"";
+    for (const auto& r : run.rounds) volume += r.volume_bytes;
+    os << "{\"span\":\"" << json_escape(run.span) << "\"";
     os << ",\"n\":" << run.num_vertices << ",\"m\":" << run.num_edges;
     os << ",\"state_bytes\":" << run.state_bytes;
     os << ",\"seed\":" << run.seed;
@@ -270,8 +266,7 @@ void TraceCollector::write_run_records_jsonl(std::ostream& os,
                              static_cast<double>(run.num_vertices)
                        : 0.0)
        << ",\"worst_case\":" << run.worst_case
-       << ",\"volume_bytes\":" << volume
-       << ",\"messages\":" << run.messages;
+       << ",\"volume_bytes\":" << volume;
     // Edge-averaged totals (BGKO'22 max-endpoint convention): emitted
     // only when the producer actually summarized edge costs, so
     // hand-built records keep their historical byte layout.
@@ -298,8 +293,6 @@ void TraceCollector::write_run_records_jsonl(std::ostream& os,
          << ",\"committed\":" << r.committed
          << ",\"terminated\":" << r.terminated
          << ",\"volume_bytes\":" << r.volume_bytes;
-      if (r.messages > 0 || round_messages > 0)
-        os << ",\"messages\":" << r.messages;
       if (include_timing) os << ",\"wall_ns\":" << r.wall_ns;
       if (!r.phase_charged.empty()) {
         os << ",\"phase_charged\":[";
@@ -345,9 +338,7 @@ void TraceCollector::write_chrome_trace(std::ostream& os) const {
          ",\"pid\":1,\"tid\":1");
   }
   for (const RunRecord& run : runs_) {
-    const std::string label =
-        run.span.empty() ? std::string(run.engine) : run.span;
-    emit("\"name\":\"run:" + json_escape(label) +
+    emit("\"name\":\"run:" + json_escape(run_label(run)) +
          "\",\"cat\":\"run\",\"ph\":\"X\",\"ts\":" +
          json_num(run.begin_us) +
          ",\"dur\":" + json_num(static_cast<double>(run.wall_ns) / 1e3) +
@@ -362,8 +353,6 @@ void TraceCollector::write_chrome_trace(std::ostream& os) const {
                          ",\"committed\":" + std::to_string(r.committed) +
                          ",\"volume_bytes\":" +
                          std::to_string(r.volume_bytes);
-      if (r.messages > 0)
-        args += ",\"messages\":" + std::to_string(r.messages);
       emit("\"name\":\"round " + std::to_string(r.round) +
            "\",\"cat\":\"round\",\"ph\":\"X\",\"ts\":" + json_num(ts) +
            ",\"dur\":" + json_num(dur) +

@@ -38,14 +38,12 @@ struct RoundSample {
   std::size_t committed = 0;
   std::size_t terminated = 0;
   std::uint64_t volume_bytes = 0;
-  std::uint64_t messages = 0;
   std::uint64_t wall_ns = 0;
   std::vector<std::size_t> phase_charged;
 };
 
 /// One recorded engine run.
 struct RunRecord {
-  std::string engine;
   std::string span;  // phase-span path active at run begin ("mis", ...)
   std::size_t num_vertices = 0;
   std::size_t num_edges = 0;
@@ -60,7 +58,6 @@ struct RunRecord {
   std::size_t worst_case = 0;
   std::uint64_t edge_round_sum = 0;  // sum_e max(r(u), r(v)); 0 pre-summary
   std::uint64_t wall_ns = 0;
-  std::uint64_t messages = 0;
   std::uint64_t skipped_steps = 0;  // wake-scheduling savings
   std::vector<std::uint64_t> worker_chunks;   // schedule-dependent
   std::vector<std::uint64_t> worker_indices;  // schedule-dependent

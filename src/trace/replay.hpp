@@ -31,7 +31,6 @@ class RecordingSink final : public TraceSink {
     Event e;
     e.kind = Kind::kRunBegin;
     e.info = info;
-    e.name = info.engine;
     e.phase_names.assign(phases.begin(), phases.end());
     events_.push_back(std::move(e));
   }
@@ -73,18 +72,16 @@ class RecordingSink final : public TraceSink {
   /// Pushes the taped events into `sink`, re-pointing every span and
   /// C-string field at this tape's owned storage (valid, as required by
   /// the TraceSink contract, for the duration of each callback — and
-  /// for phase names / RunInfo::engine until the tape is cleared).
+  /// for phase names until the tape is cleared).
   void replay(TraceSink& sink) const {
     std::vector<const char*> names;
     for (const Event& e : events_) {
       switch (e.kind) {
         case Kind::kRunBegin: {
-          RunInfo info = e.info;
-          info.engine = e.name.c_str();
           names.clear();
           for (const std::string& s : e.phase_names)
             names.push_back(s.c_str());
-          sink.on_run_begin(info, names);
+          sink.on_run_begin(e.info, names);
           break;
         }
         case Kind::kRound: {
@@ -124,7 +121,7 @@ class RecordingSink final : public TraceSink {
     RunInfo info{};
     RoundEvent round{};
     RunEndEvent end{};
-    std::string name;                      // engine / phase-span name
+    std::string name;                      // phase-span name
     std::vector<std::string> phase_names;  // algorithm phases
     std::vector<std::size_t> counts;       // RoundEvent::phase_charged
     std::vector<ThreadPool::WorkerLoad> load;

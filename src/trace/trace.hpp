@@ -1,18 +1,18 @@
-// Engine observability: the RunObserver/TraceSink hook both round
-// engines report to, plus the phase-span scaffolding the composed
+// Engine observability: the RunObserver/TraceSink hook the round
+// engine reports to, plus the phase-span scaffolding the composed
 // entry points use to attribute cost.
 //
 // Design constraints, in order:
 //
 //   1. Null-observer fast path. When no sink is installed (the
-//      default), run_local / run_mailbox behave exactly as before: the
+//      default), run_local behaves exactly as before: the
 //      per-vertex tracing branch tests one pointer that is nullptr, no
 //      counters are allocated, no events fire. Installing a sink must
 //      never change outputs or semantic Metrics.
 //
 //   2. Byte-determinism of semantic fields. Every semantic field of a
 //      RoundEvent (active/charged/committed/terminated counts, volume,
-//      messages, per-phase charged counts) is a sum over the round's
+//      per-phase charged counts) is a sum over the round's
 //      stepped vertex set. Sums commute, so the values are identical
 //      for every EngineConfig threads/grain — the engine merges
 //      per-chunk counters, and the totals cannot depend on the
@@ -57,12 +57,11 @@ namespace valocal::trace {
 
 /// Immutable facts about a run, reported once before its first round.
 struct RunInfo {
-  const char* engine = "";        // "local" | "mailbox"
   std::size_t num_vertices = 0;
   std::size_t num_edges = 0;
-  std::size_t num_threads = 1;    // engine workers (1 for mailbox)
-  std::size_t grain = 0;          // vertices per chunk (0 for mailbox)
-  std::size_t state_bytes = 0;    // sizeof(State) / sizeof(Message)
+  std::size_t num_threads = 1;    // engine workers
+  std::size_t grain = 0;          // vertices per chunk
+  std::size_t state_bytes = 0;    // sizeof(State)
   std::uint64_t seed = 0;
 };
 
@@ -75,22 +74,18 @@ struct RoundEvent {
   std::size_t active = 0;
   /// Of `active`, the vertices the wake-scheduled engine parked (their
   /// no-op steps were skipped). 0 only under ScopedNoParking (the
-  /// no-calendar reference), for algorithms without a next_wake hint,
-  /// and for the mailbox engine. Semantic for a fixed parking setting,
+  /// no-calendar reference) and for algorithms without a next_wake
+  /// hint. Semantic for a fixed parking setting,
   /// but intentionally different between the two — it measures the
   /// simulator work saved.
   std::size_t asleep = 0;
   std::size_t charged = 0;     // round-sum contribution (r(v) still open)
   std::size_t committed = 0;   // outputs frozen this round (r(v) stamped)
   std::size_t terminated = 0;  // vertices that stopped executing
-  /// Communication volume. run_local: sum over stepped vertices of
+  /// Communication volume: sum over stepped vertices of
   /// sizeof(State) * degree(v) — the published-state bytes a LOCAL
-  /// "send your state to all neighbors" schedule would move. mailbox:
-  /// messages * sizeof(Message) — exact payload bytes.
+  /// "send your state to all neighbors" schedule would move.
   std::uint64_t volume_bytes = 0;
-  /// Explicit messages sent this round (mailbox engine; 0 for
-  /// run_local, whose communication is the published-state volume).
-  std::uint64_t messages = 0;
   std::uint64_t wall_ns = 0;   // NOT semantic: engine-measured time
   /// Charged count per algorithm phase, parallel to the names passed
   /// to on_run_begin; empty when the algorithm declares no phases.
@@ -109,20 +104,18 @@ struct RunEndEvent {
   std::uint64_t edge_round_sum = 0;
   std::size_t num_edges = 0;
   std::uint64_t wall_ns = 0;      // NOT semantic
-  /// Total messages including init-round pre-sends (mailbox engine).
-  std::uint64_t messages = 0;
   /// Total vertex-rounds skipped by wake scheduling (sum of the
-  /// per-round `asleep` counts); 0 only under ScopedNoParking, for
-  /// unhinted algorithms, and for the mailbox engine.
+  /// per-round `asleep` counts); 0 only under ScopedNoParking and for
+  /// unhinted algorithms.
   std::uint64_t skipped_steps = 0;
   /// Per-thread chunk/index counters from the engine's pool (slot 0 =
   /// the dispatching thread). Schedule-dependent — load-imbalance
-  /// evidence, not semantic. Empty for the mailbox engine.
+  /// evidence, not semantic.
   std::span<const ThreadPool::WorkerLoad> worker_load{};
 };
 
 /// Receiver of engine events. Default-implemented no-ops so sinks only
-/// override what they consume. Single-threaded: both engines report
+/// override what they consume. Single-threaded: the engine reports
 /// from the dispatching thread only.
 class TraceSink {
  public:
@@ -138,7 +131,7 @@ class TraceSink {
 };
 
 /// Per-thread sink slot. nullptr (the default) selects the
-/// null-observer fast path in both engines. The slot is thread_local:
+/// null-observer fast path in the engine. The slot is thread_local:
 /// an engine run consults the sink of the thread that DISPATCHED it, so
 /// concurrent trials on different threads (sim/batch.hpp) each observe
 /// their own sink — or none — without racing on a shared pointer. A

@@ -1,7 +1,6 @@
 #include "validate/validate.hpp"
 
 #include <algorithm>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "graph/arboricity.hpp"
@@ -118,26 +117,15 @@ std::size_t coloring_defect(const Graph& g,
 
 std::size_t coloring_arbdefect_ub(const Graph& g,
                                   const std::vector<int>& color) {
-  // Build each color class's induced subgraph and take the max
-  // degeneracy (degeneracy >= arboricity >= degeneracy/2).
-  std::unordered_map<int, std::vector<Vertex>> classes;
-  for (Vertex v = 0; v < g.num_vertices(); ++v)
-    classes[color[v]].push_back(v);
-
-  std::size_t worst = 0;
-  std::vector<Vertex> local_id(g.num_vertices(), kInvalidVertex);
-  for (auto& [c, members] : classes) {
-    for (std::size_t i = 0; i < members.size(); ++i)
-      local_id[members[i]] = static_cast<Vertex>(i);
-    GraphBuilder b(members.size());
-    for (Vertex v : members)
-      for (Vertex u : g.neighbors(v))
-        if (color[u] == c && u > v) b.add_edge(local_id[v], local_id[u]);
-    const Graph sub = std::move(b).build();
-    worst = std::max(worst, degeneracy(sub));
-    for (Vertex v : members) local_id[v] = kInvalidVertex;
-  }
-  return worst;
+  // The graph of the monochromatic edges is the disjoint union of the
+  // color classes' induced subgraphs, so its degeneracy is the largest
+  // class degeneracy (degeneracy >= arboricity >= degeneracy/2).
+  std::vector<Vertex> pairs;
+  g.for_each_edge([&](Vertex u, Vertex v) {
+    if (color[u] == color[v]) pairs.insert(pairs.end(), {u, v});
+  });
+  return degeneracy(
+      Graph::from_source(g.num_vertices(), SpanEdgeSource(pairs)));
 }
 
 }  // namespace valocal

@@ -5,7 +5,7 @@
 #include "algo/partition.hpp"
 #include "coverfree/coverfree.hpp"
 #include "graph/generators.hpp"
-#include "sim/mailbox.hpp"
+#include "mailbox.hpp"
 #include "sim/network.hpp"
 
 namespace valocal {

@@ -73,14 +73,14 @@ TEST(GraphBuilder, DeduplicatesEdges) {
   EXPECT_FALSE(b.add_edge(1, 0));  // same edge, reversed
   EXPECT_FALSE(b.add_edge(0, 0));  // self-loop rejected
   EXPECT_TRUE(b.add_edge(1, 2));
-  EXPECT_TRUE(b.has_edge(0, 1));
-  EXPECT_FALSE(b.has_edge(0, 2));
   Graph g = std::move(b).build();
   EXPECT_EQ(g.num_edges(), 2u);
+  EXPECT_TRUE(g.has_edge(0, 1));
+  EXPECT_FALSE(g.has_edge(0, 2));
 
-  // A random add/has sequence through several rehash growths, with
-  // repeats in both orientations and self-loops, against std::set;
-  // accepted edges keep their insertion order as ids.
+  // A random add sequence through several rehash growths, with repeats
+  // in both orientations and self-loops, against std::set; accepted
+  // edges keep their insertion order as ids.
   constexpr Vertex kN = 300;
   GraphBuilder big(kN);
   std::set<std::pair<Vertex, Vertex>> reference;
@@ -91,14 +91,12 @@ TEST(GraphBuilder, DeduplicatesEdges) {
     const auto v = static_cast<Vertex>(rng() % kN);
     const std::pair<Vertex, Vertex> key = std::minmax(u, v);
     const bool present = reference.contains(key);
-    ASSERT_EQ(big.has_edge(u, v), present) << u << ' ' << v;
-    ASSERT_EQ(big.has_edge(v, u), present) << u << ' ' << v;
     ASSERT_EQ(big.add_edge(u, v), u != v && !present) << u << ' ' << v;
     if (u != v && !present) {
       reference.insert(key);
       accepted.push_back(key);
     }
-    ASSERT_EQ(big.has_edge(v, u), u != v);
+    ASSERT_FALSE(big.add_edge(v, u)) << u << ' ' << v;
   }
   ASSERT_GT(accepted.size(), 10000u);
   ASSERT_LT(accepted.size(), 20000u);
@@ -233,29 +231,32 @@ void expect_same_structure(const Graph& a, const Graph& b) {
   }
 }
 
+// One small graph of every generator family, plus the radix-tier hub.
+std::vector<std::pair<const char*, Graph>> generator_families() {
+  std::vector<std::pair<const char*, Graph>> out;
+  out.emplace_back("ring", gen::ring(64));
+  out.emplace_back("path", gen::path(50));
+  out.emplace_back("star", gen::star(40));
+  out.emplace_back("complete", gen::complete(20));
+  out.emplace_back("dary_tree", gen::dary_tree(60, 3));
+  out.emplace_back("random_tree", gen::random_tree(80, 7));
+  out.emplace_back("grid", gen::grid(8, 9));
+  out.emplace_back("torus", gen::torus(5, 6));
+  out.emplace_back("hypercube", gen::hypercube(5));
+  out.emplace_back("forest_union", gen::forest_union(120, 3, 11));
+  out.emplace_back("erdos_renyi", gen::erdos_renyi(150, 6.0, 13));
+  out.emplace_back("barabasi_albert", gen::barabasi_albert(90, 3, 17));
+  out.emplace_back("caterpillar", gen::caterpillar(12, 4));
+  out.emplace_back("star_union", gen::star_union(100, 5));
+  out.emplace_back("random_regular", gen::random_regular(64, 4, 19));
+  out.emplace_back("random_bipartite",
+                   gen::random_bipartite(30, 40, 150, 23));
+  out.emplace_back("hub", hub_graph());
+  return out;
+}
+
 TEST(GraphFromSource, MatchesStagedBuildOnEveryGeneratorFamily) {
-  const std::vector<std::pair<const char*, Graph>> families = [] {
-    std::vector<std::pair<const char*, Graph>> out;
-    out.emplace_back("ring", gen::ring(64));
-    out.emplace_back("path", gen::path(50));
-    out.emplace_back("star", gen::star(40));
-    out.emplace_back("complete", gen::complete(20));
-    out.emplace_back("dary_tree", gen::dary_tree(60, 3));
-    out.emplace_back("random_tree", gen::random_tree(80, 7));
-    out.emplace_back("grid", gen::grid(8, 9));
-    out.emplace_back("torus", gen::torus(5, 6));
-    out.emplace_back("hypercube", gen::hypercube(5));
-    out.emplace_back("forest_union", gen::forest_union(120, 3, 11));
-    out.emplace_back("erdos_renyi", gen::erdos_renyi(150, 6.0, 13));
-    out.emplace_back("barabasi_albert", gen::barabasi_albert(90, 3, 17));
-    out.emplace_back("caterpillar", gen::caterpillar(12, 4));
-    out.emplace_back("star_union", gen::star_union(100, 5));
-    out.emplace_back("random_regular", gen::random_regular(64, 4, 19));
-    out.emplace_back("random_bipartite",
-                     gen::random_bipartite(30, 40, 150, 23));
-    out.emplace_back("hub", hub_graph());
-    return out;
-  }();
+  const auto families = generator_families();
   ASSERT_GE(families.back().second.max_degree(), 1000u);
   for (const auto& [name, g] : families) {
     SCOPED_TRACE(name);
@@ -541,6 +542,55 @@ TEST(GraphFromSource, EmptySource) {
   EXPECT_EQ(g.num_edges(), 0u);
   const Graph empty = Graph::from_source(0, SpanEdgeSource({}));
   EXPECT_EQ(empty.num_vertices(), 0u);
+}
+
+// --- Induced subgraphs (Graph::induced) ---
+
+// G[S] the staged way: members' forward edges in member order through
+// GraphBuilder, the reference Graph::induced must match byte for byte.
+Graph builder_induced(const Graph& g, const std::vector<Vertex>& members) {
+  std::vector<Vertex> local(g.num_vertices(), kInvalidVertex);
+  for (std::size_t i = 0; i < members.size(); ++i)
+    local[members[i]] = static_cast<Vertex>(i);
+  GraphBuilder b(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i)
+    for (const Vertex u : g.forward_neighbors(members[i]))
+      if (local[u] != kInvalidVertex)
+        b.add_edge(static_cast<Vertex>(i), local[u]);
+  return std::move(b).build();
+}
+
+TEST(GraphInduced, MatchesBuilderOnEveryGeneratorFamilyAndRmat) {
+  auto graphs = generator_families();
+  graphs.emplace_back("rmat",
+                      gen::rmat({.scale = 10, .edge_factor = 8, .seed = 5}));
+  std::mt19937_64 rng(41);
+  for (const auto& [name, g] : graphs) {
+    // Empty, full, then random member sets of growing density.
+    for (const double keep : {0.0, 1.0, 0.05, 0.3, 0.6, 0.9}) {
+      SCOPED_TRACE(testing::Message() << name << ", keep " << keep);
+      std::bernoulli_distribution coin(keep);
+      std::vector<Vertex> members;
+      for (Vertex v = 0; v < g.num_vertices(); ++v)
+        if (coin(rng)) members.push_back(v);
+      const Graph got = Graph::induced(g, members);
+      const Graph want = builder_induced(g, members);
+      EXPECT_EQ(got.max_degree(), want.max_degree());
+      expect_same_structure(got, want);
+      ASSERT_FALSE(got.edge_index_built());
+      expect_same_edge_index(got, want);
+      expect_ports_consistent(got);
+    }
+  }
+}
+
+TEST(GraphInduced, MembersMustBeStrictlyIncreasingAndInRange) {
+  const Graph g = gen::ring(8);
+  const std::vector<Vertex> unsorted{1, 4, 3}, duplicated{2, 5, 5},
+      out_of_range{0, 7, 8};
+  EXPECT_DEATH((void)Graph::induced(g, unsorted), "strictly increasing");
+  EXPECT_DEATH((void)Graph::induced(g, duplicated), "strictly increasing");
+  EXPECT_DEATH((void)Graph::induced(g, out_of_range), "out of range");
 }
 
 }  // namespace

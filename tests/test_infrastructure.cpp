@@ -5,9 +5,9 @@
 
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "graph/generators.hpp"
-#include "graph/subgraph.hpp"
 #include "sim/metrics.hpp"
 #include "sim/network.hpp"
 #include "util/rng.hpp"
@@ -34,27 +34,30 @@ TEST(Metrics, EmptyIsZero) {
 
 TEST(Subgraph, InducedStructure) {
   const Graph g = gen::grid(3, 3);  // ids row-major
-  const auto sub = induced_subgraph(g, {0, 1, 3, 4});  // top-left square
-  EXPECT_EQ(sub.graph.num_vertices(), 4u);
-  EXPECT_EQ(sub.graph.num_edges(), 4u);  // a 4-cycle
-  // Mappings are mutually inverse.
-  for (std::size_t i = 0; i < sub.to_parent.size(); ++i)
-    EXPECT_EQ(sub.to_local[sub.to_parent[i]], i);
-  EXPECT_EQ(sub.to_local[8], kInvalidVertex);
+  const std::vector<Vertex> members{0, 1, 3, 4};  // top-left square
+  const Graph sub = Graph::induced(g, members);
+  EXPECT_EQ(sub.num_vertices(), 4u);
+  EXPECT_EQ(sub.num_edges(), 4u);  // a 4-cycle
+  // Member i is vertex i: an edge of G[S] is an edge of g between the
+  // corresponding members.
+  for (EdgeId e = 0; e < sub.num_edges(); ++e)
+    EXPECT_TRUE(g.has_edge(members[sub.edge_u(e)], members[sub.edge_v(e)]));
 }
 
 TEST(Subgraph, PredicateSelection) {
   const Graph g = gen::path(10);
-  const auto sub =
-      induced_subgraph_if(g, [](Vertex v) { return v % 2 == 0; });
-  EXPECT_EQ(sub.graph.num_vertices(), 5u);
-  EXPECT_EQ(sub.graph.num_edges(), 0u);  // evens are pairwise non-adjacent
+  std::vector<Vertex> evens;
+  for (Vertex v = 0; v < g.num_vertices(); v += 2) evens.push_back(v);
+  const Graph sub = Graph::induced(g, evens);
+  EXPECT_EQ(sub.num_vertices(), 5u);
+  EXPECT_EQ(sub.num_edges(), 0u);  // evens are pairwise non-adjacent
 }
 
 TEST(Subgraph, EmptySelection) {
   const Graph g = gen::ring(5);
-  const auto sub = induced_subgraph(g, {});
-  EXPECT_EQ(sub.graph.num_vertices(), 0u);
+  const Graph sub = Graph::induced(g, {});
+  EXPECT_EQ(sub.num_vertices(), 0u);
+  EXPECT_EQ(sub.num_edges(), 0u);
 }
 
 TEST(Rng, VertexStreamsAreIndependentAndStable) {

@@ -1,4 +1,4 @@
-#include "sim/mailbox.hpp"
+#include "mailbox.hpp"
 
 #include <gtest/gtest.h>
 

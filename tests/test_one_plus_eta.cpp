@@ -8,7 +8,6 @@
 #include "algo/partition.hpp"
 #include "graph/arboricity.hpp"
 #include "graph/generators.hpp"
-#include "graph/subgraph.hpp"
 #include "validate/validate.hpp"
 
 #include "fingerprint.hpp"

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <utility>
+#include <vector>
+
+#include "graph/arboricity.hpp"
 #include "graph/generators.hpp"
+#include "graph/rmat.hpp"
 #include "validate/reference.hpp"
 
 namespace valocal {
@@ -66,6 +74,39 @@ TEST(Validate, ArbdefectUpperBound) {
   EXPECT_EQ(coloring_arbdefect_ub(g, {0, 0, 0, 0, 0, 0}), 5u);
   // Proper coloring: every class an independent set, arbdefect 0.
   EXPECT_EQ(coloring_arbdefect_ub(g, {0, 1, 2, 3, 4, 5}), 0u);
+}
+
+TEST(Validate, ArbdefectIsTheLargestClassDegeneracy) {
+  // Reference: one induced subgraph per color class, peeled on its own.
+  const auto per_class_max = [](const Graph& g,
+                                const std::vector<int>& color) {
+    std::map<int, std::vector<Vertex>> classes;
+    for (Vertex v = 0; v < g.num_vertices(); ++v)
+      classes[color[v]].push_back(v);
+    std::size_t worst = 0;
+    for (const auto& [c, members] : classes)
+      worst = std::max(worst, degeneracy(Graph::induced(g, members)));
+    return worst;
+  };
+  std::mt19937_64 rng(17);
+  const std::vector<std::pair<const char*, Graph>> graphs = [] {
+    std::vector<std::pair<const char*, Graph>> out;
+    out.emplace_back("erdos_renyi", gen::erdos_renyi(400, 12.0, 3));
+    out.emplace_back("forest_union", gen::forest_union(300, 4, 5));
+    out.emplace_back("barabasi_albert", gen::barabasi_albert(300, 5, 7));
+    out.emplace_back("complete", gen::complete(24));
+    out.emplace_back("rmat",
+                     gen::rmat({.scale = 9, .edge_factor = 8, .seed = 11}));
+    return out;
+  }();
+  for (const auto& [name, g] : graphs)
+    for (const int colors : {1, 2, 3, 7, 40}) {
+      SCOPED_TRACE(testing::Message() << name << ", " << colors
+                                      << " colors");
+      std::vector<int> color(g.num_vertices());
+      for (int& c : color) c = static_cast<int>(rng() % colors);
+      EXPECT_EQ(coloring_arbdefect_ub(g, color), per_class_max(g, color));
+    }
 }
 
 TEST(Reference, GreedyColoringIsProper) {

@@ -112,7 +112,7 @@ struct SemanticLog final : trace::TraceSink {
 
   void on_run_begin(const trace::RunInfo& info,
                     std::span<const char* const> phases) override {
-    log << "begin " << info.engine << " n=" << info.num_vertices
+    log << "begin n=" << info.num_vertices
         << " seed=" << info.seed << " phases=" << phases.size() << "\n";
   }
   void on_round(const trace::RoundEvent& e) override {
