@@ -114,14 +114,29 @@ BENCHMARK(BM_EngineA2LogN)->Arg(1 << 12)->Arg(1 << 16);
 
 // The rand-dense shape (ER, average degree 16): BGKO'22 mutual
 // proposals, whose step reads one neighbor's proposal per resolve
-// round, and the run-to-completion (Delta+1) baseline, which parks
-// through the Kuhn-Wattenhofer stage's no-op rounds (items count them
-// too: parked rounds are charged).
+// round; BGKO'22 degree-marking MIS, whose resolve stops at the first
+// active neighbor once the vertex cannot join; the Section 9.2
+// (Delta+1) draw over a free-color bit mask; and the run-to-completion
+// (Delta+1) baseline, which parks through the Kuhn-Wattenhofer stage's
+// no-op rounds (items count them too: parked rounds are charged).
 void BM_EngineBgkoMatching(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   engine_fixture(state, er16(n), BgkoMatchingAlgo{});
 }
 BENCHMARK(BM_EngineBgkoMatching)->Arg(1 << 14);
+
+void BM_EngineBgkoMis(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  engine_fixture(state, er16(n), BgkoMisAlgo{});
+}
+BENCHMARK(BM_EngineBgkoMis)->Arg(1 << 14);
+
+void BM_EngineRandDeltaPlusOne(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const Graph& g = er16(n);
+  engine_fixture(state, g, RandDeltaPlusOneAlgo(g.max_degree()));
+}
+BENCHMARK(BM_EngineRandDeltaPlusOne)->Arg(1 << 14);
 
 void BM_EngineWcDelta(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1,6 +1,6 @@
 #include "algo/bgko22.hpp"
 
-#include <vector>
+#include <span>
 
 #include "util/scratch.hpp"
 #include "registry/spec_util.hpp"
@@ -32,19 +32,22 @@ bool BgkoMisAlgo::step(Vertex v, std::size_t round,
   // A marked vertex joins unless a marked active neighbor beats it in
   // the (degree, id) order; with every neighbor already decided the
   // vertex joins unconditionally (all of them must be dominated, or
-  // the loop above would have fired).
+  // the loop above would have fired). Once an active neighbor has been
+  // seen and the vertex is not the best, it stays undecided whatever
+  // the rest of the list holds, so the scan stops there: an unmarked
+  // vertex stops at its first active neighbor.
   bool any_active = false;
   bool best = self.marked;
   for (std::size_t i = 0; i < view.degree(); ++i) {
     const auto& nbr = view.neighbor_state(i);
     if (nbr.status != 0) continue;
     any_active = true;
-    if (!nbr.marked) continue;
-    const Vertex u = view.neighbor(i);
-    if (nbr.degree > self.degree ||
-        (nbr.degree == self.degree && u > v)) {
-      best = false;
+    if (nbr.marked) {
+      const Vertex u = view.neighbor(i);
+      best = best && (nbr.degree < self.degree ||
+                      (nbr.degree == self.degree && u < v));
     }
+    if (!best) break;
   }
   if (!any_active || best) {
     next.status = 1;
@@ -65,10 +68,11 @@ bool BgkoMatchingAlgo::step(Vertex v, std::size_t round,
     // with none left, terminate unmatched (every neighbor is already
     // matched or retired, so no edge at v can ever be added).
     // Branch-free gather: every neighbor id is written, and the count
-    // advances only past the available ones.
-    std::vector<std::uint32_t>& avail =
-        thread_scratch<BgkoMatchingAlgo, std::uint32_t>();
-    avail.resize(view.degree());
+    // advances only past the available ones. The slots are written
+    // before they are read, so they are neither cleared nor filled.
+    const std::span<std::uint32_t> avail =
+        thread_scratch_slots<BgkoMatchingAlgo, std::uint32_t>(
+            view.degree());
     std::size_t k = 0;
     for (std::size_t i = 0; i < view.degree(); ++i) {
       avail[k] = view.neighbor(i);

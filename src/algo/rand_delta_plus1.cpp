@@ -1,9 +1,12 @@
 #include "algo/rand_delta_plus1.hpp"
 
 #include <algorithm>
-#include <vector>
+#include <bit>
+#include <cstdint>
+#include <span>
 
 #include "util/assertx.hpp"
+#include "util/mathx.hpp"
 #include "util/scratch.hpp"
 #include "validate/validate.hpp"
 #include "registry/spec_util.hpp"
@@ -20,23 +23,35 @@ bool RandDeltaPlusOneAlgo::step(Vertex, std::size_t round,
     // minus the neighbors' final colors.
     next.proposal = -1;
     if (!rng.coin()) return false;
-    // Mark the colors the neighbors hold, counting the free ones; then
-    // walk to the below(num_free)-th free color.
-    std::vector<char>& taken = thread_scratch<RandDeltaPlusOneAlgo, char>();
-    taken.assign(max_degree_ + 1, 0);
-    std::size_t num_free = max_degree_ + 1;
+    // Mark the colors the neighbors hold, one bit each in
+    // ceil((Delta+1)/64) words; the free colors are the palette minus
+    // the marked bits. Walk the words to the one holding the
+    // below(num_free)-th free color, then drop that many lower free
+    // bits inside it: the same color a walk over the palette picks.
+    const std::size_t palette = max_degree_ + 1;
+    const std::span<std::uint64_t> taken =
+        thread_scratch_slots<RandDeltaPlusOneAlgo, std::uint64_t>(
+            (palette + 63) / 64);
+    std::fill(taken.begin(), taken.end(), 0);
     for (std::size_t i = 0; i < view.degree(); ++i) {
       const std::int32_t c = view.neighbor_state(i).final_color;
-      if (c >= 0 && !taken[c]) {
-        taken[c] = 1;
-        --num_free;
-      }
+      if (c >= 0) taken[c >> 6] |= std::uint64_t{1} << (c & 63);
     }
+    std::size_t num_free = palette;
+    for (const std::uint64_t word : taken) num_free -= popcount64(word);
     VALOCAL_ENSURE(num_free > 0, "palette exhausted: degree bound broken");
     std::uint64_t skip = rng.below(num_free);
-    std::int32_t c = 0;
-    while (taken[c] || skip-- > 0) ++c;
-    next.proposal = c;
+    std::size_t w = 0;
+    // The last word's bits past the palette read as free, but the walk
+    // stops inside the palette: skip < num_free counts real colors.
+    std::uint64_t free_bits = ~taken[0];
+    while (skip >= popcount64(free_bits)) {
+      skip -= popcount64(free_bits);
+      free_bits = ~taken[++w];
+    }
+    for (; skip > 0; --skip) free_bits &= free_bits - 1;
+    next.proposal = static_cast<std::int32_t>(
+        64 * w + static_cast<std::size_t>(std::countr_zero(free_bits)));
     return false;
   }
 

@@ -9,6 +9,7 @@
 #include <sys/mman.h>
 
 #include "util/assertx.hpp"
+#include "util/mathx.hpp"
 #include "util/thread_pool.hpp"
 
 namespace valocal {
@@ -24,7 +25,7 @@ namespace {
 /// reverse slot without per-edge lookup tables or binary searches.
 template <class PerEdge>
 void sweep_edge_slots(std::size_t n, const std::vector<std::size_t>& offsets,
-                      const std::vector<Vertex>& adjacency,
+                      std::span<const Vertex> adjacency,
                       std::vector<std::size_t>& cursor,
                       const PerEdge& per_edge) {
   std::copy_n(offsets.begin(), n, cursor.begin());
@@ -90,16 +91,6 @@ constexpr std::size_t kPrefetchPairs = 16;
 /// Id `x` of a pair not yet range-checked, clamped into [0, n) so that
 /// a prefetch address formed from it stays inside its array.
 std::size_t clamp_id(Vertex x, std::size_t n) { return x < n ? x : 0; }
-
-/// Population count as the SWAR bit-slice sum: std::popcount compiles to
-/// a libgcc call on a build without the POPCNT instruction, and
-/// Graph::induced counts once per neighbor.
-constexpr Vertex popcount64(std::uint64_t x) {
-  x -= (x >> 1) & 0x5555555555555555;
-  x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333);
-  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f;
-  return static_cast<Vertex>((x * 0x0101010101010101) >> 56);
-}
 
 /// Advises transparent huge pages for the 2 MiB-aligned interior of
 /// [p, p + bytes). The scatter's random stores then miss the TLB far
@@ -204,8 +195,10 @@ Graph Graph::from_source(std::size_t n, const EdgeBlockSource& src,
   // after it catches one that yields fewer. Slot order within a slice
   // is block-order-dependent; the sort below canonicalizes it. Every
   // store lands behind a dependent cursor load at a random place, so
-  // the array gets huge pages (before the zero-fill first touches it)
-  // and the loop prefetches cursors and target slots ahead.
+  // the array gets huge pages (before the scatter first touches it)
+  // and the loop prefetches cursors and target slots ahead. The array
+  // is not zero-filled: the scatter writes every slot, which the
+  // cursor sweep after it proves.
   g.adjacency_.reserve(slots);
   advise_huge_pages(g.adjacency_.data(), slots * sizeof(Vertex));
   g.adjacency_.resize(slots);

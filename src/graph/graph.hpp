@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "util/assertx.hpp"
+#include "util/uninit_vector.hpp"
 
 namespace valocal {
 
@@ -292,7 +293,7 @@ class Graph {
   std::size_t m_ = 0;
   std::size_t max_degree_ = 0;
   std::vector<std::size_t> offsets_;  // n+1
-  std::vector<Vertex> adjacency_;     // 2m
+  UninitVector<Vertex> adjacency_;    // 2m; every build writes each slot
   std::shared_ptr<LazyEdgeTables> edge_tables_;
 };
 

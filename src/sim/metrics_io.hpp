@@ -1,6 +1,13 @@
 // Plot-ready CSV serialization of execution metrics: the per-round
 // active-population decay series (Lemma 6.1's n_i) and the per-vertex
 // round counts (r(v) histogram material).
+//
+// The integer-row tables (decay, rounds, histogram, round timings,
+// edge decay) are formatted with std::to_chars and written one block
+// at a time, so the stream's flags (width, base, showpos) and its
+// locale's digit grouping no longer apply to those columns: they are
+// always plain base-10. write_measures_csv still formats through the
+// stream, so its doubles follow the stream's settings as before.
 #pragma once
 
 #include <iosfwd>

@@ -43,4 +43,15 @@ constexpr std::uint64_t ceil_div(std::uint64_t x, std::uint64_t y) {
   return (x + y - 1) / y;
 }
 
+/// Population count as the SWAR bit-slice sum: std::popcount compiles to
+/// a libgcc call on a build without the POPCNT instruction, and the
+/// callers (Graph::induced's ranks, rand_delta_plus1's free colors)
+/// count once per neighbor or per step.
+constexpr std::uint32_t popcount64(std::uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555;
+  x = (x & 0x3333333333333333) + ((x >> 2) & 0x3333333333333333);
+  x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0f;
+  return static_cast<std::uint32_t>((x * 0x0101010101010101) >> 56);
+}
+
 }  // namespace valocal

@@ -11,7 +11,11 @@
 // or KwReduction::advance) key their buffers by their own class.
 #pragma once
 
+#include <cstddef>
+#include <span>
 #include <vector>
+
+#include "util/uninit_vector.hpp"
 
 namespace valocal {
 
@@ -20,6 +24,20 @@ std::vector<T>& thread_scratch() {
   thread_local std::vector<T> buffer;
   buffer.clear();
   return buffer;
+}
+
+/// The calling thread's n slots of T for Owner, for a step that writes
+/// every slot it reads. The slots are never cleared or zero-filled:
+/// they hold whatever an earlier call (or the allocator) left there.
+/// The buffer only grows, so once it holds the largest n a run asks
+/// for, a call costs no allocation and no pass over the slots. The
+/// (Owner, T) buffer is separate from thread_scratch<Owner, T>()'s, and
+/// the same nesting rule holds.
+template <class Owner, class T>
+std::span<T> thread_scratch_slots(std::size_t n) {
+  thread_local UninitVector<T> buffer;
+  if (buffer.size() < n) buffer.resize(n);
+  return {buffer.data(), n};
 }
 
 }  // namespace valocal

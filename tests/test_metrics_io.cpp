@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "algo/coloring_ka2.hpp"
@@ -84,6 +86,58 @@ TEST(MetricsIo, RoundTimingsAwakeColumnMatchesEngine) {
          << m.active_per_round[i] - m.parked_per_round[i] << ','
          << m.round_wall_ns[i] << '\n';
   EXPECT_EQ(os.str(), want.str());
+}
+
+// The integer tables are formatted with std::to_chars, block by block;
+// their bytes must be what ostream insertion of the same fields gives,
+// at the extremes of every column type and across block boundaries
+// (the rounds table below spans several blocks).
+TEST(MetricsIo, IntegerTablesMatchOstreamFormatting) {
+  constexpr std::uint32_t kU32 = std::numeric_limits<std::uint32_t>::max();
+  constexpr std::size_t kSize = std::numeric_limits<std::size_t>::max();
+  Metrics m;
+  m.rounds = {0, kU32, 7, kU32, 0};
+  for (std::uint32_t i = 0; i < 8000; ++i) m.rounds.push_back(kU32 - i);
+  m.active_per_round = {0, kSize, 5, kSize - 1};
+  m.parked_per_round = {0, 1, kSize, 0};
+  m.round_wall_ns = {std::numeric_limits<std::uint64_t>::max(), 0, 3};
+  m.edge_active_per_round = {kSize, 0, 12};
+
+  std::ostringstream want_rounds, want_decay, want_edges, want_timings;
+  want_rounds << "vertex,rounds\n";
+  for (std::size_t v = 0; v < m.rounds.size(); ++v)
+    want_rounds << v << ',' << m.rounds[v] << '\n';
+  want_decay << "round,active\n";
+  want_timings << "round,active,awake,wall_ns\n";
+  for (std::size_t i = 0; i < m.active_per_round.size(); ++i) {
+    const std::size_t a = m.active_per_round[i];
+    const std::size_t p = m.parked_per_round[i];
+    want_decay << i + 1 << ',' << a << '\n';
+    want_timings << i + 1 << ',' << a << ',' << (a >= p ? a - p : 0) << ','
+                 << (i < m.round_wall_ns.size() ? m.round_wall_ns[i] : 0)
+                 << '\n';
+  }
+  want_edges << "round,active_edges\n";
+  for (std::size_t i = 0; i < m.edge_active_per_round.size(); ++i)
+    want_edges << i + 1 << ',' << m.edge_active_per_round[i] << '\n';
+
+  std::ostringstream rounds, decay, edges, timings;
+  write_rounds_csv(rounds, m);
+  write_decay_csv(decay, m);
+  write_edge_decay_csv(edges, m);
+  write_round_timings_csv(timings, m);
+  ASSERT_GT(rounds.str().size(), std::size_t{3} << 12);
+  EXPECT_EQ(rounds.str(), want_rounds.str());
+  EXPECT_EQ(decay.str(), want_decay.str());
+  EXPECT_EQ(edges.str(), want_edges.str());
+  EXPECT_EQ(timings.str(), want_timings.str());
+
+  // Histogram buckets: 0 and the count at a bucket past 2^16.
+  Metrics h;
+  h.rounds = {0, 70000, 0, 70000, 70000};
+  std::ostringstream hist;
+  write_rounds_histogram_csv(hist, h);
+  EXPECT_EQ(hist.str(), "rounds,count\n0,2\n70000,3\n");
 }
 
 TEST(MetricsIo, EdgeDecayAndMeasuresCsv) {

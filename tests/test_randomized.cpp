@@ -9,6 +9,7 @@
 #include "algo/rand_delta_plus1.hpp"
 #include "baseline/luby_mis.hpp"
 #include "graph/generators.hpp"
+#include "graph/rmat.hpp"
 #include "validate/validate.hpp"
 
 #include "fingerprint.hpp"
@@ -18,6 +19,14 @@ namespace {
 
 const Graph& pin_graph() {
   static const Graph g = gen::erdos_renyi(2000, 8.0, 17);
+  return g;
+}
+
+// RMAT s12: hubs of a few hundred neighbors next to degree-1 leaves, so
+// the MIS resolve's early exits fire at every position of a long list.
+const Graph& pin_rmat() {
+  static const Graph g =
+      gen::rmat({.scale = 12, .edge_factor = 8, .seed = 5});
   return g;
 }
 
@@ -52,6 +61,62 @@ TEST(RandomizedPins, BgkoMatchingOutputsAndRounds) {
           << "seed " << seed << " v " << v;
     }
   }
+}
+
+// Cliques whose palette Delta+1 sits at and around the 64-color word
+// boundaries of the draw's free-color mask; a clique uses every color,
+// so the last draws pick from the top word's highest bits.
+TEST(RandomizedPins, RandDeltaPlusOneAtPaletteWordBoundaries) {
+  const std::vector<std::pair<std::size_t, std::uint64_t>> pins = {
+      {63, 0xae048480323f88e4ULL}, {64, 0x5967bd945b667b51ULL},
+      {65, 0xc26017d795fd614fULL}, {66, 0x2b9b4fad91ae6c76ULL},
+      {129, 0x3bc88d083531b569ULL}};
+  for (const auto& [k, pinned] : pins) {
+    const Graph g = gen::complete(k);
+    const auto result = compute_rand_delta_plus1(g, 7);
+    EXPECT_TRUE(is_proper_coloring(g, result.color)) << "K_" << k;
+    EXPECT_EQ(result.num_colors, k);
+    EXPECT_EQ(fingerprint(result.color, result.metrics.rounds), pinned)
+        << "K_" << k;
+  }
+}
+
+struct MisPin {
+  const Graph& (*graph)();
+  const char* what;
+  std::uint64_t seed;
+  std::uint64_t pinned;
+};
+
+template <class Compute>
+void expect_mis_pins(const std::vector<MisPin>& pins, Compute compute) {
+  for (const MisPin& pin : pins) {
+    const Graph& g = pin.graph();
+    const MisResult result = compute(g, pin.seed);
+    EXPECT_TRUE(is_mis(g, result.in_set)) << pin.what << " " << pin.seed;
+    EXPECT_EQ(fingerprint(result.in_set, result.metrics.rounds), pin.pinned)
+        << pin.what << " seed " << pin.seed;
+  }
+}
+
+TEST(RandomizedPins, BgkoMisOutputsAndRounds) {
+  expect_mis_pins({{pin_graph, "er", 1, 0x3718d3698265dc6aULL},
+                   {pin_graph, "er", 2, 0xb2d5a652c6631968ULL},
+                   {pin_rmat, "rmat", 1, 0x02990569373a4e05ULL},
+                   {pin_rmat, "rmat", 2, 0x2261315ee21e4c97ULL}},
+                  [](const Graph& g, std::uint64_t seed) {
+                    return compute_bgko_mis(g, seed);
+                  });
+}
+
+TEST(RandomizedPins, LubyOutputsAndRounds) {
+  expect_mis_pins({{pin_graph, "er", 1, 0x32a9322a039e7b69ULL},
+                   {pin_graph, "er", 2, 0x0f80952a52cba16eULL},
+                   {pin_rmat, "rmat", 1, 0x3ee38f1c9bc8dbc1ULL},
+                   {pin_rmat, "rmat", 2, 0xa348e7c2c6770f4dULL}},
+                  [](const Graph& g, std::uint64_t seed) {
+                    return compute_luby_mis(g, seed);
+                  });
 }
 
 TEST(RandDeltaPlusOne, ProperWithDeltaPlusOne) {
